@@ -23,6 +23,9 @@ class BoxCountResult:
     residual: float
 
 
+WINDOW_CHUNK_CELLS = 2 ** 15
+
+
 @dataclass
 class DiscreteMeasure:
     """Nonnegative masses on disjoint intervals (atoms have left == right).
@@ -50,17 +53,31 @@ class DiscreteMeasure:
 
     def window_mass(self, x0: float, x1: float) -> float:
         """Mass of [x0, x1], proportional overlap inside intervals."""
+        return float(self.window_masses([x0], [x1])[0])
+
+    def window_masses(self, x0s, x1s) -> np.ndarray:
+        """Masses of the windows [x0s[i], x1s[i]], as `window_mass` gives them.
+
+        Windows are broadcast against the intervals in chunks of at most
+        WINDOW_CHUNK_CELLS window x interval cells.  Each window's row is
+        summed on its own, so a window's mass does not depend on the batch
+        it comes in.
+        """
+        x0s = np.asarray(x0s, dtype=float).ravel()
+        x1s = np.asarray(x1s, dtype=float).ravel()
         lengths = self.rights - self.lefts
-        overlap = np.minimum(self.rights, x1) - np.maximum(self.lefts, x0)
-        out = np.zeros_like(self.masses)
         atom = lengths == 0
-        out[~atom] = self.masses[~atom] * np.clip(
-            overlap[~atom] / lengths[~atom], 0.0, 1.0
-        )
-        out[atom] = np.where(
-            (self.lefts[atom] >= x0) & (self.lefts[atom] <= x1), self.masses[atom], 0.0
-        )
-        return float(np.sum(out))
+        safe = np.where(atom, 1.0, lengths)
+        out = np.empty(len(x0s))
+        step = max(1, WINDOW_CHUNK_CELLS // max(1, len(self.masses)))
+        for s in range(0, len(x0s), step):
+            x0 = x0s[s:s + step, None]
+            x1 = x1s[s:s + step, None]
+            overlap = np.minimum(self.rights, x1) - np.maximum(self.lefts, x0)
+            share = np.where(atom, (self.lefts >= x0) & (self.lefts <= x1),
+                             np.clip(overlap / safe, 0.0, 1.0))
+            out[s:s + step] = np.sum(self.masses * share, axis=1)
+        return out
 
 
 def natural_measure(level: IntervalLevel) -> DiscreteMeasure:

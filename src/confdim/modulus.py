@@ -10,6 +10,19 @@ smooth concave dual by projected gradient ascent with backtracking, followed
 by projected-Newton polishing on the active constraints; the reported value
 comes from a rescaled primal-feasible point, so it is always an upper bound
 with a certified duality gap.
+
+The solver works on the coordinate form of A (its nonzeros, sorted once by
+row and once by column), so A x and A^T y cost O(nnz), and the Newton matrix
+A_S diag(d) A_S^T of the active rows S is summed from the pairs of rows that
+share a column.  The pair work is the sum over the columns of the squared
+count of active rows there: near nnz when few rows meet in a column, as in
+product systems and in discrete programs on disjoint balls, but m_act^2 n
+when every row meets every column, where a dense BLAS product would be some
+30 times faster.  The pairs are taken column block by column block, at most
+PAIR_CHUNK at a time, so memory stays O(nnz + m^2).  Rows implied by
+another row (A_i >= A_k entrywise) are redundant and keep a zero
+multiplier.  A solve that stops before it covers every row raises
+NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from confdim.cantor import IntervalLevel
-from confdim.dimension import DiscreteMeasure, box_count
+from confdim.dimension import WINDOW_CHUNK_CELLS, DiscreteMeasure, box_count
 
 
 class InfeasibleError(ValueError):
@@ -29,6 +42,22 @@ class InfeasibleError(ValueError):
         self.member_indices = list(member_indices)
         super().__init__(
             message or f"infeasible: members {self.member_indices} cannot be covered"
+        )
+
+
+class NonConvergenceError(RuntimeError):
+    """The solver stopped before its iterate covered every constraint row.
+
+    Structurally infeasible rows are rejected before solving, so this means
+    the iteration budget ran out or the steps stalled.
+    """
+
+    def __init__(self, member_indices, iterations: int):
+        self.member_indices = [int(i) for i in member_indices]
+        self.iterations = iterations
+        super().__init__(
+            f"no convergence after {iterations} iterations: rows "
+            f"{self.member_indices} not covered"
         )
 
 
@@ -46,6 +75,122 @@ class SolveResult:
             raise ValueError("optimizer must be nonnegative")
 
 
+# Row pairs are generated in chunks of at most this many, so the memory of
+# the Newton matrix assembly does not grow with the number of pairs.
+PAIR_CHUNK = 2 ** 17
+
+
+class _Coords:
+    """Coordinate form of a nonnegative m x n matrix, built once per solve.
+
+    The nonzeros are stored twice, sorted by row and sorted by column, so
+    that ``A @ x`` and ``A.T @ y`` are segment sums over O(nnz) products.
+    ``np.add.reduceat`` sums each segment pairwise; a sequential sum (as in
+    ``np.bincount``) loses enough accuracy on long rows to stall the
+    Newton line search at the rounding floor.  Each entry of the Newton
+    matrix ``A[S] diag(d) A[S].T`` is a sum over the pairs of entries of
+    rows in S that share a column; the pairs are generated on each call, at
+    most PAIR_CHUNK at a time.
+    """
+
+    def __init__(self, A: np.ndarray):
+        A = np.ascontiguousarray(A, dtype=float)
+        self.m, self.n = A.shape
+        flat = np.flatnonzero(A != 0)  # row-major order: sorted by row
+        rows, cols = np.divmod(flat, self.n)
+        vals = A.ravel()[flat]
+        self.row_cols, self.row_vals = cols, vals
+        self.row_ids, self.row_starts = _segments(rows)
+        order = np.argsort(cols, kind="stable")
+        self.col_rows, self.col_cols, self.col_vals = rows[order], cols[order], vals[order]
+        self.col_ids, self.col_starts = _segments(self.col_cols)
+        self.needed = self._needed_rows()
+
+    def _column_blocks(self, rows: np.ndarray):
+        """Yield the entries of the rows marked in ``rows``, column by column.
+
+        Each block is an (n_cols, c) array of indices into the column-sorted
+        entries, for columns that hold c such entries; a block spans at most
+        PAIR_CHUNK // c^2 columns (at least one), so its c x c outer
+        products hold at most PAIR_CHUNK pairs or those of one column.
+        """
+        e = np.flatnonzero(rows[self.col_rows])
+        start = np.flatnonzero(np.diff(self.col_cols[e], prepend=-1))
+        count = np.diff(start, append=len(e))
+        for c in np.unique(count):
+            first = start[count == c]
+            step = max(1, PAIR_CHUNK // int(c * c))
+            for s in range(0, len(first), step):
+                yield e[first[s:s + step, None] + np.arange(c)]
+
+    def _needed_rows(self) -> np.ndarray:
+        """Mask of the rows that no other row implies.
+
+        Row i is implied by row k != i when A[i] >= A[k] entrywise, that is
+        when row k's support lies in row i's and row i is at least as large
+        there: then A[i] x >= A[k] x >= 1 for every x >= 0.  An implied row
+        can be tight at the optimum with a zero multiplier, and copies of a
+        row make the Newton matrix singular; either way the polish stalls.
+        Of a set of equal rows the first is kept.  The counts take m x m
+        memory, as the Newton matrix of all rows would; a sort of the pair
+        keys instead has no bound but the number of pairs.
+        """
+        m = self.m
+        R, V = self.col_rows, self.col_vals
+        hits = np.zeros(m * m, dtype=np.int64)  # [i * m + k]: columns where A[i] >= A[k] > 0
+        for E in self._column_blocks(np.ones(m, dtype=bool)):
+            r, v = R[E], V[E]
+            np.add.at(hits, _outer(r * m, r, np.add)[_outer(v, v, np.greater_equal)], 1)
+        nnz = np.bincount(R, minlength=m)
+        key = np.flatnonzero(hits)
+        i, k = np.divmod(key, m)
+        implied = (hits[key] == nnz[k]) & (i != k)  # row i by row k
+        i, k = i[implied], k[implied]
+        equal = hits[k * m + i] == nnz[i]  # row k by row i as well
+        needed = np.ones(m, dtype=bool)
+        needed[i[~equal | (k < i)]] = False
+        return needed
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A @ x."""
+        return _segment_sums(self.row_vals * x[self.row_cols], self.row_ids,
+                             self.row_starts, self.m)
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """A.T @ y."""
+        return _segment_sums(self.col_vals * y[self.col_rows], self.col_ids,
+                             self.col_starts, self.n)
+
+    def gram(self, active: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """A[active] diag(d) A[active].T as a dense m_act x m_act matrix."""
+        pos = np.cumsum(active) - 1
+        k = int(pos[-1]) + 1
+        R, V = self.col_rows, self.col_vals
+        out = np.zeros(k * k)
+        for E in self._column_blocks(active):
+            i, v = pos[R[E]], V[E]
+            np.add.at(out, _outer(i * k, i, np.add),
+                      _outer(v * d[self.col_cols[E]], v, np.multiply))
+        return out.reshape(k, k)
+
+
+def _segments(keys: np.ndarray) -> tuple:
+    """Distinct values of a sorted key array and the index where each starts."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], starts
+
+
+def _outer(u: np.ndarray, v: np.ndarray, op) -> np.ndarray:
+    """op(u[r, a], v[r, b]) over every row r and every pair (a, b), flattened."""
+    return op(u[:, :, None], v[:, None, :]).ravel()
+
+
+def _segment_sums(terms, ids, starts, size) -> np.ndarray:
+    out = np.zeros(size)
+    out[ids] = np.add.reduceat(terms, starts)
+    return out
+
+
 def _solve_power_program(
     w: np.ndarray,
     A: np.ndarray,
@@ -56,25 +201,27 @@ def _solve_power_program(
     """min sum w x^p s.t. A x >= 1, x >= 0 via dual projected gradient."""
     m, n = A.shape
     q = 1.0 / (p - 1.0)
+    C = _Coords(A)
 
     def primal(y):
-        s = A.T @ y
+        s = C.tdot(y)
         x = np.zeros(n)
         pos = s > 0
         x[pos] = (s[pos] / (p * w[pos])) ** q
         return x
 
     def dual_value(y, x):
-        return float(np.sum(w * x ** p) + y @ (1.0 - A @ x))
+        return float(np.sum(w * x ** p) + y @ (1.0 - C.dot(x)))
 
-    y = np.ones(m)
+    live = C.needed  # implied rows keep a zero multiplier
+    y = live.astype(float)
     x = primal(y)
     g = dual_value(y, x)
     step = 1.0
     it = 0
     while it < max_iter:
         it += 1
-        grad = 1.0 - A @ x
+        grad = np.where(live, 1.0 - C.dot(x), 0.0)
         gnorm = float(np.linalg.norm(grad * ((y > 0) | (grad > 0))))
         if gnorm <= tol:
             break
@@ -95,24 +242,24 @@ def _solve_power_program(
 
         # projected-Newton polish on the active set every few sweeps
         if it % 20 == 0 or gnorm < 1e-4:
-            y, x, g = _newton_polish(w, A, p, q, y, primal, dual_value)
-            grad = 1.0 - A @ x
+            y, x, g = _newton_polish(C, q, y, live, primal, dual_value)
+            grad = np.where(live, 1.0 - C.dot(x), 0.0)
             gnorm = float(np.linalg.norm(grad * ((y > 0) | (grad > 0))))
             if gnorm <= tol:
                 break
 
-    y, x, g = _newton_polish(w, A, p, q, y, primal, dual_value)
+    y, x, g = _newton_polish(C, q, y, live, primal, dual_value)
 
     # certified primal value: rescale onto the feasible set
-    Ax = A @ x
+    Ax = C.dot(x)
     worst = float(np.min(Ax)) if m else 1.0
     if worst <= 0:
-        raise InfeasibleError(np.where(Ax <= 0)[0])
+        raise NonConvergenceError(np.where(Ax <= 0)[0], it)
     x_feas = x / min(worst, 1.0)
     value = float(np.sum(w * x_feas ** p))
     gap = value - dual_value(y, x)
 
-    Axf = A @ x_feas
+    Axf = C.dot(x_feas)
     feas = float(max(0.0, np.max(1.0 - Axf))) if m else 0.0
     comp = float(np.max(np.abs(y * (1.0 - Axf)))) if m else 0.0
     kkt = max(feas, comp)
@@ -122,22 +269,22 @@ def _solve_power_program(
     )
 
 
-def _newton_polish(w, A, p, q, y, primal, dual_value, sweeps: int = 40):
+def _newton_polish(C: _Coords, q, y, live, primal, dual_value, sweeps: int = 40):
     """Newton steps on the stationarity system of the active constraints."""
-    m = A.shape[0]
     x = primal(y)
     g = dual_value(y, x)
     for _ in range(sweeps):
-        resid = A @ x - 1.0
-        active = (y > 1e-14) | (resid < 0)
-        if not np.any(active):
+        resid = C.dot(x) - 1.0
+        active = live & ((y > 1e-14) | (resid < 0))
+        # stop at the rounding floor; from within 1e-12 one step reaches it
+        err = float(np.max(np.abs(resid[active]))) if np.any(active) else 0.0
+        if err <= 1e-15:
             break
-        s = A.T @ y
+        s = C.tdot(y)
         dx = np.zeros_like(x)
         pos = s > 0
         dx[pos] = q * x[pos] / s[pos]
-        Aact = A[active]
-        J = (Aact * dx) @ Aact.T
+        J = C.gram(active, dx)
         try:
             delta = np.linalg.solve(J + 1e-14 * np.eye(J.shape[0]), -resid[active])
         except np.linalg.LinAlgError:
@@ -156,10 +303,9 @@ def _newton_polish(w, A, p, q, y, primal, dual_value, sweeps: int = 40):
             t *= 0.5
         if not improved:
             break
-        if abs(g_try - g) <= 1e-16 * max(1.0, abs(g)) and np.max(np.abs(resid[active])) < 1e-12:
-            y, x, g = y_try, x_try, g_try
-            break
         y, x, g = y_try, x_try, g_try
+        if err < 1e-12:
+            break
     return y, x, g
 
 
@@ -280,19 +426,20 @@ class DiscreteModulusProblem:
             sep = np.diff(cs) - (rs[1:] + rs[:-1]) / 5.0
             if np.any(sep < -1e-12):
                 raise ValueError("fifth-balls are not pairwise disjoint")
+        # the intervals of all sets against every fifth-ball, in chunks of at
+        # most WINDOW_CHUNK_CELLS cells; [lo, hi] meets [c - r/5, c + r/5]
+        spans = [np.asarray(s, dtype=float) for s in sets]
+        spans = [np.stack([s, s], axis=1) if s.ndim == 1 else s for s in spans]
+        sizes = np.array([len(s) for s in spans], dtype=int)
+        lohi = np.concatenate(spans) if spans else np.zeros((0, 2))
+        owner = np.repeat(np.arange(len(sets)), sizes)
         inc = np.zeros((len(sets), len(balls)), dtype=bool)
-        for i, s in enumerate(sets):
-            s = np.asarray(s, dtype=float)
-            if s.ndim == 1:
-                lo, hi = s, s
-            else:
-                lo, hi = s[:, 0], s[:, 1]
-            # interval [lo,hi] meets [c - r/5, c + r/5]
-            inc[i] = np.any(
-                (lo[:, None] <= c[None, :] + r[None, :] / 5.0)
-                & (hi[:, None] >= c[None, :] - r[None, :] / 5.0),
-                axis=0,
-            )
+        step = max(1, WINDOW_CHUNK_CELLS // max(1, len(balls)))
+        for s in range(0, len(lohi), step):
+            hit = lohi[s:s + step, :1] <= c + r / 5.0
+            hit &= lohi[s:s + step, 1:] >= c - r / 5.0
+            piece, ball = np.divmod(np.flatnonzero(hit), len(balls))
+            inc[owner[s + piece], ball] = True
         delta = float(2 * np.max(r)) if delta is None else delta
         return cls(balls=balls, p=p, delta=delta, incidence=inc)
 
@@ -345,9 +492,7 @@ def product_system(
         )
     n_cols = int(round(1.0 / cell_width))
     edges = np.arange(n_cols + 1) * cell_width
-    lam_cols = np.array(
-        [E_measure.window_mass(edges[k], edges[k + 1]) for k in range(n_cols)]
-    )
+    lam_cols = E_measure.window_masses(edges[:-1], edges[1:])
     # boundary atoms can be double counted by closed windows; renormalize
     tot = float(np.sum(lam_cols))
     if tot <= 0:

@@ -1,9 +1,12 @@
+import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import confdim.cli as cli
+import confdim.modulus as modulus
 
 
 def run(tmp_path, command, cfg, name="run", seed=None):
@@ -108,6 +111,31 @@ def test_modulus_solver_failure_exits_4(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "modulus",
                   {"problem": {"kind": "fuglede", "mu": [1, 1],
                                "members": [[1, 1]], "p": 2}})
+    assert code == 4
+
+
+DISCRETE_RUNS = {"problem": {"kind": "discrete", "p": 2,
+                             "balls": [[float(k), 0.5] for k in range(6)],
+                             "sets": [[[0.0, 2.0]], [[1.0, 4.0]], [[3.0, 5.0]]]}}
+
+
+def test_modulus_stopped_solver_exits_4(tmp_path, monkeypatch):
+    # a feasible program whose solve stops after one sweep is a solver
+    # failure, not a config error
+    stopped = functools.partial(modulus._solve_power_program, max_iter=1)
+    monkeypatch.setattr(modulus, "_solve_power_program", stopped)
+    code, _ = run(tmp_path, "modulus", DISCRETE_RUNS)
+    assert code == 4
+
+
+def test_modulus_duality_gap_gate_exits_4(tmp_path, monkeypatch):
+    def wide_gap(problem):
+        n = len(problem.balls)
+        return modulus.SolveResult(value=1.0, optimizer=np.ones(n), multipliers=np.ones(1),
+                                   kkt_residual=0.0, duality_gap_bound=1e-3, iterations=1)
+
+    monkeypatch.setattr(cli, "solve_discrete", wide_gap)
+    code, _ = run(tmp_path, "modulus", DISCRETE_RUNS)
     assert code == 4
 
 

@@ -53,6 +53,43 @@ def test_window_mass_atoms():
     assert m.window_mass(0.6, 0.8) == pytest.approx(0.0)
 
 
+def _scalar_window_mass(m, x0, x1):
+    """One window, one interval at a time: the reference for window_masses."""
+    total = np.zeros(len(m.masses))
+    for i, (a, b, w) in enumerate(zip(m.lefts, m.rights, m.masses)):
+        if a == b:
+            total[i] = w if x0 <= a <= x1 else 0.0
+        else:
+            total[i] = w * min(max((min(b, x1) - max(a, x0)) / (b - a), 0.0), 1.0)
+    return float(np.sum(total))
+
+
+def test_window_masses_match_a_scalar_loop():
+    rng = np.random.default_rng(11)
+    edges = np.sort(rng.uniform(0.0, 1.0, 400))
+    lefts, rights = edges[0::2].copy(), edges[1::2].copy()
+    rights[::7] = lefts[::7]  # atoms
+    m = DiscreteMeasure(lefts=lefts, rights=rights, masses=rng.uniform(0.0, 1.0, 200))
+    x0 = np.concatenate([
+        rng.uniform(-0.1, 1.0, 300),        # windows that straddle interval ends
+        lefts[:50], lefts[::7][:20] - 1e-3,  # windows starting on an end / at an atom
+        [2.0, -1.0, 0.5],                    # empty windows
+    ])
+    x1 = np.concatenate([
+        x0[:300] + rng.uniform(0.0, 0.3, 300),
+        rights[:50], lefts[::7][:20] + 1e-3,
+        [3.0, -0.5, 0.5 - 1e-12],
+    ])
+    got = m.window_masses(x0, x1)
+    want = np.array([_scalar_window_mass(m, a, b) for a, b in zip(x0, x1)])
+    # more window x interval cells than one chunk holds
+    assert len(x0) * len(m.masses) > 2 ** 15
+    # the same per-interval operations and the same pairwise sum: bit for bit
+    assert np.array_equal(got, want)
+    assert np.all(got[-3:] == 0.0)
+    assert m.window_masses([], []).shape == (0,)
+
+
 def test_natural_measure_uniform_on_level():
     system = build_system(GapSequence.constant(1 / 3, 5), max_depth=5)
     m = natural_measure(system.level(5))

@@ -1,15 +1,22 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import LinearConstraint, minimize
 
+from confdim import modulus
 from confdim.cantor import GapSequence, IntervalLevel, build_system
 from confdim.dimension import natural_measure
 from confdim.modulus import (
     DiscreteModulusProblem,
     InfeasibleError,
     MeasureSystem,
+    NonConvergenceError,
+    _Coords,
     _solve_power_program,
     dmod_vanishing_witness,
     holder_lower_bound,
@@ -67,6 +74,113 @@ def test_solver_matches_scipy_on_random_instances():
         assert res.duality_gap_bound <= 1e-6
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Nonnegative matrices with zero entries, empty columns and dense columns."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    values = draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 4.0)))
+    mask = draw(hnp.arrays(bool, (m, n)))
+    A = np.where(mask, values, 0.0)
+    A[:, draw(st.integers(0, n - 1))] = 0.0
+    A[:, draw(st.integers(0, n - 1))] = draw(
+        hnp.arrays(float, m, elements=st.floats(0.5, 4.0)))
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=sparse_matrices(), data=st.data())
+def test_coordinate_products_match_dense(A, data):
+    m, n = A.shape
+    x = data.draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0)))
+    y = data.draw(hnp.arrays(float, m, elements=st.floats(0.0, 10.0)))
+    active = data.draw(hnp.arrays(bool, m).filter(np.any))
+    # small chunks split the row pairs of one call over many blocks
+    with mock.patch.object(modulus, "PAIR_CHUNK", data.draw(st.sampled_from([1, 5, 2 ** 17]))):
+        C = _Coords(A)
+        gram = C.gram(active, x)
+    assert np.allclose(C.dot(x), A @ x, rtol=1e-13, atol=1e-13)
+    assert np.allclose(C.tdot(y), A.T @ y, rtol=1e-13, atol=1e-13)
+    dense = (A[active] * x) @ A[active].T
+    assert np.allclose(gram, dense, rtol=1e-13, atol=1e-13)
+    # row i is implied by a nonzero row k != i with A[i] >= A[k]; of equal rows the first stays
+    ge = np.all(A[:, None, :] >= A[None, :, :], axis=2) & np.any(A > 0, axis=1)[None, :]
+    np.fill_diagonal(ge, False)
+    drop = ge & (~ge.T | (np.arange(m)[None, :] < np.arange(m)[:, None]))
+    assert C.needed.tolist() == (~np.any(drop, axis=1)).tolist()
+
+
+def test_implied_rows_are_dropped_without_changing_the_value():
+    # row 1 repeats row 0, row 2 contains row 0, row 3 is row 0 scaled up
+    A = np.array([[1.0, 1.0, 0.0, 0.0],
+                  [1.0, 1.0, 0.0, 0.0],
+                  [1.0, 1.0, 1.0, 0.0],
+                  [2.0, 1.5, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1.0]])
+    assert _Coords(A).needed.tolist() == [True, False, False, False, True]
+    res = _solve_power_program(np.ones(4), A, 2.0)
+    assert res.value == pytest.approx(1.0, abs=1e-12)  # two pairs, 1/2 each
+    assert np.all(res.multipliers[1:4] == 0.0)
+    assert np.all(A @ res.optimizer >= 1.0 - 1e-12)
+    assert res.kkt_residual <= 1e-12
+
+
+def _local_runs(rng, n_blocks, block, n_sets):
+    """Sets that are runs of 2-6 neighbouring balls inside blocks."""
+    A = np.zeros((n_sets, n_blocks * block))
+    for i in range(n_sets):
+        length = int(rng.integers(2, 7))
+        j = int(rng.integers(0, n_blocks)) * block + int(rng.integers(0, block - length + 1))
+        A[i, j:j + length] = 1.0
+    return A
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_block_diagonal_program_value_is_the_sum_of_its_blocks(p):
+    rng = np.random.default_rng([7, int(10 * p)])
+    block = 16
+    A = _local_runs(rng, 24, block, 300)  # many repeated and nested runs
+    res = _solve_power_program(np.ones(A.shape[1]), A, p)
+    parts = 0.0
+    for b in range(24):
+        cols = slice(b * block, (b + 1) * block)
+        rows = np.any(A[:, cols] > 0, axis=1)
+        if np.any(rows):
+            parts += _solve_power_program(np.ones(block), A[rows][:, cols], p).value
+    assert res.value == pytest.approx(parts, rel=1e-12)
+    assert res.kkt_residual <= 1e-9
+    assert res.duality_gap_bound <= 1e-9 * res.value
+
+
+def test_dense_members_solve_in_bounded_memory():
+    # every cell lies in every member: m^2 n = 2.4e7 row pairs share a column
+    rng = np.random.default_rng(5)
+    m, n = 200, 600
+    members = rng.uniform(0.0, 1.0, (m, n))
+    system = MeasureSystem(mu=np.full(n, 1.0 / n), members=list(members), p=2.0)
+    tracemalloc.start()
+    try:
+        res = solve_fuglede(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the members take 1 MB; the row pairs at once would take over 1 GB
+    assert peak < 40e6
+    assert np.all(members @ res.optimizer >= 1.0 - 1e-12)
+    assert res.duality_gap_bound <= 1e-9 * res.value
+
+
+def test_stopped_solver_reports_non_convergence():
+    rng = np.random.default_rng(0)
+    A = (rng.random((30, 80)) < 0.2).astype(float)
+    A[np.arange(30), rng.integers(0, 80, 30)] = 1.0  # every row can be covered
+    with pytest.raises(NonConvergenceError) as err:
+        _solve_power_program(np.ones(80), A, 2.0, max_iter=1)
+    assert not isinstance(err.value, InfeasibleError)
+    assert err.value.member_indices == list(range(30))
+    assert _solve_power_program(np.ones(80), A, 2.0).kkt_residual <= 1e-9
+
+
 def test_solve_fuglede_zero_measure_cells_are_free():
     system = MeasureSystem(
         mu=[0.0, 1.0, 1.0],
@@ -102,6 +216,20 @@ def test_discrete_problem_incidence_from_intervals():
     res = solve_discrete(prob)
     # set 1 needs weight 1 on its only ball, set 2 splits across two
     assert res.value == pytest.approx(1.0 + 2 * 0.25, abs=1e-9)
+
+
+def test_discrete_problem_incidence_over_many_chunks():
+    rng = np.random.default_rng(3)
+    balls = np.stack([(np.arange(1024) + 0.5) / 1024, np.full(1024, 0.5 / 1024)], axis=1)
+    sets = [np.sort(rng.uniform(0.0, 1.0, (int(rng.integers(1, 9)), 2)), axis=1)
+            for _ in range(300)]
+    sets += [rng.uniform(0.0, 1.0, 5) for _ in range(20)]  # point sets
+    prob = DiscreteModulusProblem.from_intervals_1d(balls, sets, p=2.0)
+    c, r5 = balls[:, 0], balls[:, 1] / 5.0
+    for row, s in zip(prob.incidence, sets):
+        lo, hi = (s, s) if s.ndim == 1 else (s[:, 0], s[:, 1])
+        want = np.any((lo[:, None] <= c + r5) & (hi[:, None] >= c - r5), axis=0)
+        assert np.array_equal(row, want)
 
 
 def test_discrete_problem_rejects_overlapping_fifth_balls():
