@@ -3,7 +3,8 @@
 Each subcommand reads a JSON config, writes CSV outputs plus a JSON summary
 into the output directory, and leaves a manifest with the input hash so a
 run can be reproduced.  Exit codes: 0 success, 2 config error, 3 growth or
-hypothesis scan failure, 4 solver non-convergence.
+hypothesis scan failure, 4 solver non-convergence, 5 resource or internal
+error (a level above the build cap, a violated internal invariant).
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ from confdim.qsmaps import (
     qs_ratio_check,
     random_triples,
 )
-from confdim.qsmass import certificate, pi_factors, build_image_tree, build_recursive_measure
+from confdim.qsmass import certificate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SCAN = 3
 EXIT_SOLVER = 4
+EXIT_INTERNAL = 5
 
 KKT_TOL = 1e-7
 GAP_RTOL = 1e-6  # duality gap bound relative to the value
@@ -320,9 +322,7 @@ def cmd_mass(cfg: dict, outdir: Path, seed: int) -> list:
     qsmap = _qs_map(_require(cfg, "map"), seed)
     d = float(_require(cfg, "d"))
     report = certificate(system, qsmap, d)
-    tree = build_image_tree(system, qsmap, system.max_depth)
-    measure = build_recursive_measure(tree, d)
-    pf = pi_factors(measure)
+    pf = report.pi_factors
     rows = [(n + 1, pf.p[n], pf.running_products[n]) for n in range(len(pf.p))]
     _write_csv(outdir / "pi_factors.csv", ["level", "p_max", "running_product"], rows)
     _write_csv(outdir / "growth.csv", ["depth", "C_growth"],
@@ -575,6 +575,12 @@ def main(argv=None) -> int:
     except (SolverError, NonConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -316,10 +316,13 @@ class ImageLevel:
 
 
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
-    """Image diameters and gaps of a level; valid since maps are increasing."""
+    """Image diameters and gaps of a level; valid since maps are increasing.
+
+    The image shares ``parent_index`` with ``level``: the tree is the same.
+    """
     return ImageLevel(
         depth=level.depth,
         lefts=qsmap.apply(level.lefts),
         rights=qsmap.apply(level.rights),
-        parent_index=level.parent_index.copy(),
+        parent_index=level.parent_index,
     )

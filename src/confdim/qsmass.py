@@ -54,6 +54,7 @@ class RecursiveMeasure:
     p_pairs: list          # per level >= 1, array of p_i per sibling pair
     running_products: list  # per level, prod of p_i along the root-to-node path
     tree: ImageTree
+    level_growth: np.ndarray  # per level, max mu/diam^d over its nodes
 
     @property
     def depth(self) -> int:
@@ -69,9 +70,11 @@ def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
     masses = [np.array([1.0])]
     p_pairs = [np.array([])]
     prods = [np.array([1.0])]
+    growth = [float(np.max(masses[0] / tree.levels[0].diams ** d))]
     for n in range(1, tree.depth + 1):
         lv = tree.levels[n]
-        dl, dr = lv.diams[0::2], lv.diams[1::2]
+        diams = lv.diams
+        dl, dr = diams[0::2], diams[1::2]
         gap = lv.sibling_gaps()
         wl, wr = dl ** d, dr ** d
         denom = wl + wr
@@ -86,16 +89,18 @@ def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
         child[0::2] = np.where(left_is_small, small, big)
         child[1::2] = np.where(left_is_small, big, small)
         p = (dl + gap + dr) ** d / denom
-        prod = np.repeat(prods[n - 1], 2) * np.repeat(p, 2)
+        prod = np.repeat(prods[n - 1] * p, 2)
         masses.append(child)
         p_pairs.append(p)
         prods.append(prod)
         # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
-        ratio = child / lv.diams ** d
+        ratio = child / diams ** d
         if np.any(ratio > prod * (1.0 + _REL_TOL)):
             raise AssertionError("path-product bound violated beyond tolerance")
+        growth.append(float(np.max(ratio)))
     return RecursiveMeasure(d=d, masses=masses, p_pairs=p_pairs,
-                            running_products=prods, tree=tree)
+                            running_products=prods, tree=tree,
+                            level_growth=np.array(growth))
 
 
 @dataclass
@@ -197,6 +202,12 @@ def _find_maximal_nodes(system: CantorSystem, j_lo: float, j_hi: float) -> list:
     return out
 
 
+def _endpoints(level, i):
+    """(left, right) of interval i, without forming the whole level's rights."""
+    a = level.lefts[i]
+    return a, a + np.exp(level.log_lengths[i])
+
+
 @dataclass
 class DecompositionCheck:
     windows_checked: int = 0
@@ -219,27 +230,23 @@ def _check_decomposition(system, measure, j_lo, j_hi, mu_direct, report, M):
 
     def parent_span(depth, idx):
         if depth == 0:
-            return levels[0].lefts[0], levels[0].rights[0]
-        p = int(levels[depth].parent_index[idx])
-        lv = levels[depth - 1]
-        return lv.lefts[p], lv.rights[p]
+            return _endpoints(levels[0], 0)
+        return _endpoints(levels[depth - 1], int(levels[depth].parent_index[idx]))
+
+    def inside(node, lo, hi, slack=0.0):
+        a, b = _endpoints(levels[node[0]], node[1])
+        return a >= lo - slack and b <= hi + slack
 
     nodes.sort(key=lambda n: parent_span(*n)[1] - parent_span(*n)[0], reverse=True)
     e1 = nodes[0]
     p1_lo, p1_hi = parent_span(*e1)
-    rest = [n for n in nodes[1:]
-            if not (levels[n[0]].lefts[n[1]] >= p1_lo
-                    and levels[n[0]].rights[n[1]] <= p1_hi)]
+    rest = [n for n in nodes[1:] if not inside(n, p1_lo, p1_hi)]
     e2 = rest[0] if rest else None
     spans = [(p1_lo, p1_hi)]
     if e2 is not None:
         spans.append(parent_span(*e2))
 
-    cover = all(
-        any(levels[d].lefts[i] >= lo - 1e-12 and levels[d].rights[i] <= hi + 1e-12
-            for lo, hi in spans)
-        for d, i in nodes
-    )
+    cover = all(any(inside(n, lo, hi, 1e-12) for lo, hi in spans) for n in nodes)
     report.cover_ok += cover
 
     bound = 0.0
@@ -253,8 +260,7 @@ def _check_decomposition(system, measure, j_lo, j_hi, mu_direct, report, M):
             break
         sib = idx ^ 1
         bound += measure.masses[depth][idx]
-        lv = levels[depth]
-        s_lo, s_hi = lv.lefts[sib], lv.rights[sib]
+        s_lo, s_hi = _endpoints(levels[depth], sib)
         if s_hi >= j_lo and s_lo <= j_hi:  # sibling meets J
             bound += measure.masses[depth][sib]
             if not (s_lo >= dil_lo - 1e-12 and s_hi <= dil_hi + 1e-12):
@@ -284,6 +290,20 @@ class CertificateReport:
     ball_ok: bool
     decomposition: DecompositionCheck
     scanned_depths: np.ndarray
+    pi_factors: PiFactors           # level maxima of p_i of the certified measure
+
+
+def _ball_centers(lefts: np.ndarray, rights: np.ndarray, max_windows: int) -> np.ndarray:
+    """Every k-th entry of [lefts, rights, midpoints], k = 3n // max_windows + 1.
+
+    All 3n entries are kept when 3n <= max_windows.  Only the kept entries
+    are formed, so the result equals striding the concatenation bit for bit.
+    """
+    n = len(lefts)
+    step = 3 * n // max_windows + 1 if 3 * n > max_windows else 1
+    part, k = np.divmod(np.arange(0, 3 * n, step), n)
+    l, r = lefts[k], rights[k]
+    return np.choose(part, (l, r, (l + r) / 2.0))
 
 
 def _stability(values: np.ndarray, factor: float) -> bool:
@@ -307,10 +327,7 @@ def certificate(
     tree = build_image_tree(system, qsmap, depth)
     measure = build_recursive_measure(tree, d)
 
-    level_growth = np.array(
-        [float(np.max(measure.masses[n] / tree.levels[n].diams ** d))
-         for n in range(depth + 1)]
-    )
+    level_growth = measure.level_growth
     top = np.arange((depth + 1) // 2, depth + 1)
     growth_ok = _stability(level_growth[top], stability_factor)
     c_growth = float(np.max(level_growth[top]))
@@ -322,6 +339,7 @@ def certificate(
     img_l, img_r = img.lefts, img.rights
     leaf_mass = measure.masses[depth]
     csum = np.concatenate([[0.0], np.cumsum(leaf_mass)])
+    centers = _ball_centers(img_l, img_r, max_windows)
 
     decomp = DecompositionCheck()
     interval_c = np.full(len(top), np.nan)
@@ -368,11 +386,7 @@ def certificate(
                                      float(mu_all[k]), decomp, system.ratio_bound)
 
         # ball scan on the image side at the matching image scale
-        img_n = tree.levels[n]
-        r = float(np.median(img_n.diams))
-        centers = np.concatenate([img_l, img_r, (img_l + img_r) / 2.0])
-        if len(centers) > max_windows:
-            centers = centers[:: len(centers) // max_windows + 1]
+        r = float(np.median(tree.levels[n].diams))
         b_lo, b_hi = centers - r, centers + r
         k1 = np.searchsorted(img_l, b_hi, side="right") - 1
         k0 = np.searchsorted(img_r, b_lo, side="left")
@@ -411,4 +425,5 @@ def certificate(
         ball_ok=ball_ok,
         decomposition=decomp,
         scanned_depths=top,
+        pi_factors=pi_factors(measure),
     )

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 import confdim.cli as cli
 import confdim.modulus as modulus
+import confdim.qsmass as qsmass
+from confdim.cantor import GapSequence, build_system
+from confdim.qsmaps import QsMap
 
 
 def run(tmp_path, command, cfg, name="run", seed=None):
@@ -86,6 +90,77 @@ def test_mass_reports_certificate(tmp_path):
     rows = (out / "pi_factors.csv").read_text().splitlines()
     assert rows[0] == "level,p_max,running_product"
     assert len(rows) == 11
+
+
+MASS14 = {"system": {"c": "harmonic", "depth": 14},
+          "map": {"kind": "power", "a": 2}, "d": 0.9}
+
+
+def test_mass_pi_factors_match_an_independent_build(tmp_path):
+    code, out = run(tmp_path, "mass", MASS14)
+    assert code == 0
+    rows = (out / "pi_factors.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+    system = build_system(GapSequence.harmonic(14), max_depth=14)
+    tree = qsmass.build_image_tree(system, QsMap.power(2.0), 14)
+    pf = qsmass.pi_factors(qsmass.build_recursive_measure(tree, 0.9))
+    assert np.array_equal(got[:, 0], pf.p)
+    assert np.array_equal(got[:, 1], pf.running_products)
+
+
+def test_mass_builds_the_image_tree_once(tmp_path, monkeypatch):
+    calls = []
+    build = qsmass.build_image_tree
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(qsmass, "build_image_tree", counted)
+    monkeypatch.setattr(cli, "build_image_tree", counted, raising=False)
+    code, _ = run(tmp_path, "mass", MASS14)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_mass_outputs_are_deterministic(tmp_path):
+    code1, out1 = run(tmp_path, "mass", MASS14, name="m1")
+    code2, out2 = run(tmp_path, "mass", MASS14, name="m2")
+    assert code1 == 0 and code2 == 0
+    manifest = (out1 / "manifest.json").read_bytes()
+    assert manifest == (out2 / "manifest.json").read_bytes()
+    for name in json.loads(manifest)["outputs"]:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("generate", {"system": {"c": "harmonic", "depth": 25}}),
+    ("mass", {"system": {"c": "harmonic", "depth": 25},
+              "map": {"kind": "identity"}, "d": 0.9}),
+])
+def test_over_the_build_cap_exits_5(tmp_path, capsys, command, cfg):
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, command, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    # the cap is checked before any level is allocated
+    assert peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and err.count("\n") == 1
+
+
+def test_path_product_violation_exits_5(tmp_path, capsys, monkeypatch):
+    def violated(tree, d):
+        raise AssertionError("path-product bound violated beyond tolerance")
+
+    monkeypatch.setattr(qsmass, "build_recursive_measure", violated)
+    code, _ = run(tmp_path, "mass", MASS14)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == "internal error: path-product bound violated beyond tolerance\n"
 
 
 def test_modulus_fuglede_result(tmp_path):

@@ -115,6 +115,7 @@ def test_push_intervals_preserves_order_and_nesting():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     f = QsMap.power(1.5)
     img = push_intervals(f, system.level(4))
+    assert img.parent_index is system.level(4).parent_index
     assert np.all(img.diams > 0)
     assert np.all(img.lefts[1:] >= img.rights[:-1])
     gaps = img.sibling_gaps()

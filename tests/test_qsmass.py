@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from confdim.cantor import GapSequence, build_system
 from confdim.qsmaps import EtaModulus, QsMap
 from confdim.qsmass import (
+    _ball_centers,
+    _endpoints,
     build_image_tree,
     build_recursive_measure,
     certificate,
@@ -135,3 +138,42 @@ def test_certificate_rejects_zero_diameter_images():
     collapse = QsMap.power(200.0)  # the leftmost leaf image underflows to width 0
     with pytest.raises(ValueError):
         certificate(system, collapse, 0.9)
+
+
+def test_level_growth_equals_a_recomputation_bitwise():
+    system = build_system(GapSequence.harmonic(14), max_depth=14)
+    f, d = QsMap.power(2.0), 0.9
+    rep = certificate(system, f, d)
+    tree = build_image_tree(system, f, 14)
+    m = build_recursive_measure(tree, d)
+    growth = [np.max(m.masses[n] / tree.levels[n].diams ** d) for n in range(15)]
+    assert np.array_equal(rep.level_growth, growth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), max_windows=st.integers(1, 1024), seed=st.integers(0, 2**32 - 1))
+@example(n=1, max_windows=1, seed=0)
+@example(n=341, max_windows=1024, seed=0)   # 3n below max_windows: nothing dropped
+@example(n=341, max_windows=1023, seed=0)   # 3n == max_windows
+@example(n=342, max_windows=1024, seed=0)   # 3n just above max_windows
+@example(n=5000, max_windows=512, seed=0)
+def test_ball_centers_equal_strided_concatenation(n, max_windows, seed):
+    rng = np.random.default_rng(seed)
+    lefts = np.sort(rng.uniform(-1.0, 1.0, n))
+    rights = lefts + rng.uniform(0.0, 1e-3, n)
+    full = np.concatenate([lefts, rights, (lefts + rights) / 2.0])
+    if len(full) > max_windows:
+        full = full[:: len(full) // max_windows + 1]
+    got = _ball_centers(lefts, rights, max_windows)
+    assert got.dtype == full.dtype
+    assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
+
+def test_endpoints_by_index_equal_level_rights():
+    system = build_system(GapSequence.harmonic(16), max_depth=16)
+    rng = np.random.default_rng(3)
+    for lv in system.levels:
+        rights = lv.rights
+        for i in rng.integers(0, lv.count, size=min(lv.count, 500)):
+            a, b = _endpoints(lv, i)
+            assert a == lv.lefts[i] and b == rights[i]
