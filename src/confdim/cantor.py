@@ -222,10 +222,7 @@ def build_system(
     for i in range(max_depth):
         count *= gaps.branching(i)
         if count > memory_cap:
-            raise MemoryError(
-                f"level {i + 1} holds {count} intervals > cap {memory_cap}; "
-                "stream with iter_levels instead"
-            )
+            raise MemoryError(f"level {i + 1} holds {count} intervals > cap {memory_cap}")
     return CantorSystem(gaps=gaps, levels=list(iter_levels(gaps, max_depth)))
 
 

@@ -35,7 +35,6 @@ from confdim.dimension import (
 )
 from confdim.modulus import (
     DiscreteModulusProblem,
-    InfeasibleError,
     MeasureSystem,
     NonConvergenceError,
     holder_lower_bound,
@@ -366,9 +365,7 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
             res = solve_discrete(problem)
         else:
             raise ConfigError(f"unknown problem kind {kind!r}")
-    except InfeasibleError as exc:
-        raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
+    except ValueError as exc:  # InfeasibleError included
         raise ConfigError(str(exc)) from exc
     _check_solve(res)
     rows = [
@@ -563,10 +560,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         files = _COMMANDS[args.command](cfg, outdir, seed)
         _write_manifest(outdir, args.command, raw, files)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (GapSequenceError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ConfigError, GapSequenceError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ScanError as exc:

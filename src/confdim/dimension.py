@@ -80,6 +80,40 @@ class DiscreteMeasure:
         return out
 
 
+def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
+    """Masses of the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
+
+    ``csum`` is the cumulative mass with a leading 0.  The intervals j0 (the
+    first with right >= x0) .. j1 (the last with left <= x1) meet a window;
+    their prefix sum loses the outside fraction of interval j0 and, when it
+    is another one, of interval j1.  An atom (left == right) that meets a
+    window lies wholly inside it.  A window that meets no interval has
+    j1 < j0 and mass 0, and so has one that only touches interval ends,
+    where the prefix sum would leave a rounding residue instead of 0.
+    Returns (mu, j0, j1).
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    x1s = np.asarray(x1s, dtype=float)
+    j1 = np.searchsorted(lefts, x1s, side="right") - 1
+    j0 = np.searchsorted(rights, x0s, side="left")
+    hit = j1 >= j0
+    a, b, x0, x1 = j0[hit], j1[hit], x0s[hit], x1s[hit]
+
+    def inside(j):
+        l, r = lefts[j], rights[j]
+        atom = r == l
+        frac = (np.minimum(r, x1) - np.maximum(l, x0)) / np.where(atom, 1.0, r - l)
+        return np.where(atom, 1.0, np.clip(frac, 0.0, 1.0))
+
+    f0, f1 = inside(a), inside(b)
+    mu = np.zeros(x0s.shape)
+    m = csum[b + 1] - csum[a]
+    m -= masses[a] * (1.0 - f0)
+    m -= np.where(a == b, 0.0, masses[b] * (1.0 - f1))
+    mu[hit] = np.where((b - a <= 1) & (f0 == 0.0) & (f1 == 0.0), 0.0, m)
+    return mu, j0, j1
+
+
 def natural_measure(level: IntervalLevel) -> DiscreteMeasure:
     """Equal mass on every interval of a level, total mass 1."""
     n = level.count
@@ -189,34 +223,13 @@ def mass_distribution_lower_bound(
     lefts = measure.lefts[order]
     rights = measure.rights[order]
     masses = measure.masses[order]
-    lengths = rights - lefts
     csum = np.concatenate([[0.0], np.cumsum(masses)])
 
     per_scale = np.empty(len(scales))
     for i, r in enumerate(scales):
         xs = np.arange(lo - r, hi + r / 4.0, r / 4.0)
-        x1 = xs + r
-        # intervals possibly meeting [x, x+r]
-        i_hi = np.searchsorted(lefts, x1, side="right")
-        i_lo = np.searchsorted(rights, xs, side="left")
-        full = csum[i_hi] - csum[i_lo]
-        # only the first and last overlapping interval can stick out of the
-        # window; subtract their outside fraction
-        best = 0.0
-        for k in range(len(xs)):
-            a, bidx = i_lo[k], i_hi[k]
-            if bidx <= a:
-                continue
-            x, xr = xs[k], x1[k]
-            m = full[k]
-            boundary = {a, bidx - 1}
-            for j in boundary:
-                if lengths[j] > 0:
-                    inside = min(rights[j], xr) - max(lefts[j], x)
-                    frac = min(max(inside / lengths[j], 0.0), 1.0)
-                    m -= masses[j] * (1.0 - frac)
-            best = max(best, m)
-        per_scale[i] = best / r ** d
+        mu, _, _ = sorted_window_masses(lefts, rights, masses, csum, xs, xs + r)
+        per_scale[i] = np.max(mu, initial=0.0) / r ** d
 
     logs = np.log(scales)
     logc = np.log(np.maximum(per_scale, 1e-300))
@@ -245,21 +258,15 @@ def frostman_measure(
     if not (0.0 < d <= 1.0):
         raise ValueError("d must be in (0, 1]")
     lefts, rights = level.lefts, level.rights
-    total_occ = float(np.sum(rights - lefts))
-    if total_occ <= 0:
+    lengths = rights - lefts
+    if float(np.sum(lengths)) <= 0:
         raise ValueError("level has no length to support a measure")
 
     if max_dyadic_depth is None:
-        min_len = float(np.min(rights - lefts))
+        min_len = float(np.min(lengths))
         max_dyadic_depth = min(30, max(1, int(math.ceil(-math.log2(max(min_len, 1e-9))))))
 
-    def occupancy(cell_lefts: np.ndarray, width: float) -> np.ndarray:
-        out = np.zeros(len(cell_lefts))
-        for a, b in zip(lefts, rights):
-            out += np.clip(
-                np.minimum(b, cell_lefts + width) - np.maximum(a, cell_lefts), 0.0, None
-            )
-        return out
+    csum = np.concatenate([[0.0], np.cumsum(lengths)])
 
     cells = np.array([0.0])
     width = 1.0
@@ -268,7 +275,9 @@ def frostman_measure(
         half = width / 2.0
         child_lefts = np.repeat(cells, 2)
         child_lefts[1::2] += half
-        occ = occupancy(child_lefts, half)
+        # length of the level inside each cell: its window mass with mass = length
+        occ, _, _ = sorted_window_masses(lefts, rights, lengths, csum,
+                                         child_lefts, child_lefts + half)
         pair_tot = occ[0::2] + occ[1::2]
         share = np.zeros_like(occ)
         nz = np.repeat(pair_tot, 2) > 0

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from confdim.cantor import MIDDLE_INTERVAL, CantorSystem, GapSequence
+from confdim.dimension import sorted_window_masses
 from confdim.qsmaps import EtaModulus, ImageLevel, QsMap, push_intervals
 
 _REL_TOL = 1e-9
@@ -76,7 +77,8 @@ def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
         diams = lv.diams
         dl, dr = diams[0::2], diams[1::2]
         gap = lv.sibling_gaps()
-        wl, wr = dl ** d, dr ** d
+        w = diams ** d
+        wl, wr = w[0::2], w[1::2]
         denom = wl + wr
         parent_mass = masses[n - 1]
         child = np.empty(lv.count)
@@ -94,7 +96,7 @@ def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
         p_pairs.append(p)
         prods.append(prod)
         # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
-        ratio = child / diams ** d
+        ratio = child / w
         if np.any(ratio > prod * (1.0 + _REL_TOL)):
             raise AssertionError("path-product bound violated beyond tolerance")
         growth.append(float(np.max(ratio)))
@@ -351,24 +353,13 @@ def certificate(
         step = max(scale / 2.0, 1.0 / max_windows)
         xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
         x1 = xs + scale
-        j1 = np.searchsorted(leaf_l, x1, side="right") - 1
-        j0 = np.searchsorted(leaf_r, xs, side="left")
+        # boundary leaves count proportionally to their overlap with the
+        # window, else the finest scanned scale overstates the constant
+        mu, j0, j1 = sorted_window_masses(leaf_l, leaf_r, leaf_mass, csum, xs, x1)
         sel = j1 >= j0
         if not np.any(sel):
             continue
-        mu = csum[j1[sel] + 1] - csum[j0[sel]]
-        # boundary leaves count proportionally to their overlap with the
-        # window, else the finest scanned scale overstates the constant
-        fracs = []
-        for edge in (j0[sel], j1[sel]):
-            ll, rr = leaf_l[edge], leaf_r[edge]
-            fracs.append(np.clip(
-                (np.minimum(rr, x1[sel]) - np.maximum(ll, xs[sel])) / (rr - ll),
-                0.0, 1.0,
-            ))
-        mu -= leaf_mass[j0[sel]] * (1.0 - fracs[0])
-        same = j0[sel] == j1[sel]
-        mu -= np.where(same, 0.0, leaf_mass[j1[sel]] * (1.0 - fracs[1]))
+        mu = mu[sel]
         lo = np.maximum(img_l[j0[sel]], qsmap.apply(np.maximum(xs[sel], leaf_l[0])))
         hi = np.minimum(img_r[j1[sel]], qsmap.apply(np.minimum(x1[sel], leaf_r[-1])))
         span = np.maximum(hi - lo, 0.0)
@@ -387,24 +378,11 @@ def certificate(
 
         # ball scan on the image side at the matching image scale
         r = float(np.median(tree.levels[n].diams))
-        b_lo, b_hi = centers - r, centers + r
-        k1 = np.searchsorted(img_l, b_hi, side="right") - 1
-        k0 = np.searchsorted(img_r, b_lo, side="left")
-        bsel = k1 >= k0
-        if np.any(bsel):
-            mu_b = csum[k1[bsel] + 1] - csum[k0[bsel]]
-            f0 = np.clip(
-                (np.minimum(img_r[k0[bsel]], b_hi[bsel])
-                 - np.maximum(img_l[k0[bsel]], b_lo[bsel]))
-                / (img_r[k0[bsel]] - img_l[k0[bsel]]), 0.0, 1.0)
-            f1 = np.clip(
-                (np.minimum(img_r[k1[bsel]], b_hi[bsel])
-                 - np.maximum(img_l[k1[bsel]], b_lo[bsel]))
-                / (img_r[k1[bsel]] - img_l[k1[bsel]]), 0.0, 1.0)
-            mu_b -= leaf_mass[k0[bsel]] * (1.0 - f0)
-            same_b = k0[bsel] == k1[bsel]
-            mu_b -= np.where(same_b, 0.0, leaf_mass[k1[bsel]] * (1.0 - f1))
-            ball_c[ti] = float(np.max(mu_b)) / r ** d
+        mu_b, k0, k1 = sorted_window_masses(img_l, img_r, leaf_mass, csum,
+                                            centers - r, centers + r)
+        hit = k1 >= k0
+        if np.any(hit):
+            ball_c[ti] = float(np.max(mu_b[hit])) / r ** d
 
     interval_ok = _stability(interval_c, stability_factor * 2.0)
     ball_ok = _stability(ball_c, stability_factor * 2.0)

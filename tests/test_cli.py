@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import confdim.cli as cli
 import confdim.modulus as modulus
 import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
+from confdim.dimension import mass_distribution_lower_bound, natural_measure
 from confdim.qsmaps import QsMap
 
 
@@ -70,6 +72,21 @@ def test_dimension_summary_slope(tmp_path):
     body = (out / "boxcounts.csv").read_text().splitlines()
     assert body[0] == "epsilon,count"
     assert len(body) == 9
+
+
+def test_dimension_mass_bound_matches_a_direct_call(tmp_path):
+    d = math.log(2) / math.log(3)
+    scales = [3.0 ** -k for k in range(1, 8)]
+    code, out = run(tmp_path, "dimension",
+                    {"system": {"c": {"const": 1 / 3}, "depth": 10},
+                     "epsilons": {"base": 3.0, "k_min": 1, "k_max": 8},
+                     "mass_bound": {"d": d, "scales": scales}})
+    assert code == 0
+    got = json.loads((out / "summary.json").read_text())["mass_bound"]
+    assert got["passed"] is True
+    leaves = build_system(GapSequence.constant(1 / 3, 10), max_depth=10).level(10)
+    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales, geometry=leaves)
+    assert got["C_observed"] == rep.C_observed
 
 
 def test_distort_identity_clean(tmp_path):
@@ -149,7 +166,8 @@ def test_over_the_build_cap_exits_5(tmp_path, capsys, command, cfg):
     # the cap is checked before any level is allocated
     assert peak < 2 ** 20
     err = capsys.readouterr().err
-    assert err.startswith("resource error: ") and err.count("\n") == 1
+    # the level, its count and the cap; no advice to stream, which no command can
+    assert err == f"resource error: level 25 holds {2 ** 25} intervals > cap {2 ** 24}\n"
 
 
 def test_path_product_violation_exits_5(tmp_path, capsys, monkeypatch):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confdim.cantor import GapSequence, build_system
+from confdim.cantor import GapSequence, IntervalLevel, build_system
 from confdim.dimension import (
     DiscreteMeasure,
     box_count,
     frostman_measure,
     mass_distribution_lower_bound,
     natural_measure,
+    sorted_window_masses,
 )
 
 
@@ -88,6 +90,176 @@ def test_window_masses_match_a_scalar_loop():
     assert np.array_equal(got, want)
     assert np.all(got[-3:] == 0.0)
     assert m.window_masses([], []).shape == (0,)
+
+
+def _certificate_window_masses(lefts, rights, masses, csum, xs, x1):
+    """The window rule as the certificate scan wrote it out: the reference."""
+    j1 = np.searchsorted(lefts, x1, side="right") - 1
+    j0 = np.searchsorted(rights, xs, side="left")
+    sel = j1 >= j0
+    mu = csum[j1[sel] + 1] - csum[j0[sel]]
+    fracs = []
+    for edge in (j0[sel], j1[sel]):
+        ll, rr = lefts[edge], rights[edge]
+        fracs.append(np.clip(
+            (np.minimum(rr, x1[sel]) - np.maximum(ll, xs[sel])) / (rr - ll),
+            0.0, 1.0,
+        ))
+    mu -= masses[j0[sel]] * (1.0 - fracs[0])
+    same = j0[sel] == j1[sel]
+    mu -= np.where(same, 0.0, masses[j1[sel]] * (1.0 - fracs[1]))
+    return mu, j0, j1
+
+
+@st.composite
+def _intervals_and_windows(draw, atoms):
+    """Sorted disjoint intervals and windows that straddle ends, land exactly
+    on ends, or miss every interval."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = np.sort(rng.uniform(-1.0, 1.0, 2 * n))
+    lefts, rights = edges[0::2].copy(), edges[1::2].copy()
+    if atoms:
+        pick = rng.random(n) < draw(st.floats(0.0, 1.0))
+        rights[pick] = lefts[pick]
+    masses = rng.uniform(0.0, 1.0, n)
+    points = np.concatenate([rng.uniform(-1.2, 1.2, 40), lefts, rights])
+    x = np.sort(rng.choice(points, size=(60, 2)), axis=1)
+    # the middle third of every gap, and of a stretch on either side
+    gap_lo = np.concatenate([[-1.5], rights[:-1], [1.0]])
+    gap_hi = np.concatenate([[-1.2], lefts[1:], [1.5]])
+    x0 = np.concatenate([x[:, 0], gap_lo + (gap_hi - gap_lo) / 3])
+    x1 = np.concatenate([x[:, 1], gap_lo + 2 * (gap_hi - gap_lo) / 3])
+    return lefts, rights, masses, x0, x1
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_intervals_and_windows(atoms=False))
+def test_sorted_window_masses_equal_the_certificate_formula_bitwise(case):
+    lefts, rights, masses, x0, x1 = case
+    csum = np.concatenate([[0.0], np.cumsum(masses)])
+    mu, j0, j1 = sorted_window_masses(lefts, rights, masses, csum, x0, x1)
+    want, w0, w1 = _certificate_window_masses(lefts, rights, masses, csum, x0, x1)
+    hit = j1 >= j0
+    assert np.array_equal(j0, w0) and np.array_equal(j1, w1)
+    # a window that only touches interval ends has mass exactly 0; the
+    # certificate formula left the prefix sum's rounding residue there
+    overlap = np.sum(np.clip(np.minimum(rights, x1[:, None])
+                             - np.maximum(lefts, x0[:, None]), 0.0, None), axis=1)
+    touch = hit & (overlap == 0)
+    assert np.array_equal(mu[hit & ~touch], want[~touch[hit]])
+    assert np.all(mu[~hit | touch] == 0.0)
+    # the windows placed inside the gaps and outside the hull meet nothing
+    assert not np.any(hit[60:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_intervals_and_windows(atoms=True))
+def test_sorted_window_masses_with_atoms_match_a_scalar_loop(case):
+    lefts, rights, masses, x0, x1 = case
+    csum = np.concatenate([[0.0], np.cumsum(masses)])
+    mu, _, _ = sorted_window_masses(lefts, rights, masses, csum, x0, x1)
+    m = DiscreteMeasure(lefts=lefts, rights=rights, masses=masses)
+    want = np.array([_scalar_window_mass(m, a, b) for a, b in zip(x0, x1)])
+    assert np.all(np.isfinite(mu))
+    assert np.max(np.abs(mu - want)) <= 1e-12 * m.total_mass
+
+
+def test_sorted_window_masses_of_empty_inputs():
+    none = np.array([])
+    mu, j0, j1 = sorted_window_masses(none, none, none, np.zeros(1), none, none)
+    assert mu.shape == j0.shape == j1.shape == (0,)
+    mu, _, _ = sorted_window_masses(none, none, none, np.zeros(1), [0.0, 1.0], [0.5, 2.0])
+    assert np.array_equal(mu, [0.0, 0.0])
+
+
+def _mass_bound_per_scale_loop(measure, d, scales, lo, hi):
+    """The per-window loop mass_distribution_lower_bound ran before: the reference."""
+    order = np.argsort(measure.lefts)
+    lefts, rights = measure.lefts[order], measure.rights[order]
+    masses = measure.masses[order]
+    lengths = rights - lefts
+    csum = np.concatenate([[0.0], np.cumsum(masses)])
+    out = []
+    for r in scales:
+        xs = np.arange(lo - r, hi + r / 4.0, r / 4.0)
+        x1 = xs + r
+        i_hi = np.searchsorted(lefts, x1, side="right")
+        i_lo = np.searchsorted(rights, xs, side="left")
+        full = csum[i_hi] - csum[i_lo]
+        best = 0.0
+        for k in range(len(xs)):
+            a, bidx = i_lo[k], i_hi[k]
+            if bidx <= a:
+                continue
+            m = full[k]
+            for j in {a, bidx - 1}:
+                if lengths[j] > 0:
+                    inside = min(rights[j], x1[k]) - max(lefts[j], xs[k])
+                    m -= masses[j] * (1.0 - min(max(inside / lengths[j], 0.0), 1.0))
+            best = max(best, m)
+        out.append(best / r ** d)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("gaps,depth,d,base", [
+    (GapSequence.constant(1 / 3, 10), 10, math.log(2) / math.log(3), 3.0),
+    (GapSequence.harmonic(12), 12, 0.9, 2.0),
+])
+def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, base):
+    leaves = build_system(gaps, max_depth=depth).level(depth)
+    scales = [base ** -k for k in range(1, depth)]
+    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales, geometry=leaves)
+    want = _mass_bound_per_scale_loop(natural_measure(leaves), d, rep.scales,
+                                      float(np.min(leaves.lefts)), float(np.max(leaves.rights)))
+    # the loop subtracted the two boundary intervals in set order
+    np.testing.assert_array_max_ulp(rep.per_scale_C, want, maxulp=1)
+
+
+def _frostman_loop(level, d, depth):
+    """frostman_measure with the per-interval occupancy loop it ran before."""
+    cells, width, masses = np.array([0.0]), 1.0, np.array([1.0])
+    for _ in range(depth):
+        half = width / 2.0
+        child = np.repeat(cells, 2)
+        child[1::2] += half
+        occ = np.zeros(len(child))
+        for a, b in zip(level.lefts, level.rights):
+            occ += np.clip(np.minimum(b, child + half) - np.maximum(a, child), 0.0, None)
+        pair = np.repeat(occ[0::2] + occ[1::2], 2)
+        share = np.zeros_like(occ)
+        share[pair > 0] = occ[pair > 0] / pair[pair > 0]
+        child_masses = np.minimum(np.repeat(masses, 2) * share, half ** d)
+        keep = child_masses > 0
+        cells, masses, width = child[keep], child_masses[keep], half
+    return cells, masses
+
+
+def _level(gaps, depth):
+    return build_system(gaps, max_depth=depth).level(depth)
+
+
+# a dyadic cell [15/64, 1/4] touches the second interval only at its left end
+_TOUCHING = IntervalLevel(
+    depth=1,
+    lefts=np.array([0.003734730026382249, 0.25, 0.4585851958450149]),
+    log_lengths=np.log(np.array([0.0814205731546661, 0.3729777764220863, 0.516863517689244])
+                       - np.array([0.003734730026382249, 0.25, 0.4585851958450149])),
+    parent_index=np.zeros(3, dtype=int),
+)
+
+
+@pytest.mark.parametrize("level,d,dyadic", [
+    (_level(GapSequence.harmonic(10), 10), 0.9, 16),
+    (_level(GapSequence.constant(1 / 3, 8), 8), math.log(2) / math.log(3), 14),
+    (_level(GapSequence.constant(1 / 2, 8), 8), 0.5, 18),
+    (_TOUCHING, 0.7, 6),
+])
+def test_frostman_occupancy_matches_the_interval_loop(level, d, dyadic):
+    m = frostman_measure(level, d, max_dyadic_depth=dyadic)
+    cells, masses = _frostman_loop(level, d, dyadic)
+    assert np.array_equal(m.lefts, cells)
+    np.testing.assert_allclose(m.masses, masses, rtol=1e-11, atol=0)
 
 
 def test_natural_measure_uniform_on_level():
