@@ -3,7 +3,7 @@
 Subpackages:
   cantor    -- gap-sequence Cantor systems and closed-form dimension criteria
   qsmaps    -- quasisymmetric maps of the line, distortion checks
-  dimension -- box counting, mass distribution principle, Frostman measures
+  dimension -- box counting, window masses, mass distribution principle
   qsmass    -- recursive measures on quasisymmetric images, growth certificates
   modulus   -- Fuglede / discrete modulus convex programs and covering lemmas
   cli       -- reproducible experiment pipelines
@@ -15,17 +15,14 @@ from confdim.cantor import (
     IntervalLevel,
     build_system,
     closed_form_minkowski,
-    gap_density,
     minimality_criterion,
     truncated_length,
-    uniform_perfectness_constant,
 )
 from confdim.qsmaps import EtaModulus, QsMap, push_intervals
 from confdim.dimension import (
     BoxCountResult,
     DiscreteMeasure,
     box_count,
-    frostman_measure,
     mass_distribution_lower_bound,
     natural_measure,
 )
@@ -35,7 +32,6 @@ from confdim.qsmass import (
     build_image_tree,
     build_recursive_measure,
     certificate,
-    gap_partition,
     pi_factors,
 )
 from confdim.modulus import (
@@ -48,7 +44,6 @@ from confdim.modulus import (
     product_system,
     solve_discrete,
     solve_fuglede,
-    subadditivity_check,
     vitali_disjointify,
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,8 @@ UNIFORM = "uniform"
 # c_i this close to 1 makes log(1 - c_i) meaningless in doubles
 _MAX_GAP_FRACTION = 1.0 - 1e-12
 
-DEFAULT_MEMORY_CAP = 2 ** 24
+# the most intervals build_system materializes on one level
+MEMORY_CAP = 2 ** 24
 
 
 class GapSequenceError(ValueError):
@@ -133,9 +134,6 @@ class IntervalLevel:
     def count(self) -> int:
         return len(self.lefts)
 
-    def intervals(self):
-        return list(zip(self.lefts.tolist(), self.rights.tolist()))
-
     def min_gap(self) -> float:
         """Smallest spacing between consecutive intervals (inf if single)."""
         if self.count < 2:
@@ -192,38 +190,29 @@ def _split_level(level: IntervalLevel, gaps: GapSequence, i: int) -> IntervalLev
     )
 
 
-def iter_levels(gaps: GapSequence, max_depth: int) -> Iterator[IntervalLevel]:
-    """Stream the interval levels 0..max_depth without keeping them all."""
+def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
+    """Materialize levels 0..max_depth.
+
+    Refuses to materialize a level with more than MEMORY_CAP intervals.
+    """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if len(gaps) < max_depth:
         raise ValueError(f"need at least {max_depth} gap fractions, have {len(gaps)}")
-    level = IntervalLevel(
+    count = 1
+    for i in range(max_depth):
+        count *= gaps.branching(i)
+        if count > MEMORY_CAP:
+            raise MemoryError(f"level {i + 1} holds {count} intervals > cap {MEMORY_CAP}")
+    levels = [IntervalLevel(
         depth=0,
         lefts=np.array([0.0]),
         log_lengths=np.array([0.0]),
         parent_index=np.array([-1]),
-    )
-    yield level
+    )]
     for i in range(max_depth):
-        level = _split_level(level, gaps, i)
-        yield level
-
-
-def build_system(
-    gaps: GapSequence, max_depth: int, memory_cap: int = DEFAULT_MEMORY_CAP
-) -> CantorSystem:
-    """Materialize levels 0..max_depth.
-
-    Refuses to materialize a level with more than ``memory_cap`` intervals;
-    use :func:`iter_levels` to stream deeper generations.
-    """
-    count = 1
-    for i in range(max_depth):
-        count *= gaps.branching(i)
-        if count > memory_cap:
-            raise MemoryError(f"level {i + 1} holds {count} intervals > cap {memory_cap}")
-    return CantorSystem(gaps=gaps, levels=list(iter_levels(gaps, max_depth)))
+        levels.append(_split_level(levels[-1], gaps, i))
+    return CantorSystem(gaps=gaps, levels=levels)
 
 
 def truncated_length(system: CantorSystem, n: int) -> float:
@@ -247,13 +236,16 @@ class MinimalityReport:
     satisfied_at_finite_scale: bool
 
 
-def minimality_criterion(
-    gaps: GapSequence, M: float, tail_window: int, tol: float = 0.01
-) -> MinimalityReport:
+# how close to 1 the tail geometric mean must come for the finite-scale flag
+MINIMALITY_TOL = 0.01
+
+
+def minimality_criterion(gaps: GapSequence, M: float, tail_window: int) -> MinimalityReport:
     """Geometric mean of (1-c_i) over the last ``tail_window`` indices.
 
     ``ratio_ok`` holds iff every component ratio is <= M.  The finite-scale
-    flag needs the estimate within ``tol`` of 1 and the ratio bound to hold.
+    flag needs the estimate within MINIMALITY_TOL of 1 and the ratio bound
+    to hold.
     """
     n = len(gaps)
     if tail_window > n or tail_window < 1:
@@ -267,18 +259,8 @@ def minimality_criterion(
         ratio_ok=ratio_ok,
         ratio_max=ratio_max,
         window=tail_window,
-        satisfied_at_finite_scale=bool(estimate >= 1.0 - tol and ratio_ok),
+        satisfied_at_finite_scale=bool(estimate >= 1.0 - MINIMALITY_TOL and ratio_ok),
     )
-
-
-def gap_density(gaps: GapSequence, a: float, n: int) -> float:
-    """Fraction s_n/n of the first n gap fractions below the threshold a."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must be in (0, 1)")
-    if n > len(gaps) or n < 1:
-        raise ValueError("n must be in 1..len(gaps)")
-    head = np.asarray(gaps.values[:n])
-    return float(np.count_nonzero(head < a)) / n
 
 
 def closed_form_minkowski(gaps: GapSequence, n: int) -> float:
@@ -292,68 +274,3 @@ def closed_form_minkowski(gaps: GapSequence, n: int) -> float:
         raise ValueError("gap fraction too close to 1: log(1-c) diverges")
     log2n = n * math.log(2.0)
     return log2n / (log2n - float(np.sum(np.log1p(-head))))
-
-
-@dataclass
-class UniformPerfectnessReport:
-    C: float
-    uniformly_perfect_at_depth: bool
-    sup_gap_fraction: Optional[float]
-
-    def __str__(self):
-        if not self.uniformly_perfect_at_depth:
-            return "not uniformly perfect at this depth"
-        return f"C = {self.C:.6g}"
-
-
-def uniform_perfectness_constant(
-    system: CantorSystem,
-    cap: float = 1e6,
-    max_centers: int = 512,
-) -> UniformPerfectnessReport:
-    """Smallest observed annulus constant C on the deepest built level.
-
-    For sampled centers x in the set and dyadic radii r, checks that
-    B(x,r) \\ B(x,r/C) meets the set whenever the set extends beyond B(x,r).
-    The set is approximated by the deepest-level intervals, whose endpoints
-    belong to the set.  Reports failure once the required C exceeds ``cap``.
-    """
-    if system.max_depth < 2:
-        raise ValueError("need depth >= 2")
-    leaves = system.level(system.max_depth)
-    a, b = leaves.lefts, leaves.rights
-
-    step = max(1, leaves.count // max_centers)
-    centers = np.concatenate([a[::step], b[::step]])
-
-    diam = float(b[-1] - a[0])
-    radii = [diam * 2.0 ** (-k) for k in range(0, system.max_depth + 1)]
-
-    worst = 1.0
-    for x in centers:
-        d_min = np.maximum(np.maximum(a - x, x - b), 0.0)
-        d_max = np.maximum(np.abs(x - a), np.abs(x - b))
-        far = float(np.max(d_max))
-        for r in radii:
-            if far < r:  # set does not extend beyond B(x,r)
-                continue
-            near = d_min < r
-            if not np.any(near):
-                worst = math.inf
-                break
-            delta = float(np.max(np.minimum(d_max[near], r * (1.0 - 1e-9))))
-            if delta <= 0.0:
-                worst = math.inf
-                break
-            worst = max(worst, r / delta)
-        if worst > cap:
-            break
-
-    sup_c = None
-    if system.gaps.kind == MIDDLE_INTERVAL:
-        sup_c = float(max(system.gaps.values[: system.max_depth]))
-    return UniformPerfectnessReport(
-        C=worst,
-        uniformly_perfect_at_depth=bool(worst <= cap),
-        sup_gap_fraction=sup_c,
-    )

@@ -359,7 +359,7 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
                 )
             else:
                 problem = DiscreteModulusProblem.from_intervals_1d(
-                    balls, [np.asarray(s, dtype=float) for s in _require(prob, "sets")],
+                    balls, _require(prob, "sets"),
                     p=float(_require(prob, "p")), delta=prob.get("delta"),
                 )
             res = solve_discrete(problem)

@@ -1,4 +1,4 @@
-"""Box counting, mass distribution certificates, Frostman-type measures.
+"""Box counting, window masses and mass distribution certificates.
 
 Counting uses half-open grid boxes, which shifts covering numbers by at most
 a bounded factor and leaves the fitted scaling exponent unchanged.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -179,6 +179,10 @@ def box_count(data, epsilons: Sequence[float]) -> BoxCountResult:
     )
 
 
+# the most negative log-log slope of the per-scale constant that still passes
+MASS_BOUND_SLOPE_TOL = 0.02
+
+
 @dataclass
 class MassBoundReport:
     """Finite-scale certificate 'dim_H >= d with constant C at tested scales'."""
@@ -196,13 +200,12 @@ def mass_distribution_lower_bound(
     d: float,
     test_scales: Sequence[float],
     geometry: Optional[IntervalLevel] = None,
-    slope_tol: float = 0.02,
 ) -> MassBoundReport:
     """Scan windows [x, x+r] on an r/4 grid and bound mu(U) / r^d.
 
     Passes when the per-scale constant does not diverge as r shrinks
-    (log-log slope >= -slope_tol).  The window grid makes the result a lower
-    bound on the true constant.
+    (log-log slope >= -MASS_BOUND_SLOPE_TOL).  The window grid makes the
+    result a lower bound on the true constant.
     """
     if measure.total_mass <= 0:
         raise ValueError("zero total mass")
@@ -238,56 +241,8 @@ def mass_distribution_lower_bound(
     else:
         slope = 0.0
     c_obs = float(np.max(per_scale))
-    passed = bool(math.isfinite(c_obs) and slope >= -slope_tol)
+    passed = bool(math.isfinite(c_obs) and slope >= -MASS_BOUND_SLOPE_TOL)
     return MassBoundReport(
         d=d, C_observed=c_obs, per_scale_C=per_scale, scales=scales,
         slope=slope, passed=passed,
     )
-
-
-def frostman_measure(
-    level: IntervalLevel, d: float, max_dyadic_depth: Optional[int] = None
-) -> DiscreteMeasure:
-    """Greedy dyadic construction of a measure with mu(cell) <= width^d.
-
-    Starting from mass 1 on [0,1], mass is split between dyadic children in
-    proportion to their overlap with the level intervals and capped at
-    width^d at every node.  The result lives on the occupied dyadic cells of
-    the final depth.
-    """
-    if not (0.0 < d <= 1.0):
-        raise ValueError("d must be in (0, 1]")
-    lefts, rights = level.lefts, level.rights
-    lengths = rights - lefts
-    if float(np.sum(lengths)) <= 0:
-        raise ValueError("level has no length to support a measure")
-
-    if max_dyadic_depth is None:
-        min_len = float(np.min(lengths))
-        max_dyadic_depth = min(30, max(1, int(math.ceil(-math.log2(max(min_len, 1e-9))))))
-
-    csum = np.concatenate([[0.0], np.cumsum(lengths)])
-
-    cells = np.array([0.0])
-    width = 1.0
-    masses = np.array([min(1.0, 1.0)])
-    for _ in range(max_dyadic_depth):
-        half = width / 2.0
-        child_lefts = np.repeat(cells, 2)
-        child_lefts[1::2] += half
-        # length of the level inside each cell: its window mass with mass = length
-        occ, _, _ = sorted_window_masses(lefts, rights, lengths, csum,
-                                         child_lefts, child_lefts + half)
-        pair_tot = occ[0::2] + occ[1::2]
-        share = np.zeros_like(occ)
-        nz = np.repeat(pair_tot, 2) > 0
-        share[nz] = occ[nz] / np.repeat(pair_tot, 2)[nz]
-        child_masses = np.minimum(np.repeat(masses, 2) * share, half ** d)
-        keep = child_masses > 0
-        cells = child_lefts[keep]
-        masses = child_masses[keep]
-        width = half
-        assert np.all(masses <= width ** d + 1e-15)
-        if len(cells) == 0:
-            break
-    return DiscreteMeasure(lefts=cells, rights=cells + width, masses=masses)

@@ -28,13 +28,13 @@ NonConvergenceError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from confdim.cantor import IntervalLevel
-from confdim.dimension import WINDOW_CHUNK_CELLS, DiscreteMeasure, box_count
+from confdim.dimension import WINDOW_CHUNK_CELLS, DiscreteMeasure
 
 
 class InfeasibleError(ValueError):
@@ -74,6 +74,11 @@ class SolveResult:
         if np.any(self.optimizer < 0):
             raise ValueError("optimizer must be nonnegative")
 
+
+# the dual ascent stops once the norm of its projected gradient is this small
+SOLVE_TOL = 1e-9
+# the most Newton steps of one polish
+POLISH_SWEEPS = 40
 
 # Row pairs are generated in chunks of at most this many, so the memory of
 # the Newton matrix assembly does not grow with the number of pairs.
@@ -195,7 +200,6 @@ def _solve_power_program(
     w: np.ndarray,
     A: np.ndarray,
     p: float,
-    tol: float = 1e-9,
     max_iter: int = 100000,
 ) -> SolveResult:
     """min sum w x^p s.t. A x >= 1, x >= 0 via dual projected gradient."""
@@ -223,7 +227,7 @@ def _solve_power_program(
         it += 1
         grad = np.where(live, 1.0 - C.dot(x), 0.0)
         gnorm = float(np.linalg.norm(grad * ((y > 0) | (grad > 0))))
-        if gnorm <= tol:
+        if gnorm <= SOLVE_TOL:
             break
         # backtracking ascent step
         improved = False
@@ -245,7 +249,7 @@ def _solve_power_program(
             y, x, g = _newton_polish(C, q, y, live, primal, dual_value)
             grad = np.where(live, 1.0 - C.dot(x), 0.0)
             gnorm = float(np.linalg.norm(grad * ((y > 0) | (grad > 0))))
-            if gnorm <= tol:
+            if gnorm <= SOLVE_TOL:
                 break
 
     y, x, g = _newton_polish(C, q, y, live, primal, dual_value)
@@ -269,11 +273,11 @@ def _solve_power_program(
     )
 
 
-def _newton_polish(C: _Coords, q, y, live, primal, dual_value, sweeps: int = 40):
+def _newton_polish(C: _Coords, q, y, live, primal, dual_value):
     """Newton steps on the stationarity system of the active constraints."""
     x = primal(y)
     g = dual_value(y, x)
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         resid = C.dot(x) - 1.0
         active = live & ((y > 1e-14) | (resid < 0))
         # stop at the rounding floor; from within 1e-12 one step reaches it
@@ -339,7 +343,7 @@ class MeasureSystem:
                 raise ValueError(f"member {i} must have positive total mass")
 
 
-def solve_fuglede(system: MeasureSystem, tol: float = 1e-9) -> SolveResult:
+def solve_fuglede(system: MeasureSystem) -> SolveResult:
     """Fuglede p-modulus min sum mu rho^p with int rho dlambda >= 1 per member.
 
     Cells of zero ambient measure carry free density: any member with lambda
@@ -369,7 +373,7 @@ def solve_fuglede(system: MeasureSystem, tol: float = 1e-9) -> SolveResult:
         )
     else:
         A = np.stack([lam for _, lam in rows])
-        res = _solve_power_program(mu[live], A, system.p, tol=tol)
+        res = _solve_power_program(mu[live], A, system.p)
         x_full[live] = res.optimizer
         result = SolveResult(
             value=res.value, optimizer=x_full, multipliers=res.multipliers,
@@ -411,21 +415,21 @@ class DiscreteModulusProblem:
     @classmethod
     def from_intervals_1d(
         cls, balls: np.ndarray, sets: Sequence[np.ndarray], p: float,
-        delta: Optional[float] = None, check_disjoint: bool = True,
+        delta: Optional[float] = None,
     ) -> "DiscreteModulusProblem":
         """Build incidence from 1-D balls and point/interval sets.
 
         Each set is an array of points or an (n,2) array of intervals; it is
-        incident to a ball when it meets the concentric 1/5-ball.
+        incident to a ball when it meets the concentric 1/5-ball.  The
+        fifth-balls must be pairwise disjoint.
         """
         balls = np.asarray(balls, dtype=float)
         c, r = balls[:, 0], balls[:, 1]
-        if check_disjoint:
-            order = np.argsort(c)
-            cs, rs = c[order], r[order]
-            sep = np.diff(cs) - (rs[1:] + rs[:-1]) / 5.0
-            if np.any(sep < -1e-12):
-                raise ValueError("fifth-balls are not pairwise disjoint")
+        order = np.argsort(c)
+        cs, rs = c[order], r[order]
+        sep = np.diff(cs) - (rs[1:] + rs[:-1]) / 5.0
+        if np.any(sep < -1e-12):
+            raise ValueError("fifth-balls are not pairwise disjoint")
         # the intervals of all sets against every fifth-ball, in chunks of at
         # most WINDOW_CHUNK_CELLS cells; [lo, hi] meets [c - r/5, c + r/5]
         spans = [np.asarray(s, dtype=float) for s in sets]
@@ -444,14 +448,14 @@ class DiscreteModulusProblem:
         return cls(balls=balls, p=p, delta=delta, incidence=inc)
 
 
-def solve_discrete(problem: DiscreteModulusProblem, tol: float = 1e-9) -> SolveResult:
+def solve_discrete(problem: DiscreteModulusProblem) -> SolveResult:
     """Minimize sum v(B)^p over admissible nonnegative ball weights."""
     empty = np.where(~np.any(problem.incidence, axis=1))[0]
     if len(empty):
         raise InfeasibleError(empty, f"sets {empty.tolist()} meet no fifth-ball")
     A = problem.incidence.astype(float)
     w = np.ones(A.shape[1])
-    return _solve_power_program(w, A, problem.p, tol=tol)
+    return _solve_power_program(w, A, problem.p)
 
 
 def vitali_disjointify(balls: np.ndarray) -> np.ndarray:
@@ -667,35 +671,4 @@ def modulus_comparison(
     return ComparisonReport(
         lhs=lhs, rhs=rhs, ratio=ratio, hypothesis_ok=hypothesis_ok,
         offending_window=offending, ambient_growth_C=amb_c,
-    )
-
-
-@dataclass
-class SubadditivityReport:
-    union_value: float
-    member_values: np.ndarray
-    subadditive_ok: bool
-    monotone_ok: bool
-
-
-def subadditivity_check(
-    systems: Sequence[MeasureSystem], tol: float = 1e-6
-) -> SubadditivityReport:
-    """mod_p(union) <= sum mod_p(E_i), and monotone in the member list."""
-    base = systems[0]
-    for sysb in systems[1:]:
-        if len(sysb.mu) != len(base.mu) or not np.allclose(sysb.mu, base.mu):
-            raise ValueError("systems must share the ambient measure")
-        if abs(sysb.p - base.p) > 1e-12:
-            raise ValueError("systems must share the exponent p")
-    union = MeasureSystem(
-        mu=base.mu, members=[lam for s in systems for lam in s.members], p=base.p
-    )
-    union_value = solve_fuglede(union).value
-    values = np.array([solve_fuglede(s).value for s in systems])
-    return SubadditivityReport(
-        union_value=union_value,
-        member_values=values,
-        subadditive_ok=bool(union_value <= float(np.sum(values)) + tol),
-        monotone_ok=bool(np.all(values <= union_value + tol)),
     )

@@ -10,7 +10,7 @@ samples, they never prove it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -179,6 +179,12 @@ class QsMap:
         return self.apply(x)
 
 
+# log-spaced bins of t over [1e-4, 1e4] for the empirical eta envelope
+ETA_BINS = 161
+# absolute slack on both sides of the distortion bounds
+DISTORTION_SLACK = 1e-12
+
+
 @dataclass
 class QsRatioReport:
     max_violation_ratio: float
@@ -207,8 +213,6 @@ def qs_ratio_check(
     qsmap: QsMap,
     triples: np.ndarray,
     eta: Optional[EtaModulus] = None,
-    t_range=(1e-4, 1e4),
-    n_bins: int = 161,
 ) -> QsRatioReport:
     """Triple-ratio test of a claimed eta plus an empirical envelope.
 
@@ -227,10 +231,10 @@ def qs_ratio_check(
 
     max_violation = float(np.max(ratio / eta(t)))
 
-    edges = np.logspace(math.log10(t_range[0]), math.log10(t_range[1]), n_bins + 1)
-    envelope = np.full(n_bins, np.nan)
-    idx = np.clip(np.searchsorted(edges, t) - 1, 0, n_bins - 1)
-    for b in range(n_bins):
+    edges = np.logspace(math.log10(1e-4), math.log10(1e4), ETA_BINS + 1)
+    envelope = np.full(ETA_BINS, np.nan)
+    idx = np.clip(np.searchsorted(edges, t) - 1, 0, ETA_BINS - 1)
+    for b in range(ETA_BINS):
         sel = idx == b
         if np.any(sel):
             envelope[b] = np.max(ratio[sel])
@@ -249,7 +253,7 @@ class DistortionReport:
 
 
 def distortion_check(
-    qsmap: QsMap, A, B, eta: Optional[EtaModulus] = None, slack: float = 1e-12
+    qsmap: QsMap, A, B, eta: Optional[EtaModulus] = None
 ) -> DistortionReport:
     """Two-sided diameter distortion bound for finite A inside B."""
     eta = eta or qsmap.eta
@@ -264,12 +268,12 @@ def distortion_check(
     ratio = float((np.max(fa) - np.min(fa)) / (np.max(fb) - np.min(fb)))
     lower = 1.0 / (2.0 * eta(diam_b / diam_a))
     upper = float(eta(2.0 * diam_a / diam_b))
-    ok = (lower - slack <= ratio) and (ratio <= upper + slack)
+    ok = (lower - DISTORTION_SLACK <= ratio) and (ratio <= upper + DISTORTION_SLACK)
     return DistortionReport(lower=lower, ratio=ratio, upper=upper, ok=ok)
 
 
 def distortion_gap_check(
-    qsmap: QsMap, X1, X2, eta: Optional[EtaModulus] = None, slack: float = 1e-12
+    qsmap: QsMap, X1, X2, eta: Optional[EtaModulus] = None
 ) -> DistortionReport:
     """Gap-to-diameter distortion bound for separated compact pieces X1, X2."""
     eta = eta or qsmap.eta
@@ -287,7 +291,7 @@ def distortion_gap_check(
     ratio = img_dist / img_diam
     lower = 1.0 / (2.0 * eta(diam_x / dist))
     upper = float(eta(2.0 * dist / diam_x))
-    ok = (lower - slack <= ratio) and (ratio <= upper + slack)
+    ok = (lower - DISTORTION_SLACK <= ratio) and (ratio <= upper + DISTORTION_SLACK)
     return DistortionReport(lower=lower, ratio=ratio, upper=upper, ok=ok)
 
 

@@ -13,16 +13,24 @@ intervals (via a two-interval decomposition) and on balls of the image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from confdim.cantor import MIDDLE_INTERVAL, CantorSystem, GapSequence
+from confdim.cantor import MIDDLE_INTERVAL, CantorSystem
 from confdim.dimension import sorted_window_masses
-from confdim.qsmaps import EtaModulus, ImageLevel, QsMap, push_intervals
+from confdim.qsmaps import QsMap, push_intervals
 
 _REL_TOL = 1e-9
+
+# certificate settings: constants are stable when their max/min stays below
+# STABILITY_FACTOR (twice that for the window and ball scans); scans use at
+# most MAX_WINDOWS ball centers and a window step of at least 1/MAX_WINDOWS;
+# DECOMPOSITION_SAMPLES windows get the literal two-interval decomposition
+STABILITY_FACTOR = 2.0
+MAX_WINDOWS = 512
+DECOMPOSITION_SAMPLES = 32
 
 
 @dataclass
@@ -33,7 +41,7 @@ class ImageTree:
 
     def __post_init__(self):
         for lv in self.levels[1:]:
-            if np.any(lv.diams <= 0):
+            if np.any(lv.rights <= lv.lefts):
                 raise ValueError(f"zero-diameter node at depth {lv.depth}")
 
     @property
@@ -111,72 +119,10 @@ class PiFactors:
     running_products: np.ndarray
 
 
-def pi_factors(measure: RecursiveMeasure, level: Optional[int] = None,
-               leaf_index: Optional[int] = None) -> PiFactors:
-    """p_i per generation, either the level maxima or along one leaf path."""
-    depth = level if level is not None else measure.depth
-    if leaf_index is None:
-        p = np.array([float(np.max(measure.p_pairs[n])) for n in range(1, depth + 1)])
-    else:
-        p = []
-        idx = leaf_index
-        for n in range(depth, 0, -1):
-            p.append(float(measure.p_pairs[n][idx // 2]))
-            idx = int(measure.tree.levels[n].parent_index[idx])
-        p = np.array(p[::-1])
+def pi_factors(measure: RecursiveMeasure) -> PiFactors:
+    """Level maxima of p_i per generation and their running products."""
+    p = np.array([float(np.max(measure.p_pairs[n])) for n in range(1, measure.depth + 1)])
     return PiFactors(p=p, running_products=np.cumprod(p))
-
-
-@dataclass
-class GapPartition:
-    """Small-gaps / large-gaps constants for a power gauge eta.
-
-    Small gaps: c_i < a_star implies p_i <= C1 < 1.
-    Large gaps: p_i <= C2 / (1 - c_i)^exponent for every i, exponent = d*K.
-    """
-
-    a_star: Optional[float]
-    C1: Optional[float]
-    C2: float
-    exponent: float
-    small_set: np.ndarray
-    D: float
-    C4: float
-
-
-def gap_partition(
-    gaps: GapSequence,
-    eta: EtaModulus,
-    d: float,
-    M: float = 1.0,
-    a_max: float = 0.5,
-    grid_size: int = 4096,
-) -> GapPartition:
-    if eta.kind == "identity":
-        eta = EtaModulus.power(1.0, 1.0)
-    if eta.kind != "power":
-        raise ValueError("gap partition needs a power-form eta")
-    C, K = eta.C, eta.K
-
-    D = 2.0 * eta(2.0 * (1.0 + M))
-    # (1+x^d)/(1+x)^d is symmetric under x -> 1/x and minimal at the endpoints
-    C4 = (1.0 + D ** d) / (1.0 + D) ** d
-
-    a_grid = np.linspace(a_max / grid_size, a_max, grid_size)
-    vals = eta(2.0 * a_grid)
-    ok = (vals < 1.0) & (C4 * (1.0 - vals) ** d > 1.0)
-    if np.any(ok):
-        a_star = float(a_grid[np.where(ok)[0][-1]])
-        C1 = float(1.0 / (C4 * (1.0 - eta(2.0 * a_star)) ** d))
-    else:
-        a_star, C1 = None, None
-
-    exponent = d * K
-    C2 = (3.0 ** d / 2.0) * C ** d * (1.0 + M) ** exponent
-    cs = np.asarray(gaps.values)
-    small = np.where(cs < a_star)[0] if a_star is not None else np.array([], dtype=int)
-    return GapPartition(a_star=a_star, C1=C1, C2=C2, exponent=exponent,
-                        small_set=small, D=D, C4=C4)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +222,7 @@ class CertificateReport:
     """Finite-scale growth certificate at exponent d.
 
     Constants are 'stable' when their max/min over the top half of the
-    built depths stays below the stability factor.
+    built depths stays below STABILITY_FACTOR.
     """
 
     passed: bool
@@ -320,9 +266,6 @@ def certificate(
     qsmap: QsMap,
     d: float,
     depth: Optional[int] = None,
-    stability_factor: float = 2.0,
-    max_windows: int = 512,
-    decomposition_samples: int = 32,
 ) -> CertificateReport:
     """Check mu <= C diam^d on nodes, windows and balls of the image."""
     depth = system.max_depth if depth is None else depth
@@ -331,7 +274,7 @@ def certificate(
 
     level_growth = measure.level_growth
     top = np.arange((depth + 1) // 2, depth + 1)
-    growth_ok = _stability(level_growth[top], stability_factor)
+    growth_ok = _stability(level_growth[top], STABILITY_FACTOR)
     c_growth = float(np.max(level_growth[top]))
 
     # leaf aggregates for the window / ball scans
@@ -341,7 +284,7 @@ def certificate(
     img_l, img_r = img.lefts, img.rights
     leaf_mass = measure.masses[depth]
     csum = np.concatenate([[0.0], np.cumsum(leaf_mass)])
-    centers = _ball_centers(img_l, img_r, max_windows)
+    centers = _ball_centers(img_l, img_r, MAX_WINDOWS)
 
     decomp = DecompositionCheck()
     interval_c = np.full(len(top), np.nan)
@@ -350,7 +293,7 @@ def certificate(
 
     for ti, n in enumerate(top):
         scale = float(np.exp(np.max(system.level(n).log_lengths)))
-        step = max(scale / 2.0, 1.0 / max_windows)
+        step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
         xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
         x1 = xs + scale
         # boundary leaves count proportionally to their overlap with the
@@ -369,7 +312,7 @@ def certificate(
 
         # literal two-interval decomposition on a sample of windows
         if ti == len(top) - 1:
-            pick = rng.choice(np.where(sel)[0], size=min(decomposition_samples,
+            pick = rng.choice(np.where(sel)[0], size=min(DECOMPOSITION_SAMPLES,
                                                          int(np.sum(sel))), replace=False)
             mu_all = csum[j1 + 1] - csum[j0]
             for k in pick:
@@ -384,8 +327,8 @@ def certificate(
         if np.any(hit):
             ball_c[ti] = float(np.max(mu_b[hit])) / r ** d
 
-    interval_ok = _stability(interval_c, stability_factor * 2.0)
-    ball_ok = _stability(ball_c, stability_factor * 2.0)
+    interval_ok = _stability(interval_c, STABILITY_FACTOR * 2.0)
+    ball_ok = _stability(ball_c, STABILITY_FACTOR * 2.0)
     finite_balls = ball_c[np.isfinite(ball_c)]
     worst_ball = float(np.max(finite_balls)) if len(finite_balls) else math.inf
 

@@ -8,11 +8,8 @@ from confdim.cantor import (
     GapSequenceError,
     build_system,
     closed_form_minkowski,
-    gap_density,
-    iter_levels,
     minimality_criterion,
     truncated_length,
-    uniform_perfectness_constant,
 )
 
 
@@ -33,25 +30,29 @@ def test_uniform_kind_needs_room_for_children():
 def test_middle_thirds_levels_are_exact():
     system = build_system(GapSequence.constant(1 / 3, 3), max_depth=3)
     lv1 = system.level(1)
-    assert np.allclose(lv1.intervals(), [(0.0, 1 / 3), (2 / 3, 1.0)])
+    assert np.allclose(lv1.lefts, [0.0, 2 / 3])
+    assert np.allclose(lv1.rights, [1 / 3, 1.0])
     lv2 = system.level(2)
     assert lv2.count == 4
     assert lv2.lengths == pytest.approx(np.full(4, 1 / 9))
     assert lv2.lefts[0] == 0.0 and lv2.rights[-1] == pytest.approx(1.0)
 
 
-def test_iter_levels_matches_build_system():
-    gaps = GapSequence.harmonic(8)
-    system = build_system(gaps, max_depth=8)
-    for streamed, kept in zip(iter_levels(gaps, 8), system.levels):
-        assert np.allclose(streamed.lefts, kept.lefts)
-        assert np.allclose(streamed.log_lengths, kept.log_lengths)
-
-
 def test_memory_cap_refuses_deep_builds():
+    # 2^40 intervals: refused by the count alone, before any level is built
     gaps = GapSequence.constant(0.1, 40)
-    with pytest.raises(MemoryError):
-        build_system(gaps, max_depth=40, memory_cap=2 ** 20)
+    with pytest.raises(MemoryError, match=r"level 25 holds 33554432 intervals > cap 16777216"):
+        build_system(gaps, max_depth=40)
+
+
+def test_build_system_rejects_bad_depths():
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        build_system(GapSequence.harmonic(3), max_depth=-1)
+    # checked before the cap, so a short uniform sequence is not indexed past its end
+    with pytest.raises(ValueError, match="need at least 4 gap fractions, have 2"):
+        build_system(GapSequence.uniform([0.1, 0.1], [3, 3]), max_depth=4)
+    with pytest.raises(ValueError, match="need at least 30 gap fractions, have 2"):
+        build_system(GapSequence.constant(0.3, 2), max_depth=30)
 
 
 def test_harmonic_truncated_length_telescopes():
@@ -103,25 +104,3 @@ def test_minimality_criterion_constant_third_fails():
     rep = minimality_criterion(GapSequence.constant(1 / 3, 200), M=1.0, tail_window=100)
     assert rep.product_limit_estimate == pytest.approx(2 / 3, rel=1e-12)
     assert not rep.satisfied_at_finite_scale
-
-
-def test_gap_density():
-    gaps = GapSequence(values=(0.5, 0.01, 0.02, 0.4))
-    assert gap_density(gaps, a=0.1, n=4) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        gap_density(gaps, a=1.5, n=4)
-
-
-def test_uniform_perfectness_middle_thirds():
-    system = build_system(GapSequence.constant(1 / 3, 8), max_depth=8)
-    rep = uniform_perfectness_constant(system)
-    assert rep.uniformly_perfect_at_depth
-    assert 1.0 <= rep.C < 100.0
-
-
-def test_uniform_perfectness_degrades_with_huge_gaps():
-    small = build_system(GapSequence.constant(0.1, 6), max_depth=6)
-    large = build_system(GapSequence.constant(0.95, 6), max_depth=6)
-    c_small = uniform_perfectness_constant(small).C
-    c_large = uniform_perfectness_constant(large).C
-    assert c_large > c_small

@@ -1,12 +1,16 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confdim
 import confdim.cli as cli
 import confdim.modulus as modulus
 import confdim.qsmass as qsmass
@@ -48,6 +52,13 @@ def test_generate_harmonic_length_telescopes(tmp_path):
 def test_generate_invalid_gap_exits_2(tmp_path):
     code, _ = run(tmp_path, "generate", {"system": {"c": {"const": 1.2}, "depth": 3}})
     assert code == 2
+
+
+def test_short_uniform_gap_sequence_exits_2(tmp_path, capsys):
+    spec = {"kind": "uniform", "gammas": [0.1, 0.1], "n_children": [3, 3], "depth": 4}
+    code, _ = run(tmp_path, "generate", {"system": spec})
+    assert code == 2
+    assert "need at least 4 gap fractions, have 2" in capsys.readouterr().err
 
 
 def test_missing_field_exits_2(tmp_path):
@@ -266,3 +277,15 @@ def test_theorem_b_atom_fails_scan_exit_3(tmp_path):
                    "cell_width": 3.0 ** -7, "d_sweep": [0.6],
                    "atoms": [[0.0, 0.3]]})
     assert code == 3
+
+
+def test_runtime_loads_no_test_only_package():
+    # scipy and hypothesis serve the tests only; the package itself needs numpy
+    src = str(Path(confdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, confdim, confdim.cli; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "numpy" in out
+    assert not {m.split(".")[0] for m in out} & {"scipy", "hypothesis", "pytest"}

@@ -8,7 +8,6 @@ from confdim.cantor import GapSequence, IntervalLevel, build_system
 from confdim.dimension import (
     DiscreteMeasure,
     box_count,
-    frostman_measure,
     mass_distribution_lower_bound,
     natural_measure,
     sorted_window_masses,
@@ -165,6 +164,26 @@ def test_sorted_window_masses_with_atoms_match_a_scalar_loop(case):
     assert np.max(np.abs(mu - want)) <= 1e-12 * m.total_mass
 
 
+# [15/64, 1/4] touches the second interval only at its left end; with the
+# lengths as masses, the prefix sum alone leaves a residue of 1.4e-17 there
+_TOUCHING = IntervalLevel(
+    depth=1,
+    lefts=np.array([0.003734730026382249, 0.25, 0.4585851958450149]),
+    log_lengths=np.log(np.array([0.0814205731546661, 0.3729777764220863, 0.516863517689244])
+                       - np.array([0.003734730026382249, 0.25, 0.4585851958450149])),
+    parent_index=np.zeros(3, dtype=int),
+)
+
+
+def test_sorted_window_masses_of_a_touching_window_are_exactly_zero():
+    lefts, rights = _TOUCHING.lefts, _TOUCHING.rights
+    lengths = rights - lefts
+    csum = np.concatenate([[0.0], np.cumsum(lengths)])
+    mu, j0, j1 = sorted_window_masses(lefts, rights, lengths, csum, [15 / 64], [1 / 4])
+    assert j0[0] == j1[0] == 1
+    assert mu[0] == 0.0
+
+
 def test_sorted_window_masses_of_empty_inputs():
     none = np.array([])
     mu, j0, j1 = sorted_window_masses(none, none, none, np.zeros(1), none, none)
@@ -216,52 +235,6 @@ def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, 
     np.testing.assert_array_max_ulp(rep.per_scale_C, want, maxulp=1)
 
 
-def _frostman_loop(level, d, depth):
-    """frostman_measure with the per-interval occupancy loop it ran before."""
-    cells, width, masses = np.array([0.0]), 1.0, np.array([1.0])
-    for _ in range(depth):
-        half = width / 2.0
-        child = np.repeat(cells, 2)
-        child[1::2] += half
-        occ = np.zeros(len(child))
-        for a, b in zip(level.lefts, level.rights):
-            occ += np.clip(np.minimum(b, child + half) - np.maximum(a, child), 0.0, None)
-        pair = np.repeat(occ[0::2] + occ[1::2], 2)
-        share = np.zeros_like(occ)
-        share[pair > 0] = occ[pair > 0] / pair[pair > 0]
-        child_masses = np.minimum(np.repeat(masses, 2) * share, half ** d)
-        keep = child_masses > 0
-        cells, masses, width = child[keep], child_masses[keep], half
-    return cells, masses
-
-
-def _level(gaps, depth):
-    return build_system(gaps, max_depth=depth).level(depth)
-
-
-# a dyadic cell [15/64, 1/4] touches the second interval only at its left end
-_TOUCHING = IntervalLevel(
-    depth=1,
-    lefts=np.array([0.003734730026382249, 0.25, 0.4585851958450149]),
-    log_lengths=np.log(np.array([0.0814205731546661, 0.3729777764220863, 0.516863517689244])
-                       - np.array([0.003734730026382249, 0.25, 0.4585851958450149])),
-    parent_index=np.zeros(3, dtype=int),
-)
-
-
-@pytest.mark.parametrize("level,d,dyadic", [
-    (_level(GapSequence.harmonic(10), 10), 0.9, 16),
-    (_level(GapSequence.constant(1 / 3, 8), 8), math.log(2) / math.log(3), 14),
-    (_level(GapSequence.constant(1 / 2, 8), 8), 0.5, 18),
-    (_TOUCHING, 0.7, 6),
-])
-def test_frostman_occupancy_matches_the_interval_loop(level, d, dyadic):
-    m = frostman_measure(level, d, max_dyadic_depth=dyadic)
-    cells, masses = _frostman_loop(level, d, dyadic)
-    assert np.array_equal(m.lefts, cells)
-    np.testing.assert_allclose(m.masses, masses, rtol=1e-11, atol=0)
-
-
 def test_natural_measure_uniform_on_level():
     system = build_system(GapSequence.constant(1 / 3, 5), max_depth=5)
     m = natural_measure(system.level(5))
@@ -296,18 +269,3 @@ def test_mass_bound_input_validation():
         mass_distribution_lower_bound(m, 1.5, [0.1])
     with pytest.raises(ValueError):
         mass_distribution_lower_bound(m, 0.5, [-0.1])
-
-
-def test_frostman_measure_respects_the_cap():
-    system = build_system(GapSequence.constant(1 / 3, 8), max_depth=8)
-    d = math.log(2) / math.log(3)
-    m = frostman_measure(system.level(8), d, max_dyadic_depth=10)
-    width = m.rights[0] - m.lefts[0]
-    assert np.all(m.masses <= width ** d + 1e-12)
-    assert m.total_mass > 0.1
-
-
-def test_frostman_measure_full_interval_keeps_mass_one():
-    level = build_system(GapSequence.constant(0.0, 1), max_depth=0).level(0)
-    m = frostman_measure(level, 1.0, max_dyadic_depth=6)
-    assert m.total_mass == pytest.approx(1.0)

@@ -24,7 +24,6 @@ from confdim.modulus import (
     product_system,
     solve_discrete,
     solve_fuglede,
-    subadditivity_check,
     vitali_disjointify,
 )
 
@@ -327,8 +326,7 @@ def test_modulus_comparison_reports_finite_ratio():
     centers = (leaves.lefts + leaves.rights) / 2.0
     balls = np.column_stack([centers, leaves.lengths / 2.0])
     image = DiscreteModulusProblem.from_intervals_1d(
-        balls, [np.column_stack([leaves.lefts, leaves.rights])], p=1.5,
-        check_disjoint=False)
+        balls, [np.column_stack([leaves.lefts, leaves.rights])], p=1.5)
     rep = modulus_comparison(prod, image, s=0.9, C1=1e-3, C2=2.0)
     assert math.isfinite(rep.ratio) and rep.ratio > 0
     assert rep.hypothesis_ok
@@ -339,19 +337,3 @@ def test_modulus_comparison_degenerate_empty():
     empty = MeasureSystem(mu=[1.0], members=[], p=1.5)
     out = modulus_comparison(empty, None, s=0.5, C1=1.0, C2=1.0)
     assert out.degenerate
-
-
-def test_subadditivity_disjoint_supports_add_up():
-    mu = np.ones(6)
-    s1 = MeasureSystem(mu=mu, members=[[1, 1, 1, 0, 0, 0]], p=2.0)
-    s2 = MeasureSystem(mu=mu, members=[[0, 0, 0, 1, 1, 1]], p=2.0)
-    rep = subadditivity_check([s1, s2])
-    assert rep.subadditive_ok and rep.monotone_ok
-    assert rep.union_value == pytest.approx(float(np.sum(rep.member_values)), abs=1e-9)
-
-
-def test_subadditivity_duplicate_member_inactive():
-    mu = np.ones(4)
-    s = MeasureSystem(mu=mu, members=[[1, 1, 0, 0]], p=2.0)
-    rep = subadditivity_check([s, s])
-    assert rep.union_value == pytest.approx(rep.member_values[0], abs=1e-9)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from confdim.cantor import GapSequence, build_system
-from confdim.qsmaps import EtaModulus, QsMap
+from confdim.qsmaps import QsMap
 from confdim.qsmass import (
     _ball_centers,
     _endpoints,
     build_image_tree,
     build_recursive_measure,
     certificate,
-    gap_partition,
     pi_factors,
 )
 
@@ -36,9 +35,25 @@ def test_identity_symmetric_masses_halve():
         assert np.allclose(m.masses[n], 2.0 ** -n)
 
 
-def test_mass_conservation_exact():
-    m, _ = _measure(GapSequence.harmonic(10), QsMap.power(1.5), 0.9, 10)
-    for n in range(1, 11):
+def _gaps(c, depth):
+    return GapSequence.harmonic(depth) if c == "harmonic" else GapSequence.constant(c, depth)
+
+
+# gaps (a constant c or harmonic), a power map x^a, the exponent d and the depth
+_measure_cases = dict(
+    c=st.one_of(st.just("harmonic"), st.floats(0.05, 0.9)),
+    a=st.floats(1.0, 3.0),
+    d=st.floats(0.05, 0.95),
+    depth=st.integers(1, 10),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_measure_cases)
+@example(c="harmonic", a=1.5, d=0.9, depth=10)
+def test_mass_conservation_exact(c, a, d, depth):
+    m, _ = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
+    for n in range(1, depth + 1):
         pair_sums = m.masses[n][0::2] + m.masses[n][1::2]
         assert np.array_equal(pair_sums, m.masses[n - 1])
 
@@ -73,45 +88,14 @@ def test_power_map_level_one_split():
     assert expected[0] == pytest.approx(0.309, abs=5e-4)
 
 
-def test_path_product_dominates_node_growth():
-    m, tree = _measure(GapSequence.harmonic(12), QsMap.power(2.0), 0.9, 12)
-    for n in range(1, 13):
+@settings(max_examples=60, deadline=None)
+@given(**_measure_cases)
+@example(c="harmonic", a=2.0, d=0.9, depth=12)
+def test_path_product_dominates_node_growth(c, a, d, depth):
+    m, tree = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
+    for n in range(1, depth + 1):
         ratio = m.masses[n] / tree.levels[n].diams ** m.d
         assert np.all(ratio <= m.running_products[n] * (1 + 1e-9))
-
-
-def test_pi_factors_along_a_leaf_path():
-    m, _ = _measure(GapSequence.harmonic(6), QsMap.power(1.5), 0.8, 6)
-    pf = pi_factors(m, leaf_index=0)
-    assert len(pf.p) == 6
-    level_max = pi_factors(m).p
-    assert np.all(pf.p <= level_max + 1e-15)
-
-
-def test_gap_partition_identity_constants():
-    gp = gap_partition(GapSequence.harmonic(100), EtaModulus.identity(), d=0.5, M=1.0)
-    assert gp.D == pytest.approx(8.0)
-    assert gp.C4 == pytest.approx((1 + 8 ** 0.5) / 3.0)
-    assert gp.a_star == pytest.approx(0.1929, abs=2e-3)
-    assert gp.C1 is not None and gp.C1 < 1.0
-    assert gp.exponent == pytest.approx(0.5)
-    cs = np.asarray(GapSequence.harmonic(100).values)
-    assert np.all(cs[gp.small_set] < gp.a_star)
-    others = np.setdiff1d(np.arange(100), gp.small_set)
-    assert np.all(cs[others] >= gp.a_star)
-
-
-def test_gap_partition_large_gap_bound_dominates():
-    gaps = GapSequence.constant(1 / 3, 10)
-    gp = gap_partition(gaps, EtaModulus.identity(), d=0.9, M=1.0)
-    actual = 3.0 ** 0.9 / 2.0  # identity p_i at c = 1/3
-    assert actual <= gp.C2 / (1 - 1 / 3) ** gp.exponent
-
-
-def test_gap_partition_needs_power_eta():
-    with pytest.raises(ValueError):
-        gap_partition(GapSequence.harmonic(5),
-                      EtaModulus.tabulated([0.5, 2.0], [0.5, 2.0]), d=0.5)
 
 
 def test_certificate_passes_for_harmonic_identity():
