@@ -153,13 +153,6 @@ class CantorSystem:
     def level(self, n: int) -> IntervalLevel:
         return self.levels[n]
 
-    @property
-    def ratio_bound(self) -> float:
-        """Max observed longer/shorter component ratio across generations."""
-        if self.max_depth == 0:
-            return 1.0
-        return max(self.gaps.component_ratio(i) for i in range(self.max_depth))
-
 
 def _split_level(level: IntervalLevel, gaps: GapSequence, i: int) -> IntervalLevel:
     """Children of generation i+1 from the generation-i level (zero-based i)."""

@@ -279,7 +279,7 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
     lo, hi = cfg.get("interval", [-1.0, 1.0])
     n = int(cfg.get("n_pairs", 10000))
 
-    triple_report = qs_ratio_check(qsmap, random_triples(lo, hi, n, seed=seed), eta)
+    triple_violation = qs_ratio_check(qsmap, random_triples(lo, hi, n, seed=seed), eta)
     rng = np.random.default_rng(seed)
     diam_viol = gap_viol = 0
     for _ in range(n):
@@ -298,19 +298,19 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
         if not distortion_gap_check(qsmap, x1, x2, eta).ok:
             gap_viol += 1
     rows = [
-        ("triple_max_violation_ratio", triple_report.max_violation_ratio),
+        ("triple_max_violation_ratio", triple_violation),
         ("diameter_bound_violations", diam_viol),
         ("gap_bound_violations", gap_viol),
         ("pairs_tested", n),
     ]
     _write_csv(outdir / "results.csv", ["variable", "value"], rows)
     _write_summary(outdir / "summary.json", {
-        "triple_max_violation_ratio": triple_report.max_violation_ratio,
+        "triple_max_violation_ratio": triple_violation,
         "diameter_bound_violations": diam_viol,
         "gap_bound_violations": gap_viol,
         "pairs_tested": n,
         "all_bounds_hold": bool(
-            triple_report.max_violation_ratio <= 1.0 and diam_viol == 0 and gap_viol == 0
+            triple_violation <= 1.0 and diam_viol == 0 and gap_viol == 0
         ),
     })
     return ["results.csv", "summary.json"]
@@ -341,32 +341,24 @@ def cmd_mass(cfg: dict, outdir: Path, seed: int) -> list:
 def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
     prob = _require(cfg, "problem")
     kind = _require(prob, "kind")
-    try:
-        if kind == "fuglede":
-            system = MeasureSystem(
-                mu=np.asarray(_require(prob, "mu"), dtype=float),
-                members=[np.asarray(m, dtype=float) for m in _require(prob, "members")],
-                p=float(_require(prob, "p")),
-            )
-            res = solve_fuglede(system)
-        elif kind == "discrete":
-            balls = np.asarray(_require(prob, "balls"), dtype=float)
-            if "incidence" in prob:
-                problem = DiscreteModulusProblem(
-                    balls=balls, p=float(_require(prob, "p")),
-                    delta=float(prob.get("delta", 2 * np.max(balls[:, 1]))),
-                    incidence=np.asarray(prob["incidence"], dtype=bool),
-                )
-            else:
-                problem = DiscreteModulusProblem.from_intervals_1d(
-                    balls, _require(prob, "sets"),
-                    p=float(_require(prob, "p")), delta=prob.get("delta"),
-                )
-            res = solve_discrete(problem)
+    if kind == "fuglede":
+        system = MeasureSystem(
+            mu=np.asarray(_require(prob, "mu"), dtype=float),
+            members=[np.asarray(m, dtype=float) for m in _require(prob, "members")],
+            p=float(_require(prob, "p")),
+        )
+        res = solve_fuglede(system)
+    elif kind == "discrete":
+        balls, p, delta = _require(prob, "balls"), float(_require(prob, "p")), prob.get("delta")
+        if "incidence" in prob:
+            problem = DiscreteModulusProblem(balls=balls, p=p, delta=delta,
+                                             incidence=prob["incidence"])
         else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-    except ValueError as exc:  # InfeasibleError included
-        raise ConfigError(str(exc)) from exc
+            problem = DiscreteModulusProblem.from_intervals_1d(
+                balls, _require(prob, "sets"), p=p, delta=delta)
+        res = solve_discrete(problem)
+    else:
+        raise ConfigError(f"unknown problem kind {kind!r}")
     _check_solve(res)
     rows = [
         ("value", res.value),

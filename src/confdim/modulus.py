@@ -391,24 +391,35 @@ def solve_fuglede(system: MeasureSystem) -> SolveResult:
     return result
 
 
+def _ball_array(balls) -> np.ndarray:
+    """balls as an (n, 2) float array of (center, radius) rows."""
+    balls = np.asarray(balls, dtype=float)
+    if balls.ndim != 2 or balls.shape[1] != 2:
+        raise ValueError(f"balls must have shape (n, 2), got {balls.shape}")
+    return balls
+
+
 @dataclass
 class DiscreteModulusProblem:
     """Ball-weight program: per set, weights of incident fifth-balls sum >= 1."""
 
     balls: np.ndarray  # (n, 2) center, radius
     p: float
-    delta: float
+    delta: Optional[float]  # scale cap; None means the largest ball diameter
     incidence: np.ndarray  # (n_sets, n_balls) boolean
-    set_labels: Optional[list] = None
 
     def __post_init__(self):
-        self.balls = np.asarray(self.balls, dtype=float)
+        self.balls = _ball_array(self.balls)
         self.incidence = np.asarray(self.incidence, dtype=bool)
         if self.p <= 1:
             raise ValueError("p must be > 1")
         if self.incidence.size == 0:
             raise ValueError("incidence matrix is empty")
+        if self.incidence.ndim != 2 or self.incidence.shape[1] != len(self.balls):
+            raise ValueError(f"incidence must have shape (n_sets, {len(self.balls)}), "
+                             f"got {self.incidence.shape}")
         radii = self.balls[:, 1]
+        self.delta = float(2 * np.max(radii) if self.delta is None else self.delta)
         if np.any(2 * radii > self.delta * (1 + 1e-12)):
             raise ValueError("ball diameter exceeds the scale cap delta")
 
@@ -423,7 +434,7 @@ class DiscreteModulusProblem:
         incident to a ball when it meets the concentric 1/5-ball.  The
         fifth-balls must be pairwise disjoint.
         """
-        balls = np.asarray(balls, dtype=float)
+        balls = _ball_array(balls)
         c, r = balls[:, 0], balls[:, 1]
         order = np.argsort(c)
         cs, rs = c[order], r[order]
@@ -444,7 +455,6 @@ class DiscreteModulusProblem:
             hit &= lohi[s:s + step, 1:] >= c - r / 5.0
             piece, ball = np.divmod(np.flatnonzero(hit), len(balls))
             inc[owner[s + piece], ball] = True
-        delta = float(2 * np.max(r)) if delta is None else delta
         return cls(balls=balls, p=p, delta=delta, incidence=inc)
 
 

@@ -179,17 +179,8 @@ class QsMap:
         return self.apply(x)
 
 
-# log-spaced bins of t over [1e-4, 1e4] for the empirical eta envelope
-ETA_BINS = 161
 # absolute slack on both sides of the distortion bounds
 DISTORTION_SLACK = 1e-12
-
-
-@dataclass
-class QsRatioReport:
-    max_violation_ratio: float
-    t_bins: np.ndarray
-    empirical_eta: np.ndarray  # nan where a bin saw no triple
 
 
 def random_triples(lo: float, hi: float, n: int, seed: int = 0) -> np.ndarray:
@@ -213,10 +204,10 @@ def qs_ratio_check(
     qsmap: QsMap,
     triples: np.ndarray,
     eta: Optional[EtaModulus] = None,
-) -> QsRatioReport:
-    """Triple-ratio test of a claimed eta plus an empirical envelope.
+) -> float:
+    """Max over the triples of |f(x)-f(y)| / |f(y)-f(z)| / eta(|x-y| / |y-z|).
 
-    max_violation_ratio <= 1 means no sampled triple contradicts eta.
+    A value <= 1 means no sampled triple contradicts eta.
     """
     eta = eta or qsmap.eta
     if eta is None:
@@ -228,20 +219,7 @@ def qs_ratio_check(
     t = np.abs(x - y) / np.abs(y - z)
     fx, fy, fz = qsmap.apply(x), qsmap.apply(y), qsmap.apply(z)
     ratio = np.abs(fx - fy) / np.abs(fy - fz)
-
-    max_violation = float(np.max(ratio / eta(t)))
-
-    edges = np.logspace(math.log10(1e-4), math.log10(1e4), ETA_BINS + 1)
-    envelope = np.full(ETA_BINS, np.nan)
-    idx = np.clip(np.searchsorted(edges, t) - 1, 0, ETA_BINS - 1)
-    for b in range(ETA_BINS):
-        sel = idx == b
-        if np.any(sel):
-            envelope[b] = np.max(ratio[sel])
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    return QsRatioReport(
-        max_violation_ratio=max_violation, t_bins=centers, empirical_eta=envelope
-    )
+    return float(np.max(ratio / eta(t)))
 
 
 @dataclass

@@ -7,7 +7,7 @@ proportion to diam^d; the per-generation factors
 
 control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
-intervals (via a two-interval decomposition) and on balls of the image.
+intervals and on balls of the image.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ _REL_TOL = 1e-9
 
 # certificate settings: constants are stable when their max/min stays below
 # STABILITY_FACTOR (twice that for the window and ball scans); scans use at
-# most MAX_WINDOWS ball centers and a window step of at least 1/MAX_WINDOWS;
-# DECOMPOSITION_SAMPLES windows get the literal two-interval decomposition
+# most MAX_WINDOWS ball centers and a window step of at least 1/MAX_WINDOWS
 STABILITY_FACTOR = 2.0
 MAX_WINDOWS = 512
-DECOMPOSITION_SAMPLES = 32
 
 
 @dataclass
@@ -129,94 +127,6 @@ def pi_factors(measure: RecursiveMeasure) -> PiFactors:
 # Growth certificate
 
 
-def _find_maximal_nodes(system: CantorSystem, j_lo: float, j_hi: float) -> list:
-    """Nodes contained in J whose parent is not: the collection of the
-    two-interval decomposition argument."""
-    out = []
-    stack = [(0, 0)]
-    levels = system.levels
-    while stack:
-        depth, idx = stack.pop()
-        lv = levels[depth]
-        a = lv.lefts[idx]
-        b = a + math.exp(lv.log_lengths[idx])
-        if a >= j_lo and b <= j_hi:
-            out.append((depth, idx))
-            continue
-        if b < j_lo or a > j_hi or depth == len(levels) - 1:
-            continue
-        stack.append((depth + 1, 2 * idx))
-        stack.append((depth + 1, 2 * idx + 1))
-    return out
-
-
-def _endpoints(level, i):
-    """(left, right) of interval i, without forming the whole level's rights."""
-    a = level.lefts[i]
-    return a, a + np.exp(level.log_lengths[i])
-
-
-@dataclass
-class DecompositionCheck:
-    windows_checked: int = 0
-    cover_ok: int = 0
-    mass_bound_ok: int = 0
-    dilation_ok: int = 0
-
-
-def _check_decomposition(system, measure, j_lo, j_hi, mu_direct, report, M):
-    """Verify the two-interval covering argument on one window J."""
-    nodes = _find_maximal_nodes(system, j_lo, j_hi)
-    report.windows_checked += 1
-    if not nodes:
-        # J intersects at most one leaf partially; nothing to decompose
-        report.cover_ok += 1
-        report.mass_bound_ok += 1
-        report.dilation_ok += 1
-        return
-    levels = system.levels
-
-    def parent_span(depth, idx):
-        if depth == 0:
-            return _endpoints(levels[0], 0)
-        return _endpoints(levels[depth - 1], int(levels[depth].parent_index[idx]))
-
-    def inside(node, lo, hi, slack=0.0):
-        a, b = _endpoints(levels[node[0]], node[1])
-        return a >= lo - slack and b <= hi + slack
-
-    nodes.sort(key=lambda n: parent_span(*n)[1] - parent_span(*n)[0], reverse=True)
-    e1 = nodes[0]
-    p1_lo, p1_hi = parent_span(*e1)
-    rest = [n for n in nodes[1:] if not inside(n, p1_lo, p1_hi)]
-    e2 = rest[0] if rest else None
-    spans = [(p1_lo, p1_hi)]
-    if e2 is not None:
-        spans.append(parent_span(*e2))
-
-    cover = all(any(inside(n, lo, hi, 1e-12) for lo, hi in spans) for n in nodes)
-    report.cover_ok += cover
-
-    bound = 0.0
-    dil_lo = j_lo - (2 * M - 1) * (j_hi - j_lo) / 2.0
-    dil_hi = j_hi + (2 * M - 1) * (j_hi - j_lo) / 2.0
-    dilation_ok = True
-    for node in ([e1, e2] if e2 is not None else [e1]):
-        depth, idx = node
-        if depth == 0:
-            bound = 1.0
-            break
-        sib = idx ^ 1
-        bound += measure.masses[depth][idx]
-        s_lo, s_hi = _endpoints(levels[depth], sib)
-        if s_hi >= j_lo and s_lo <= j_hi:  # sibling meets J
-            bound += measure.masses[depth][sib]
-            if not (s_lo >= dil_lo - 1e-12 and s_hi <= dil_hi + 1e-12):
-                dilation_ok = False
-    report.mass_bound_ok += mu_direct <= bound + 1e-12
-    report.dilation_ok += dilation_ok
-
-
 @dataclass
 class CertificateReport:
     """Finite-scale growth certificate at exponent d.
@@ -236,7 +146,6 @@ class CertificateReport:
     growth_ok: bool
     interval_ok: bool
     ball_ok: bool
-    decomposition: DecompositionCheck
     scanned_depths: np.ndarray
     pi_factors: PiFactors           # level maxima of p_i of the certified measure
 
@@ -286,10 +195,8 @@ def certificate(
     csum = np.concatenate([[0.0], np.cumsum(leaf_mass)])
     centers = _ball_centers(img_l, img_r, MAX_WINDOWS)
 
-    decomp = DecompositionCheck()
     interval_c = np.full(len(top), np.nan)
     ball_c = np.full(len(top), np.nan)
-    rng = np.random.default_rng(12345)
 
     for ti, n in enumerate(top):
         scale = float(np.exp(np.max(system.level(n).log_lengths)))
@@ -309,15 +216,6 @@ def certificate(
         good = span > 0
         ratios = mu[good] / span[good] ** d
         interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
-
-        # literal two-interval decomposition on a sample of windows
-        if ti == len(top) - 1:
-            pick = rng.choice(np.where(sel)[0], size=min(DECOMPOSITION_SAMPLES,
-                                                         int(np.sum(sel))), replace=False)
-            mu_all = csum[j1 + 1] - csum[j0]
-            for k in pick:
-                _check_decomposition(system, measure, float(xs[k]), float(x1[k]),
-                                     float(mu_all[k]), decomp, system.ratio_bound)
 
         # ball scan on the image side at the matching image scale
         r = float(np.median(tree.levels[n].diams))
@@ -344,7 +242,6 @@ def certificate(
         growth_ok=growth_ok,
         interval_ok=interval_ok,
         ball_ok=ball_ok,
-        decomposition=decomp,
         scanned_depths=top,
         pi_factors=pi_factors(measure),
     )

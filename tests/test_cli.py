@@ -202,12 +202,33 @@ def test_modulus_fuglede_result(tmp_path):
     assert float(rows["kkt_residual"]) <= 1e-7
 
 
-def test_modulus_infeasible_exits_2(tmp_path):
+def test_modulus_infeasible_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "modulus",
                   {"problem": {"kind": "discrete",
                                "balls": [[0.0, 0.5]],
                                "sets": [[0.0], [9.0]], "p": 2}})
     assert code == 2
+    assert capsys.readouterr().err == "config error: sets [1] meet no fifth-ball\n"
+
+
+TWO_BALLS = [[0.1, 0.01], [0.5, 0.01]]
+
+
+@pytest.mark.parametrize("problem,message", [
+    ({"balls": TWO_BALLS, "incidence": [[1, 0, 1]]},
+     "incidence must have shape (n_sets, 2), got (1, 3)"),
+    ({"balls": TWO_BALLS, "incidence": [[1], [1]]},
+     "incidence must have shape (n_sets, 2), got (2, 1)"),
+    ({"balls": [0.5, 0.1], "sets": [[0.5]]},
+     "balls must have shape (n, 2), got (2,)"),
+    ({"balls": [0.5, 0.1], "incidence": [[1, 1]]},
+     "balls must have shape (n, 2), got (2,)"),
+], ids=["extra-column", "one-column", "flat-balls-sets", "flat-balls-incidence"])
+def test_modulus_malformed_discrete_config_exits_2(tmp_path, capsys, problem, message):
+    code, out = run(tmp_path, "modulus", {"problem": {"kind": "discrete", "p": 2, **problem}})
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "density.csv").exists()
 
 
 def test_modulus_solver_failure_exits_4(tmp_path, monkeypatch):

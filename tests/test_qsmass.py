@@ -8,7 +8,6 @@ from confdim.cantor import GapSequence, build_system
 from confdim.qsmaps import QsMap
 from confdim.qsmass import (
     _ball_centers,
-    _endpoints,
     build_image_tree,
     build_recursive_measure,
     certificate,
@@ -103,10 +102,6 @@ def test_certificate_passes_for_harmonic_identity():
     rep = certificate(system, QsMap.identity(), 0.9)
     assert rep.passed
     assert rep.growth_ok and rep.interval_ok and rep.ball_ok
-    assert rep.decomposition.windows_checked > 0
-    assert rep.decomposition.cover_ok == rep.decomposition.windows_checked
-    assert rep.decomposition.mass_bound_ok == rep.decomposition.windows_checked
-    assert rep.decomposition.dilation_ok == rep.decomposition.windows_checked
 
 
 def test_certificate_fails_for_constant_third():
@@ -151,13 +146,3 @@ def test_ball_centers_equal_strided_concatenation(n, max_windows, seed):
     got = _ball_centers(lefts, rights, max_windows)
     assert got.dtype == full.dtype
     assert np.array_equal(got.view(np.int64), full.view(np.int64))
-
-
-def test_endpoints_by_index_equal_level_rights():
-    system = build_system(GapSequence.harmonic(16), max_depth=16)
-    rng = np.random.default_rng(3)
-    for lv in system.levels:
-        rights = lv.rights
-        for i in rng.integers(0, lv.count, size=min(lv.count, 500)):
-            a, b = _endpoints(lv, i)
-            assert a == lv.lefts[i] and b == rights[i]
