@@ -32,7 +32,6 @@ from confdim.qsmass import (
     build_image_tree,
     build_recursive_measure,
     certificate,
-    pi_factors,
 )
 from confdim.modulus import (
     DiscreteModulusProblem,

@@ -259,7 +259,6 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
             natural_measure(leaves),
             float(_require(mb, "d")),
             [float(s) for s in _require(mb, "scales")],
-            geometry=leaves,
         )
         summary["mass_bound"] = {
             "d": report.d,
@@ -321,8 +320,8 @@ def cmd_mass(cfg: dict, outdir: Path, seed: int) -> list:
     qsmap = _qs_map(_require(cfg, "map"), seed)
     d = float(_require(cfg, "d"))
     report = certificate(system, qsmap, d)
-    pf = report.pi_factors
-    rows = [(n + 1, pf.p[n], pf.running_products[n]) for n in range(len(pf.p))]
+    p_max = report.p_max
+    rows = list(zip(range(1, len(p_max) + 1), p_max, np.cumprod(p_max)))
     _write_csv(outdir / "pi_factors.csv", ["level", "p_max", "running_product"], rows)
     _write_csv(outdir / "growth.csv", ["depth", "C_growth"],
                list(enumerate(report.level_growth)))
@@ -379,6 +378,9 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
 
 
 def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
+    control = cfg.get("control")
+    if control is not None and not isinstance(control, dict):
+        raise ConfigError(f"field 'control' must be an object, got {control!r}")
     depth = int(cfg.get("depth", 14))
     length = int(cfg.get("minkowski_n", 10000))
     gaps = _gap_sequence({"c": cfg.get("c", "harmonic"),
@@ -412,7 +414,6 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
                cert_rows)
 
     control_rows = []
-    control = cfg.get("control")
     if control is not None:
         csys = build_system(GapSequence.constant(float(control.get("c", 1 / 3)), depth),
                             max_depth=depth)
@@ -470,12 +471,23 @@ def _growth_scan(measure: DiscreteMeasure, leaves, eps_list, slack: float):
     return results
 
 
+def _atoms(spec) -> np.ndarray:
+    """The `atoms` field as an (n, 2) array of (position, mass) rows."""
+    try:
+        atoms = np.asarray(spec, dtype=float)
+    except (ValueError, TypeError):
+        atoms = np.empty(0)
+    if atoms.ndim != 2 or atoms.shape[1] != 2:
+        raise ConfigError(f"field 'atoms' must be a list of [x, mass] pairs, got {spec!r}")
+    return atoms
+
+
 def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
+    atoms = _atoms(cfg["atoms"]) if "atoms" in cfg else None
     system = _build(_require(cfg, "system"))
     leaves = system.level(system.max_depth)
     measure = natural_measure(leaves)
-    if "atoms" in cfg:
-        atoms = np.asarray(cfg["atoms"], dtype=float)
+    if atoms is not None:
         measure = DiscreteMeasure(
             lefts=np.concatenate([measure.lefts, atoms[:, 0]]),
             rights=np.concatenate([measure.rights, atoms[:, 0]]),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,7 +199,6 @@ def mass_distribution_lower_bound(
     measure: DiscreteMeasure,
     d: float,
     test_scales: Sequence[float],
-    geometry: Optional[IntervalLevel] = None,
 ) -> MassBoundReport:
     """Scan windows [x, x+r] on an r/4 grid and bound mu(U) / r^d.
 
@@ -215,12 +214,8 @@ def mass_distribution_lower_bound(
     if np.any(scales <= 0):
         raise ValueError("test scales must be positive")
 
-    if geometry is not None:
-        lo = float(np.min(geometry.lefts))
-        hi = float(np.max(geometry.rights))
-    else:
-        lo = float(np.min(measure.lefts))
-        hi = float(np.max(measure.rights))
+    lo = float(np.min(measure.lefts))
+    hi = float(np.max(measure.rights))
 
     order = np.argsort(measure.lefts)
     lefts = measure.lefts[order]

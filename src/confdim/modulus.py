@@ -38,11 +38,9 @@ from confdim.dimension import WINDOW_CHUNK_CELLS, DiscreteMeasure
 
 
 class InfeasibleError(ValueError):
-    def __init__(self, member_indices, message=None):
+    def __init__(self, member_indices, message):
         self.member_indices = list(member_indices)
-        super().__init__(
-            message or f"infeasible: members {self.member_indices} cannot be covered"
-        )
+        super().__init__(message)
 
 
 class NonConvergenceError(RuntimeError):
@@ -354,16 +352,11 @@ def solve_fuglede(system: MeasureSystem) -> SolveResult:
     live = mu > 0
     rows = []
     free_members = []
-    zero_members = []
     for i, lam in enumerate(system.members):
-        if float(np.sum(lam)) <= 0:
-            zero_members.append(i)
-        elif float(np.sum(lam[~live])) > 0:
+        if float(np.sum(lam[~live])) > 0:
             free_members.append(i)  # satisfiable on a zero-mu cell at no cost
         else:
             rows.append((i, lam[live]))
-    if zero_members:
-        raise InfeasibleError(zero_members)
 
     x_full = np.zeros(n)
     if not rows:

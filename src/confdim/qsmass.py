@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,36 +46,29 @@ class ImageTree:
         return len(self.levels) - 1
 
 
-def build_image_tree(system: CantorSystem, qsmap: QsMap, depth: Optional[int] = None) -> ImageTree:
+def build_image_tree(system: CantorSystem, qsmap: QsMap) -> ImageTree:
     if system.gaps.kind != MIDDLE_INTERVAL:
         raise ValueError("recursive measure machinery assumes binary systems")
-    depth = system.max_depth if depth is None else depth
-    return ImageTree(levels=[push_intervals(qsmap, system.level(n)) for n in range(depth + 1)])
+    return ImageTree(levels=[push_intervals(qsmap, lv) for lv in system.levels])
 
 
 @dataclass
 class RecursiveMeasure:
     d: float
-    masses: list           # per level, array of node masses, root mass 1
-    p_pairs: list          # per level >= 1, array of p_i per sibling pair
-    running_products: list  # per level, prod of p_i along the root-to-node path
-    tree: ImageTree
+    masses: list              # per level, array of node masses, root mass 1
     level_growth: np.ndarray  # per level, max mu/diam^d over its nodes
-
-    @property
-    def depth(self) -> int:
-        return len(self.masses) - 1
+    p_max: np.ndarray         # per level >= 1, max p_i over its sibling pairs
 
 
 def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
-    """Assign masses by the diam^d proportional split, tracking p_i factors."""
+    """Assign masses by the diam^d proportional split, tracking p_i maxima."""
     if not (0.0 < d < 1.0):
         raise ValueError("d must be in (0, 1)")
     if tree.depth < 1:
         raise ValueError("tree depth must be >= 1")
     masses = [np.array([1.0])]
-    p_pairs = [np.array([])]
-    prods = [np.array([1.0])]
+    prod = np.array([1.0])  # prod of p_i along the root-to-node path, current level
+    p_max = []
     growth = [float(np.max(masses[0] / tree.levels[0].diams ** d))]
     for n in range(1, tree.depth + 1):
         lv = tree.levels[n]
@@ -97,30 +89,16 @@ def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
         child[0::2] = np.where(left_is_small, small, big)
         child[1::2] = np.where(left_is_small, big, small)
         p = (dl + gap + dr) ** d / denom
-        prod = np.repeat(prods[n - 1] * p, 2)
+        prod = np.repeat(prod * p, 2)
         masses.append(child)
-        p_pairs.append(p)
-        prods.append(prod)
+        p_max.append(float(np.max(p)))
         # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
         ratio = child / w
         if np.any(ratio > prod * (1.0 + _REL_TOL)):
             raise AssertionError("path-product bound violated beyond tolerance")
         growth.append(float(np.max(ratio)))
-    return RecursiveMeasure(d=d, masses=masses, p_pairs=p_pairs,
-                            running_products=prods, tree=tree,
-                            level_growth=np.array(growth))
-
-
-@dataclass
-class PiFactors:
-    p: np.ndarray
-    running_products: np.ndarray
-
-
-def pi_factors(measure: RecursiveMeasure) -> PiFactors:
-    """Level maxima of p_i per generation and their running products."""
-    p = np.array([float(np.max(measure.p_pairs[n])) for n in range(1, measure.depth + 1)])
-    return PiFactors(p=p, running_products=np.cumprod(p))
+    return RecursiveMeasure(d=d, masses=masses, level_growth=np.array(growth),
+                            p_max=np.array(p_max))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +125,7 @@ class CertificateReport:
     interval_ok: bool
     ball_ok: bool
     scanned_depths: np.ndarray
-    pi_factors: PiFactors           # level maxima of p_i of the certified measure
+    p_max: np.ndarray               # max p_i per depth >= 1 of the certified measure
 
 
 def _ball_centers(lefts: np.ndarray, rights: np.ndarray, max_windows: int) -> np.ndarray:
@@ -170,15 +148,10 @@ def _stability(values: np.ndarray, factor: float) -> bool:
     return bool(np.max(vals) / np.min(vals) <= factor)
 
 
-def certificate(
-    system: CantorSystem,
-    qsmap: QsMap,
-    d: float,
-    depth: Optional[int] = None,
-) -> CertificateReport:
+def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateReport:
     """Check mu <= C diam^d on nodes, windows and balls of the image."""
-    depth = system.max_depth if depth is None else depth
-    tree = build_image_tree(system, qsmap, depth)
+    depth = system.max_depth
+    tree = build_image_tree(system, qsmap)
     measure = build_recursive_measure(tree, d)
 
     level_growth = measure.level_growth
@@ -243,5 +216,5 @@ def certificate(
         interval_ok=interval_ok,
         ball_ok=ball_ok,
         scanned_depths=top,
-        pi_factors=pi_factors(measure),
+        p_max=measure.p_max,
     )

@@ -31,7 +31,7 @@ from confdim.modulus import (
     vitali_disjointify,
 )
 from confdim.qsmaps import EtaModulus, QsMap, distortion_check, distortion_gap_check
-from confdim.qsmass import build_image_tree, build_recursive_measure, certificate, pi_factors
+from confdim.qsmass import build_image_tree, build_recursive_measure, certificate
 
 POWER2_C = 2.0 + math.sqrt(5.0) + 1e-9  # calibrated gauge constant for a = 2
 
@@ -75,13 +75,13 @@ def test_criterion_2_theorem_a_pipeline():
     certs_ok = True
     spans = {}
     for name, qsmap in maps.items():
-        rep = certificate(system, qsmap, 0.9, depth=14)
+        rep = certificate(system, qsmap, 0.9)
         tops = rep.level_growth[8:15]
         spans[name] = float(np.max(tops) / np.min(tops))
         certs_ok &= rep.passed and spans[name] < 2.0
 
     control = build_system(GapSequence.constant(1 / 3, 14), max_depth=14)
-    crep = certificate(control, QsMap.identity(), 0.9, depth=14)
+    crep = certificate(control, QsMap.identity(), 0.9)
     growth = crep.level_growth
     control_ok = (not crep.passed) and bool(np.all(growth[1:] / growth[:-1] >= 1.3))
     elapsed = time.time() - t0
@@ -93,26 +93,30 @@ def test_criterion_2_theorem_a_pipeline():
 
 def test_criterion_3_measure_machinery():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
-    tree = build_image_tree(system, QsMap.power(1.5), 14)
+    tree = build_image_tree(system, QsMap.power(1.5))
     measure = build_recursive_measure(tree, 0.9)
     conserved = all(
         np.array_equal(measure.masses[n][0::2] + measure.masses[n][1::2],
                        measure.masses[n - 1])
         for n in range(1, 15)
     )
-    bounded = all(
-        bool(np.all(measure.masses[n] / tree.levels[n].diams ** 0.9
-                    <= measure.running_products[n] * (1 + 1e-9)))
-        for n in range(1, 15)
-    )
+    # path product of p_i = (dl + gap + dr)^d / (dl^d + dr^d), formed from the tree
+    bounded = True
+    prod = np.array([1.0])
+    for n in range(1, 15):
+        lv = tree.levels[n]
+        dl, dr = lv.diams[0::2], lv.diams[1::2]
+        prod = np.repeat(prod * (dl + lv.sibling_gaps() + dr) ** 0.9
+                         / (dl ** 0.9 + dr ** 0.9), 2)
+        bounded &= bool(np.all(measure.masses[n] / lv.diams ** 0.9 <= prod * (1 + 1e-9)))
     small = build_system(GapSequence.constant(0.01, 8), max_depth=8)
-    stree = build_image_tree(small, QsMap.identity(), 8)
-    pf = pi_factors(build_recursive_measure(stree, 0.9))
+    stree = build_image_tree(small, QsMap.identity())
+    p_max = build_recursive_measure(stree, 0.9).p_max
     oracle = 1.0 / (2.0 * 0.495 ** 0.9)
-    pi_ok = bool(np.all(np.abs(pf.p - oracle) <= 1e-4))
+    pi_ok = bool(np.all(np.abs(p_max - oracle) <= 1e-4))
     ok = conserved and bounded and pi_ok
     report(3, ok, f"conservation exact={conserved}, path bound={bounded}, "
-                  f"p_i={pf.p[0]:.6f} vs oracle {oracle:.6f}")
+                  f"p_i={p_max[0]:.6f} vs oracle {oracle:.6f}")
 
 
 def test_criterion_4_distortion_lemmas():

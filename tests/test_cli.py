@@ -96,7 +96,7 @@ def test_dimension_mass_bound_matches_a_direct_call(tmp_path):
     got = json.loads((out / "summary.json").read_text())["mass_bound"]
     assert got["passed"] is True
     leaves = build_system(GapSequence.constant(1 / 3, 10), max_depth=10).level(10)
-    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales, geometry=leaves)
+    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
     assert got["C_observed"] == rep.C_observed
 
 
@@ -130,10 +130,10 @@ def test_mass_pi_factors_match_an_independent_build(tmp_path):
     rows = (out / "pi_factors.csv").read_text().splitlines()[1:]
     got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
     system = build_system(GapSequence.harmonic(14), max_depth=14)
-    tree = qsmass.build_image_tree(system, QsMap.power(2.0), 14)
-    pf = qsmass.pi_factors(qsmass.build_recursive_measure(tree, 0.9))
-    assert np.array_equal(got[:, 0], pf.p)
-    assert np.array_equal(got[:, 1], pf.running_products)
+    tree = qsmass.build_image_tree(system, QsMap.power(2.0))
+    p_max = qsmass.build_recursive_measure(tree, 0.9).p_max
+    assert np.array_equal(got[:, 0], p_max)
+    assert np.array_equal(got[:, 1], np.cumprod(p_max))
 
 
 def test_mass_builds_the_image_tree_once(tmp_path, monkeypatch):
@@ -298,6 +298,25 @@ def test_theorem_b_atom_fails_scan_exit_3(tmp_path):
                    "cell_width": 3.0 ** -7, "d_sweep": [0.6],
                    "atoms": [[0.0, 0.3]]})
     assert code == 3
+
+
+THEOREM_A6 = {"depth": 6, "maps": [{"kind": "identity"}], "d_sweep": [0.9]}
+THEOREM_B6 = {"system": {"c": "harmonic", "depth": 6}, "Y": [[0.0, 1.0]],
+              "cell_width": 3.0 ** -7, "d_sweep": [0.6]}
+
+
+@pytest.mark.parametrize("command,cfg,field", [
+    ("theorem-a", {**THEOREM_A6, "control": 0.3}, "control"),
+    ("theorem-a", {**THEOREM_A6, "control": [0.3]}, "control"),
+    ("theorem-b", {**THEOREM_B6, "atoms": [0.1, 0.2]}, "atoms"),
+    ("theorem-b", {**THEOREM_B6, "atoms": [[0.1, 0.2, 0.3]]}, "atoms"),
+], ids=["control-number", "control-list", "atoms-flat", "atoms-three-columns"])
+def test_malformed_control_or_atoms_exits_2_before_any_work(tmp_path, capsys,
+                                                           command, cfg, field):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_runtime_loads_no_test_only_package():

@@ -41,6 +41,32 @@ def test_box_count_point_cloud_and_validation():
         box_count(np.array([0.0, 1.0]), [0.1, -0.2])
 
 
+@st.composite
+def _interval_sets(draw):
+    """A harmonic or constant-c level, or random disjoint sorted intervals."""
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 12))
+        c = draw(st.one_of(st.just("harmonic"), st.floats(0.01, 0.95)))
+        gaps = GapSequence.harmonic(depth) if c == "harmonic" else GapSequence.constant(c, depth)
+        return build_system(gaps, max_depth=depth).level(depth)
+    ends = draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=100))
+    return np.sort(ends[: len(ends) // 2 * 2]).reshape(-1, 2)
+
+
+def test_box_count_is_not_monotone_in_eps():
+    # the grid moves with eps, so a coarser grid can cut an interval that a
+    # finer one holds in one box
+    assert list(box_count(np.array([[0.49, 0.51]]), [0.5, 0.4]).counts) == [2, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_interval_sets(), eps=st.floats(1e-4, 2.0), m=st.integers(2, 5))
+def test_box_count_does_not_decrease_under_refinement(data, eps, m):
+    # each box of width eps is the union of m boxes of width eps/m
+    counts = box_count(data, [eps, eps / m]).counts
+    assert counts[1] >= counts[0]
+
+
 def test_window_mass_proportional_overlap():
     m = DiscreteMeasure(lefts=[0.0, 0.5], rights=[0.2, 0.7], masses=[0.4, 0.6])
     assert m.window_mass(0.0, 1.0) == pytest.approx(1.0)
@@ -228,7 +254,7 @@ def _mass_bound_per_scale_loop(measure, d, scales, lo, hi):
 def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, base):
     leaves = build_system(gaps, max_depth=depth).level(depth)
     scales = [base ** -k for k in range(1, depth)]
-    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales, geometry=leaves)
+    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
     want = _mass_bound_per_scale_loop(natural_measure(leaves), d, rep.scales,
                                       float(np.min(leaves.lefts)), float(np.max(leaves.rights)))
     # the loop subtracted the two boundary intervals in set order
@@ -247,8 +273,7 @@ def test_mass_bound_passes_at_the_similarity_dimension():
     leaves = system.level(10)
     d = math.log(2) / math.log(3)
     scales = [3.0 ** -k for k in range(1, 8)]
-    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales,
-                                        geometry=leaves)
+    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
     assert rep.passed
     assert rep.C_observed < 10.0
 
@@ -257,8 +282,7 @@ def test_mass_bound_fails_above_the_dimension():
     system = build_system(GapSequence.constant(1 / 3, 10), max_depth=10)
     leaves = system.level(10)
     scales = [3.0 ** -k for k in range(1, 8)]
-    rep = mass_distribution_lower_bound(natural_measure(leaves), 0.9, scales,
-                                        geometry=leaves)
+    rep = mass_distribution_lower_bound(natural_measure(leaves), 0.9, scales)
     assert not rep.passed
     assert rep.slope < -0.02
 

@@ -11,13 +11,12 @@ from confdim.qsmass import (
     build_image_tree,
     build_recursive_measure,
     certificate,
-    pi_factors,
 )
 
 
 def _measure(gaps, qsmap, d, depth):
     system = build_system(gaps, max_depth=depth)
-    tree = build_image_tree(system, qsmap, depth)
+    tree = build_image_tree(system, qsmap)
     return build_recursive_measure(tree, d), tree
 
 
@@ -25,7 +24,7 @@ def test_rejects_uniform_kind():
     gaps = GapSequence.uniform([0.1] * 4, [3] * 4)
     system = build_system(gaps, max_depth=4)
     with pytest.raises(ValueError):
-        build_image_tree(system, QsMap.identity(), 4)
+        build_image_tree(system, QsMap.identity())
 
 
 def test_identity_symmetric_masses_halve():
@@ -59,23 +58,20 @@ def test_mass_conservation_exact(c, a, d, depth):
 
 def test_pi_factor_arithmetic_oracle():
     m, _ = _measure(GapSequence.constant(0.01, 8), QsMap.identity(), 0.9, 8)
-    pf = pi_factors(m)
     oracle = 1.0 / (2.0 * 0.495 ** 0.9)
-    assert np.allclose(pf.p, oracle, atol=1e-12)
-    assert pf.running_products[-1] == pytest.approx(oracle ** 8, rel=1e-10)
+    assert np.allclose(m.p_max, oracle, atol=1e-12)
+    assert np.cumprod(m.p_max)[-1] == pytest.approx(oracle ** 8, rel=1e-10)
 
 
 def test_pi_factor_divergent_for_constant_third():
     m, _ = _measure(GapSequence.constant(1 / 3, 8), QsMap.identity(), 0.9, 8)
-    pf = pi_factors(m)
-    assert np.allclose(pf.p, 3.0 ** 0.9 / 2.0, atol=1e-12)
-    assert pf.p[0] > 1.0
+    assert np.allclose(m.p_max, 3.0 ** 0.9 / 2.0, atol=1e-12)
+    assert m.p_max[0] > 1.0
 
 
 def test_pi_factor_small_d_limit():
     m, _ = _measure(GapSequence.harmonic(6), QsMap.power(2.0), 1e-6, 6)
-    pf = pi_factors(m)
-    assert np.all(np.abs(pf.p - 0.5) < 1e-3)
+    assert np.all(np.abs(m.p_max - 0.5) < 1e-3)
 
 
 def test_power_map_level_one_split():
@@ -87,14 +83,26 @@ def test_power_map_level_one_split():
     assert expected[0] == pytest.approx(0.309, abs=5e-4)
 
 
+def _path_products(tree, d):
+    """Per level, prod of p_i = (dl + gap + dr)^d / (dl^d + dr^d) from the root."""
+    prod = np.array([1.0])
+    prods = [prod]
+    for lv in tree.levels[1:]:
+        dl, dr = lv.diams[0::2], lv.diams[1::2]
+        prod = np.repeat(prod * (dl + lv.sibling_gaps() + dr) ** d / (dl ** d + dr ** d), 2)
+        prods.append(prod)
+    return prods
+
+
 @settings(max_examples=60, deadline=None)
 @given(**_measure_cases)
 @example(c="harmonic", a=2.0, d=0.9, depth=12)
 def test_path_product_dominates_node_growth(c, a, d, depth):
     m, tree = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
+    prods = _path_products(tree, d)
     for n in range(1, depth + 1):
         ratio = m.masses[n] / tree.levels[n].diams ** m.d
-        assert np.all(ratio <= m.running_products[n] * (1 + 1e-9))
+        assert np.all(ratio <= prods[n] * (1 + 1e-9))
 
 
 def test_certificate_passes_for_harmonic_identity():
@@ -123,7 +131,7 @@ def test_level_growth_equals_a_recomputation_bitwise():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     f, d = QsMap.power(2.0), 0.9
     rep = certificate(system, f, d)
-    tree = build_image_tree(system, f, 14)
+    tree = build_image_tree(system, f)
     m = build_recursive_measure(tree, d)
     growth = [np.max(m.masses[n] / tree.levels[n].diams ** d) for n in range(15)]
     assert np.array_equal(rep.level_growth, growth)
