@@ -27,7 +27,6 @@ from confdim.dimension import (
     natural_measure,
 )
 from confdim.qsmass import (
-    ImageTree,
     RecursiveMeasure,
     build_image_tree,
     build_recursive_measure,

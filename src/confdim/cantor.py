@@ -3,8 +3,9 @@
 A system is driven by a sequence of gap fractions c_i in [0,1).  The
 middle-interval kind removes the c_i-middle of every surviving interval at
 generation i; the uniform kind splits every interval into n_i equal children
-separated by gaps of relative size gamma_i.  Interval lengths are carried in
-log-space so deep generations do not underflow.
+separated by gaps of relative size gamma_i.  Every interval of a generation
+has the same length, so a level stores its left ends, one log-length (deep
+generations do not underflow) and one branching number.
 """
 
 from __future__ import annotations
@@ -110,25 +111,41 @@ class GapSequence:
         return max(ratios)
 
 
+def parent_indices(count: int, branching: int) -> np.ndarray:
+    """Parent of every interval of a level: interval j descends from j // branching."""
+    return np.arange(count) // branching
+
+
 @dataclass
 class IntervalLevel:
     """One generation of closed intervals, sorted left to right.
 
-    Lengths are stored as log-lengths; ``rights`` is derived.
+    All intervals share the length exp(log_length), and interval j is a
+    child of interval j // branching one generation up (the root has
+    branching 1).  ``rights`` and the read-only per-interval views
+    ``lengths``, ``log_lengths`` and ``parent_index`` are derived.
     """
 
     depth: int
     lefts: np.ndarray
-    log_lengths: np.ndarray
-    parent_index: np.ndarray
+    log_length: float
+    branching: int
+
+    @property
+    def log_lengths(self) -> np.ndarray:
+        return np.broadcast_to(self.log_length, self.lefts.shape)
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.exp(self.log_lengths)
+        return np.broadcast_to(np.exp(self.log_length), self.lefts.shape)
+
+    @property
+    def parent_index(self) -> np.ndarray:
+        return parent_indices(self.count, self.branching)
 
     @property
     def rights(self) -> np.ndarray:
-        return self.lefts + self.lengths
+        return self.lefts + np.exp(self.log_length)
 
     @property
     def count(self) -> int:
@@ -156,31 +173,21 @@ class CantorSystem:
 
 def _split_level(level: IntervalLevel, gaps: GapSequence, i: int) -> IntervalLevel:
     """Children of generation i+1 from the generation-i level (zero-based i)."""
-    c = gaps.values[i]
     n = gaps.branching(i)
-    parent_lens = level.lengths
-    child_loglen = level.log_lengths + gaps.child_log_ratio(i)
+    parent_len = np.exp(level.log_length)
+    child_loglen = level.log_length + gaps.child_log_ratio(i)
     child_len = np.exp(child_loglen)
 
-    count = level.count * n
-    lefts = np.empty(count)
-    loglens = np.empty(count)
-    parent_index = np.repeat(np.arange(level.count), n)
-
+    lefts = np.empty(level.count * n)
     if gaps.kind == MIDDLE_INTERVAL:
         lefts[0::2] = level.lefts
-        lefts[1::2] = level.lefts + parent_lens - child_len
-        loglens[0::2] = child_loglen
-        loglens[1::2] = child_loglen
+        lefts[1::2] = level.lefts + parent_len - child_len
     else:
-        gap_len = c * parent_lens
-        stride = child_len + gap_len
+        stride = child_len + gaps.values[i] * parent_len
         for k in range(n):
             lefts[k::n] = level.lefts + k * stride
-            loglens[k::n] = child_loglen
-    return IntervalLevel(
-        depth=level.depth + 1, lefts=lefts, log_lengths=loglens, parent_index=parent_index
-    )
+    return IntervalLevel(depth=level.depth + 1, lefts=lefts, log_length=child_loglen,
+                         branching=n)
 
 
 def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
@@ -197,12 +204,7 @@ def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
         count *= gaps.branching(i)
         if count > MEMORY_CAP:
             raise MemoryError(f"level {i + 1} holds {count} intervals > cap {MEMORY_CAP}")
-    levels = [IntervalLevel(
-        depth=0,
-        lefts=np.array([0.0]),
-        log_lengths=np.array([0.0]),
-        parent_index=np.array([-1]),
-    )]
+    levels = [IntervalLevel(depth=0, lefts=np.array([0.0]), log_length=0.0, branching=1)]
     for i in range(max_depth):
         levels.append(_split_level(levels[-1], gaps, i))
     return CantorSystem(gaps=gaps, levels=levels)

@@ -107,7 +107,10 @@ def _gap_sequence(spec: dict) -> GapSequence:
         if isinstance(c, dict) and "values" in c:
             return GapSequence(values=tuple(float(v) for v in c["values"]))
         if isinstance(c, dict) and "file" in c:
-            vals = np.loadtxt(c["file"], dtype=float, ndmin=1)
+            try:
+                vals = np.loadtxt(c["file"], dtype=float, ndmin=1)
+            except OSError as exc:
+                raise ConfigError(f"cannot read gap file: {exc}") from exc
             return GapSequence(values=tuple(vals))
         raise ConfigError(f"unrecognized gap spec for field 'c': {c!r}")
     except GapSequenceError as exc:
@@ -276,6 +279,8 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
     if eta is None:
         raise ConfigError("missing config field 'eta' and the map claims none")
     lo, hi = cfg.get("interval", [-1.0, 1.0])
+    if not 0.0 < hi - lo < math.inf:
+        raise ConfigError(f"field 'interval' needs 0 < hi - lo < inf, got {[lo, hi]!r}")
     n = int(cfg.get("n_pairs", 10000))
 
     triple_violation = qs_ratio_check(qsmap, random_triples(lo, hi, n, seed=seed), eta)
@@ -283,7 +288,7 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
     diam_viol = gap_viol = 0
     for _ in range(n):
         b = np.sort(rng.uniform(lo, hi, 4))
-        while b[-1] - b[0] < 1e-9:
+        while b[-1] - b[0] < 1e-9 * (hi - lo):
             b = np.sort(rng.uniform(lo, hi, 4))
         a = np.sort(rng.uniform(b[0], b[-1], 2))
         while a[1] - a[0] < 1e-12 * (hi - lo):
@@ -450,7 +455,7 @@ def _growth_scan(measure: DiscreteMeasure, leaves, eps_list, slack: float):
     if len(centers) > 128:
         centers = centers[:: len(centers) // 128 + 1]
     diam = float(np.max(leaves.rights) - np.min(leaves.lefts))
-    min_len = float(np.min(leaves.lengths))
+    min_len = float(np.exp(leaves.log_length))
     n_scales = max(3, int(math.log2(diam / min_len)))
     radii = [diam * 2.0 ** (-k) for k in range(1, n_scales + 1)]
     upper, lower = [], []

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from confdim.cantor import IntervalLevel
+from confdim.cantor import IntervalLevel, parent_indices
 
 
 @dataclass(frozen=True)
@@ -184,19 +184,11 @@ DISTORTION_SLACK = 1e-12
 
 
 def random_triples(lo: float, hi: float, n: int, seed: int = 0) -> np.ndarray:
-    """n pairwise-distinct triples in [lo, hi], deterministic in seed."""
+    """n triples in [lo, hi], neighbours at least 1e-12 (hi - lo) apart; deterministic in seed."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n, 3))
-    bad = (
-        (np.abs(pts[:, 0] - pts[:, 1]) < 1e-12)
-        | (np.abs(pts[:, 1] - pts[:, 2]) < 1e-12)
-    )
-    while np.any(bad):
+    while np.any(bad := np.any(np.abs(np.diff(pts, axis=1)) < 1e-12 * (hi - lo), axis=1)):
         pts[bad] = rng.uniform(lo, hi, size=(int(np.sum(bad)), 3))
-        bad = (
-            (np.abs(pts[:, 0] - pts[:, 1]) < 1e-12)
-            | (np.abs(pts[:, 1] - pts[:, 2]) < 1e-12)
-        )
     return pts
 
 
@@ -280,7 +272,11 @@ class ImageLevel:
     depth: int
     lefts: np.ndarray
     rights: np.ndarray
-    parent_index: np.ndarray
+    branching: int
+
+    @property
+    def parent_index(self) -> np.ndarray:
+        return parent_indices(self.count, self.branching)
 
     @property
     def diams(self) -> np.ndarray:
@@ -300,11 +296,11 @@ class ImageLevel:
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
     """Image diameters and gaps of a level; valid since maps are increasing.
 
-    The image shares ``parent_index`` with ``level``: the tree is the same.
+    The image keeps the level's ``branching``: the tree is the same.
     """
     return ImageLevel(
         depth=level.depth,
         lefts=qsmap.apply(level.lefts),
         rights=qsmap.apply(level.rights),
-        parent_index=level.parent_index,
+        branching=level.branching,
     )

@@ -30,26 +30,15 @@ STABILITY_FACTOR = 2.0
 MAX_WINDOWS = 512
 
 
-@dataclass
-class ImageTree:
-    """Binary tree of image interval diameters and sibling gaps."""
-
-    levels: list  # ImageLevel per depth
-
-    def __post_init__(self):
-        for lv in self.levels[1:]:
-            if np.any(lv.rights <= lv.lefts):
-                raise ValueError(f"zero-diameter node at depth {lv.depth}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
-def build_image_tree(system: CantorSystem, qsmap: QsMap) -> ImageTree:
+def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
+    """The image of every level of a binary system, as ImageLevels by depth."""
     if system.gaps.kind != MIDDLE_INTERVAL:
         raise ValueError("recursive measure machinery assumes binary systems")
-    return ImageTree(levels=[push_intervals(qsmap, lv) for lv in system.levels])
+    tree = [push_intervals(qsmap, lv) for lv in system.levels]
+    for lv in tree[1:]:
+        if np.any(lv.rights <= lv.lefts):
+            raise ValueError(f"zero-diameter node at depth {lv.depth}")
+    return tree
 
 
 @dataclass
@@ -60,18 +49,18 @@ class RecursiveMeasure:
     p_max: np.ndarray         # per level >= 1, max p_i over its sibling pairs
 
 
-def build_recursive_measure(tree: ImageTree, d: float) -> RecursiveMeasure:
+def build_recursive_measure(tree: list, d: float) -> RecursiveMeasure:
     """Assign masses by the diam^d proportional split, tracking p_i maxima."""
     if not (0.0 < d < 1.0):
         raise ValueError("d must be in (0, 1)")
-    if tree.depth < 1:
+    if len(tree) < 2:
         raise ValueError("tree depth must be >= 1")
     masses = [np.array([1.0])]
     prod = np.array([1.0])  # prod of p_i along the root-to-node path, current level
     p_max = []
-    growth = [float(np.max(masses[0] / tree.levels[0].diams ** d))]
-    for n in range(1, tree.depth + 1):
-        lv = tree.levels[n]
+    growth = [float(np.max(masses[0] / tree[0].diams ** d))]
+    for n in range(1, len(tree)):
+        lv = tree[n]
         diams = lv.diams
         dl, dr = diams[0::2], diams[1::2]
         gap = lv.sibling_gaps()
@@ -162,7 +151,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     # leaf aggregates for the window / ball scans
     leaves = system.level(depth)
     leaf_l, leaf_r = leaves.lefts, leaves.rights
-    img = tree.levels[depth]
+    img = tree[depth]
     img_l, img_r = img.lefts, img.rights
     leaf_mass = measure.masses[depth]
     csum = np.concatenate([[0.0], np.cumsum(leaf_mass)])
@@ -172,7 +161,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     ball_c = np.full(len(top), np.nan)
 
     for ti, n in enumerate(top):
-        scale = float(np.exp(np.max(system.level(n).log_lengths)))
+        scale = float(np.exp(system.level(n).log_length))
         step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
         xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
         x1 = xs + scale
@@ -191,7 +180,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
         interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
 
         # ball scan on the image side at the matching image scale
-        r = float(np.median(tree.levels[n].diams))
+        r = float(np.median(tree[n].diams))
         mu_b, k0, k1 = sorted_window_masses(img_l, img_r, leaf_mass, csum,
                                             centers - r, centers + r)
         hit = k1 >= k0

@@ -104,7 +104,7 @@ def test_criterion_3_measure_machinery():
     bounded = True
     prod = np.array([1.0])
     for n in range(1, 15):
-        lv = tree.levels[n]
+        lv = tree[n]
         dl, dr = lv.diams[0::2], lv.diams[1::2]
         prod = np.repeat(prod * (dl + lv.sibling_gaps() + dr) ** 0.9
                          / (dl ** 0.9 + dr ** 0.9), 2)
@@ -219,8 +219,7 @@ def test_criterion_8_vanishing_discrete_modulus():
     for k in (6, 10, 14):
         n = 2 ** k
         level = IntervalLevel(depth=k, lefts=np.arange(n) / n,
-                              log_lengths=np.full(n, -k * math.log(2)),
-                              parent_index=np.arange(n) // 2)
+                              log_length=-k * math.log(2), branching=2)
         w = dmod_vanishing_witness(level, None, t=1.0, q=2.0, eps_target=1e-4)
         values[k] = w.value
         assert w.admissible_ok

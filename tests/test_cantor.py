@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confdim.cantor import (
+    MIDDLE_INTERVAL,
     GapSequence,
     GapSequenceError,
     build_system,
@@ -71,6 +74,67 @@ def test_parent_index_links_generations():
             p = lv.parent_index[j]
             assert up.lefts[p] - 1e-15 <= lv.lefts[j]
             assert lv.rights[j] <= up.rights[p] + 1e-15
+
+
+def _per_interval_levels(gaps, depth):
+    """Levels 1..depth as they were built with one log-length and one parent per interval.
+
+    The reference for the per-level scalars: yields (lefts, rights, lengths,
+    parent_index) of each level.
+    """
+    lefts, loglens = np.array([0.0]), np.array([0.0])
+    for i in range(depth):
+        n = gaps.branching(i)
+        parent_lens = np.exp(loglens)
+        child_loglen = loglens + gaps.child_log_ratio(i)
+        child_len = np.exp(child_loglen)
+        new_lefts = np.empty(len(lefts) * n)
+        parents = np.repeat(np.arange(len(lefts)), n)
+        if gaps.kind == MIDDLE_INTERVAL:
+            new_lefts[0::2] = lefts
+            new_lefts[1::2] = lefts + parent_lens - child_len
+        else:
+            stride = child_len + gaps.values[i] * parent_lens
+            for k in range(n):
+                new_lefts[k::n] = lefts + k * stride
+        lefts, loglens = new_lefts, np.repeat(child_loglen, n)
+        lengths = np.exp(loglens)
+        yield lefts, lefts + lengths, lengths, parents
+
+
+_uniform_generation = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.floats(0.0, 0.9 / (n - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.one_of(
+    st.integers(1, 12).map(GapSequence.harmonic),
+    st.tuples(st.floats(0.0, 0.95), st.integers(1, 12)).map(
+        lambda cn: GapSequence.constant(*cn)),
+    st.lists(_uniform_generation, min_size=1, max_size=5).map(
+        lambda gens: GapSequence.uniform([g for _, g in gens], [n for n, _ in gens])),
+))
+def test_levels_match_the_per_interval_construction_bit_for_bit(gaps):
+    system = build_system(gaps, max_depth=len(gaps))
+    reference = _per_interval_levels(gaps, len(gaps))
+    for lv, (lefts, rights, lengths, parents) in zip(system.levels[1:], reference):
+        assert lv.lefts.tobytes() == lefts.tobytes()
+        assert lv.rights.tobytes() == rights.tobytes()
+        assert lv.lengths.tobytes() == lengths.tobytes()
+        assert lv.parent_index.tobytes() == parents.tobytes()
+
+
+def test_build_system_keeps_only_the_left_ends():
+    gaps = GapSequence.harmonic(18)
+    tracemalloc.start()
+    try:
+        system = build_system(gaps, max_depth=18)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lefts = sum(lv.lefts.nbytes for lv in system.levels)
+    assert kept <= 1.05 * lefts
+    assert peak < 1.5 * lefts
 
 
 def test_closed_form_minkowski_middle_thirds():

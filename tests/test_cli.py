@@ -19,6 +19,13 @@ from confdim.dimension import mass_distribution_lower_bound, natural_measure
 from confdim.qsmaps import QsMap
 
 
+def _env_with_this_package() -> dict:
+    """The environment for a child python that imports the confdim under test."""
+    src = str(Path(confdim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(tmp_path, command, cfg, name="run", seed=None):
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -59,6 +66,15 @@ def test_short_uniform_gap_sequence_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "generate", {"system": spec})
     assert code == 2
     assert "need at least 4 gap fractions, have 2" in capsys.readouterr().err
+
+
+def test_missing_gap_file_exits_2_before_any_work(tmp_path, capsys):
+    spec = {"c": {"file": str(tmp_path / "missing.txt")}, "depth": 3}
+    code, out = run(tmp_path, "generate", {"system": spec})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read gap file") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_missing_field_exits_2(tmp_path):
@@ -106,6 +122,28 @@ def test_distort_identity_clean(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_bounds_hold"]
+
+
+@pytest.mark.parametrize("interval,code", [
+    ([0.0, 1e-10], 0), ([0.0, 1e-13], 0), ([1.0, 1.0], 2), ([1.0, 0.0], 2),
+], ids=["width-1e-10", "width-1e-13", "empty", "reversed"])
+def test_distort_on_a_narrow_or_empty_interval_returns(tmp_path, interval, code):
+    # a redraw loop with an absolute threshold spun forever on such intervals,
+    # so the run gets its own process and a time limit
+    cfg = tmp_path / "distort.json"
+    cfg.write_text(json.dumps({"map": {"kind": "identity"}, "n_pairs": 200,
+                               "interval": interval}))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "confdim.cli", "distort", "--config",
+                           str(cfg), "--out", str(out)],
+                          env=_env_with_this_package(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["pairs_tested"] == 200 and summary["all_bounds_hold"]
+    else:
+        assert "field 'interval'" in proc.stderr and list(out.iterdir()) == []
 
 
 def test_mass_reports_certificate(tmp_path):
@@ -321,11 +359,8 @@ def test_malformed_control_or_atoms_exits_2_before_any_work(tmp_path, capsys,
 
 def test_runtime_loads_no_test_only_package():
     # scipy and hypothesis serve the tests only; the package itself needs numpy
-    src = str(Path(confdim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, confdim, confdim.cli; print(*sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
+    out = subprocess.run([sys.executable, "-c", code], env=_env_with_this_package(),
+                         capture_output=True, text=True, check=True).stdout.split()
     assert "numpy" in out
     assert not {m.split(".")[0] for m in out} & {"scipy", "hypothesis", "pytest"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confdim.cantor import GapSequence, IntervalLevel, build_system
+from confdim.cantor import GapSequence, build_system
 from confdim.dimension import (
     DiscreteMeasure,
     box_count,
@@ -192,17 +192,13 @@ def test_sorted_window_masses_with_atoms_match_a_scalar_loop(case):
 
 # [15/64, 1/4] touches the second interval only at its left end; with the
 # lengths as masses, the prefix sum alone leaves a residue of 1.4e-17 there
-_TOUCHING = IntervalLevel(
-    depth=1,
-    lefts=np.array([0.003734730026382249, 0.25, 0.4585851958450149]),
-    log_lengths=np.log(np.array([0.0814205731546661, 0.3729777764220863, 0.516863517689244])
-                       - np.array([0.003734730026382249, 0.25, 0.4585851958450149])),
-    parent_index=np.zeros(3, dtype=int),
-)
+_TOUCHING_LEFTS = np.array([0.003734730026382249, 0.25, 0.4585851958450149])
+_TOUCHING_RIGHTS = _TOUCHING_LEFTS + np.exp(np.log(
+    np.array([0.0814205731546661, 0.3729777764220863, 0.516863517689244]) - _TOUCHING_LEFTS))
 
 
 def test_sorted_window_masses_of_a_touching_window_are_exactly_zero():
-    lefts, rights = _TOUCHING.lefts, _TOUCHING.rights
+    lefts, rights = _TOUCHING_LEFTS, _TOUCHING_RIGHTS
     lengths = rights - lefts
     csum = np.concatenate([[0.0], np.cumsum(lengths)])
     mu, j0, j1 = sorted_window_masses(lefts, rights, lengths, csum, [15 / 64], [1 / 4])

@@ -291,8 +291,7 @@ def test_holder_lower_bound_and_validation():
 def _dyadic_level(k):
     n = 2 ** k
     return IntervalLevel(depth=k, lefts=np.arange(n) / n,
-                         log_lengths=np.full(n, -k * math.log(2)),
-                         parent_index=np.arange(n) // 2)
+                         log_length=-k * math.log(2), branching=2)
 
 
 def test_vanishing_witness_dyadic_values():

@@ -135,7 +135,7 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
     parent, parent_img = system.level(0), push_intervals(f, system.level(0))
     for lv in system.levels[1:]:
         img = push_intervals(f, lv)
-        assert img.parent_index is lv.parent_index
+        assert np.array_equal(img.parent_index, lv.parent_index)
         assert np.all(img.diams > 0)
         assert np.all(img.lefts[1:] > img.rights[:-1])
         assert len(img.sibling_gaps()) == img.count // 2

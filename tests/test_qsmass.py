@@ -87,7 +87,7 @@ def _path_products(tree, d):
     """Per level, prod of p_i = (dl + gap + dr)^d / (dl^d + dr^d) from the root."""
     prod = np.array([1.0])
     prods = [prod]
-    for lv in tree.levels[1:]:
+    for lv in tree[1:]:
         dl, dr = lv.diams[0::2], lv.diams[1::2]
         prod = np.repeat(prod * (dl + lv.sibling_gaps() + dr) ** d / (dl ** d + dr ** d), 2)
         prods.append(prod)
@@ -101,7 +101,7 @@ def test_path_product_dominates_node_growth(c, a, d, depth):
     m, tree = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
     prods = _path_products(tree, d)
     for n in range(1, depth + 1):
-        ratio = m.masses[n] / tree.levels[n].diams ** m.d
+        ratio = m.masses[n] / tree[n].diams ** m.d
         assert np.all(ratio <= prods[n] * (1 + 1e-9))
 
 
@@ -133,7 +133,7 @@ def test_level_growth_equals_a_recomputation_bitwise():
     rep = certificate(system, f, d)
     tree = build_image_tree(system, f)
     m = build_recursive_measure(tree, d)
-    growth = [np.max(m.masses[n] / tree.levels[n].diams ** d) for n in range(15)]
+    growth = [np.max(m.masses[n] / tree[n].diams ** d) for n in range(15)]
     assert np.array_equal(rep.level_growth, growth)
 
 
