@@ -4,8 +4,9 @@ A system is driven by a sequence of gap fractions c_i in [0,1).  The
 middle-interval kind removes the c_i-middle of every surviving interval at
 generation i; the uniform kind splits every interval into n_i equal children
 separated by gaps of relative size gamma_i.  Every interval of a generation
-has the same length, so a level stores its left ends, one log-length (deep
-generations do not underflow) and one branching number.
+has the same length, so a level holds its left ends, one log-length (deep
+generations do not underflow) and one branching number.  A first child starts
+where its parent does, so every level's left ends view the leaves'.
 """
 
 from __future__ import annotations
@@ -171,27 +172,27 @@ class CantorSystem:
         return self.levels[n]
 
 
-def _split_level(level: IntervalLevel, gaps: GapSequence, i: int) -> IntervalLevel:
-    """Children of generation i+1 from the generation-i level (zero-based i)."""
+def _split_level(level: IntervalLevel, leaf: np.ndarray, gaps: GapSequence,
+                 i: int) -> IntervalLevel:
+    """Children of generation i+1 (zero-based i); a first child shares its parent's left end."""
     n = gaps.branching(i)
     parent_len = np.exp(level.log_length)
     child_loglen = level.log_length + gaps.child_log_ratio(i)
     child_len = np.exp(child_loglen)
 
-    lefts = np.empty(level.count * n)
+    lefts = leaf[::len(leaf) // (level.count * n)]
     if gaps.kind == MIDDLE_INTERVAL:
-        lefts[0::2] = level.lefts
         lefts[1::2] = level.lefts + parent_len - child_len
     else:
         stride = child_len + gaps.values[i] * parent_len
-        for k in range(n):
+        for k in range(1, n):
             lefts[k::n] = level.lefts + k * stride
     return IntervalLevel(depth=level.depth + 1, lefts=lefts, log_length=child_loglen,
                          branching=n)
 
 
 def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
-    """Materialize levels 0..max_depth.
+    """Levels 0..max_depth, whose ``lefts`` are read-only views of the leaves'.
 
     Refuses to materialize a level with more than MEMORY_CAP intervals.
     """
@@ -204,9 +205,12 @@ def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
         count *= gaps.branching(i)
         if count > MEMORY_CAP:
             raise MemoryError(f"level {i + 1} holds {count} intervals > cap {MEMORY_CAP}")
-    levels = [IntervalLevel(depth=0, lefts=np.array([0.0]), log_length=0.0, branching=1)]
+    leaf = np.zeros(count)
+    levels = [IntervalLevel(depth=0, lefts=leaf[::count], log_length=0.0, branching=1)]
     for i in range(max_depth):
-        levels.append(_split_level(levels[-1], gaps, i))
+        levels.append(_split_level(levels[-1], leaf, gaps, i))
+    for lv in levels:
+        lv.lefts.flags.writeable = False
     return CantorSystem(gaps=gaps, levels=levels)
 
 
@@ -226,8 +230,6 @@ class MinimalityReport:
 
     product_limit_estimate: float
     ratio_ok: bool
-    ratio_max: float
-    window: int
     satisfied_at_finite_scale: bool
 
 
@@ -247,13 +249,10 @@ def minimality_criterion(gaps: GapSequence, M: float, tail_window: int) -> Minim
         raise ValueError("tail_window must be in 1..len(gaps)")
     tail = np.asarray(gaps.values[n - tail_window:])
     estimate = float(np.exp(np.mean(np.log1p(-tail))))
-    ratio_max = max(gaps.component_ratio(i) for i in range(n))
-    ratio_ok = ratio_max <= M
+    ratio_ok = max(gaps.component_ratio(i) for i in range(n)) <= M
     return MinimalityReport(
         product_limit_estimate=estimate,
         ratio_ok=ratio_ok,
-        ratio_max=ratio_max,
-        window=tail_window,
         satisfied_at_finite_scale=bool(estimate >= 1.0 - MINIMALITY_TOL and ratio_ok),
     )
 

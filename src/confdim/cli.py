@@ -489,6 +489,11 @@ def _atoms(spec) -> np.ndarray:
 
 def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
     atoms = _atoms(cfg["atoms"]) if "atoms" in cfg else None
+    cell = float(_require(cfg, "cell_width"))
+    refine = float(cfg.get("refine", 3.0))
+    for name, value in (("cell_width", cell), ("refine", refine)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"field {name!r} needs 0 < value < inf, got {value!r}")
     system = _build(_require(cfg, "system"))
     leaves = system.level(system.max_depth)
     measure = natural_measure(leaves)
@@ -513,8 +518,6 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
         )
 
     Y = [(float(y), float(w)) for y, w in _require(cfg, "Y")]
-    cell = float(_require(cfg, "cell_width"))
-    refine = float(cfg.get("refine", 3.0))
     d_sweep = [float(d) for d in cfg.get("d_sweep", [0.5, 0.6, 0.8])]
     rows = []
     all_ok = True

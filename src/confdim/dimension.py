@@ -189,8 +189,7 @@ class MassBoundReport:
 
     d: float
     C_observed: float
-    per_scale_C: np.ndarray
-    scales: np.ndarray
+    per_scale_C: np.ndarray  # per test scale, largest first
     slope: float
     passed: bool
 
@@ -238,6 +237,5 @@ def mass_distribution_lower_bound(
     c_obs = float(np.max(per_scale))
     passed = bool(math.isfinite(c_obs) and slope >= -MASS_BOUND_SLOPE_TOL)
     return MassBoundReport(
-        d=d, C_observed=c_obs, per_scale_C=per_scale, scales=scales,
-        slope=slope, passed=passed,
+        d=d, C_observed=c_obs, per_scale_C=per_scale, slope=slope, passed=passed,
     )

@@ -296,7 +296,8 @@ class ImageLevel:
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
     """Image diameters and gaps of a level; valid since maps are increasing.
 
-    The image keeps the level's ``branching``: the tree is the same.
+    The image keeps the level's ``branching``: the tree is the same.  An image
+    tree pushes only its leaves and views their left ends on upper levels.
     """
     return ImageLevel(
         depth=level.depth,

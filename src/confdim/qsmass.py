@@ -19,7 +19,7 @@ import numpy as np
 
 from confdim.cantor import MIDDLE_INTERVAL, CantorSystem
 from confdim.dimension import sorted_window_masses
-from confdim.qsmaps import QsMap, push_intervals
+from confdim.qsmaps import ImageLevel, QsMap, push_intervals
 
 _REL_TOL = 1e-9
 
@@ -31,10 +31,16 @@ MAX_WINDOWS = 512
 
 
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
-    """The image of every level of a binary system, as ImageLevels by depth."""
+    """The image of every level of a binary system, as ImageLevels by depth.
+
+    Only the leaves' left ends are mapped; upper levels view them, as in the domain.
+    """
     if system.gaps.kind != MIDDLE_INTERVAL:
         raise ValueError("recursive measure machinery assumes binary systems")
-    tree = [push_intervals(qsmap, lv) for lv in system.levels]
+    leaves = push_intervals(qsmap, system.levels[-1])
+    tree = [ImageLevel(depth=lv.depth, lefts=leaves.lefts[::leaves.count // lv.count],
+                       rights=qsmap.apply(lv.rights), branching=lv.branching)
+            for lv in system.levels[:-1]] + [leaves]
     for lv in tree[1:]:
         if np.any(lv.rights <= lv.lefts):
             raise ValueError(f"zero-diameter node at depth {lv.depth}")
@@ -103,18 +109,13 @@ class CertificateReport:
     """
 
     passed: bool
-    d: float
-    depth: int
     C_growth: float
-    level_growth: np.ndarray        # max mu/diam^d per depth (index = depth)
-    interval_constants: np.ndarray  # window-scan constant per scanned depth
-    ball_constants: np.ndarray      # ball-scan constant per scanned depth
+    level_growth: np.ndarray  # max mu/diam^d per depth (index = depth)
     worst_ball_ratio: float
     growth_ok: bool
     interval_ok: bool
     ball_ok: bool
-    scanned_depths: np.ndarray
-    p_max: np.ndarray               # max p_i per depth >= 1 of the certified measure
+    p_max: np.ndarray         # max p_i per depth >= 1 of the certified measure
 
 
 def _ball_centers(lefts: np.ndarray, rights: np.ndarray, max_windows: int) -> np.ndarray:
@@ -194,16 +195,11 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
 
     return CertificateReport(
         passed=bool(growth_ok and interval_ok and ball_ok),
-        d=d,
-        depth=depth,
         C_growth=c_growth,
         level_growth=level_growth,
-        interval_constants=interval_c,
-        ball_constants=ball_c,
         worst_ball_ratio=worst_ball,
         growth_ok=growth_ok,
         interval_ok=interval_ok,
         ball_ok=ball_ok,
-        scanned_depths=top,
         p_max=measure.p_max,
     )

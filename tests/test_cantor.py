@@ -132,9 +132,22 @@ def test_build_system_keeps_only_the_left_ends():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lefts = sum(lv.lefts.nbytes for lv in system.levels)
-    assert kept <= 1.05 * lefts
-    assert peak < 1.5 * lefts
+    # the upper levels' left ends are views, so only the leaves' are stored
+    leaf = system.level(18).lefts.nbytes
+    assert kept <= 1.05 * leaf
+    assert peak <= 1.55 * leaf
+
+
+@pytest.mark.parametrize("gaps", [
+    GapSequence.harmonic(8), GapSequence.uniform([0.1, 0.2, 0.05, 0.1], [3, 2, 4, 5]),
+], ids=["middle-interval", "uniform"])
+def test_every_level_views_the_leaf_left_ends_read_only(gaps):
+    system = build_system(gaps, max_depth=len(gaps))
+    leaf = system.level(system.max_depth).lefts
+    for lv in system.levels:
+        assert np.shares_memory(lv.lefts, leaf)
+        with pytest.raises(ValueError, match="read-only"):
+            lv.lefts[0] = 1.0
 
 
 def test_closed_form_minkowski_middle_thirds():

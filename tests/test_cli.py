@@ -357,6 +357,20 @@ def test_malformed_control_or_atoms_exits_2_before_any_work(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("field,value", [
+    ("cell_width", 0), ("cell_width", -3.0 ** -7), ("cell_width", math.inf),
+    ("refine", 0), ("refine", -2.0), ("refine", math.nan),
+], ids=["width-zero", "width-negative", "width-inf", "refine-zero", "refine-negative",
+        "refine-nan"])
+def test_theorem_b_nonpositive_width_or_refine_exits_2_before_any_work(tmp_path, capsys,
+                                                                       field, value):
+    # a zero width or refine ended in a ZeroDivisionError traceback
+    code, out = run(tmp_path, "theorem-b", {**THEOREM_B6, field: value})
+    assert code == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_runtime_loads_no_test_only_package():
     # scipy and hypothesis serve the tests only; the package itself needs numpy
     code = "import sys, confdim, confdim.cli; print(*sorted(sys.modules))"

@@ -251,7 +251,7 @@ def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, 
     leaves = build_system(gaps, max_depth=depth).level(depth)
     scales = [base ** -k for k in range(1, depth)]
     rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
-    want = _mass_bound_per_scale_loop(natural_measure(leaves), d, rep.scales,
+    want = _mass_bound_per_scale_loop(natural_measure(leaves), d, scales,
                                       float(np.min(leaves.lefts)), float(np.max(leaves.rights)))
     # the loop subtracted the two boundary intervals in set order
     np.testing.assert_array_max_ulp(rep.per_scale_C, want, maxulp=1)

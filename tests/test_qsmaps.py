@@ -14,6 +14,7 @@ from confdim.qsmaps import (
     qs_ratio_check,
     random_triples,
 )
+from confdim.qsmass import build_image_tree
 
 # calibrated constant for x -> sign(x) x^2 on [-1, 1]; the extremal triple is
 # golden-ratio shaped and attains 2 + sqrt(5)
@@ -110,27 +111,38 @@ def test_distortion_check_requires_nondegenerate_a():
 
 def _map(spec):
     kind, *args = spec
+    if kind == "identity":
+        return QsMap.identity()
     if kind == "power":
         return QsMap.power(*args)
     rho, seed = args
     return QsMap.dyadic_weight(rho=rho, seed=seed)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# harmonic or constant-c gaps, an identity, power or dyadic map, and the depth
+_pushed_systems = dict(
     c=st.one_of(st.just("harmonic"), st.floats(0.01, 0.95)),
     spec=st.one_of(
+        st.just(("identity",)),
         st.tuples(st.just("power"), st.floats(0.3, 3.0)),
         st.tuples(st.just("dyadic"), st.floats(1.0, 4.0), st.integers(0, 2**32 - 1)),
     ),
     depth=st.integers(1, 12),
 )
-@example(c="harmonic", spec=("power", 1.5), depth=6)
-def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
+
+
+def _system(c, depth):
     gaps = GapSequence.harmonic(depth) if c == "harmonic" else GapSequence.constant(c, depth)
     # shorter leaves near 1 can round to points, in the domain and the image
     assume(sum(gaps.child_log_ratio(i) for i in range(depth)) >= math.log(1e-9))
-    system = build_system(gaps, max_depth=depth)
+    return build_system(gaps, max_depth=depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_pushed_systems)
+@example(c="harmonic", spec=("power", 1.5), depth=6)
+def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
+    system = _system(c, depth)
     f = _map(spec)
     parent, parent_img = system.level(0), push_intervals(f, system.level(0))
     for lv in system.levels[1:]:
@@ -149,6 +161,22 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
         # which may round one ulp above the parent's
         assert np.all(lv.rights <= np.nextafter(parent.rights[up], np.inf))
         parent, parent_img = lv, img
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_pushed_systems)
+@example(c="harmonic", spec=("power", 2.0), depth=12)
+@example(c=0.3, spec=("dyadic", 2.0, 0), depth=12)
+def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth):
+    # the tree maps only the leaves' left ends and views them on upper levels,
+    # so the map must give the same bits on a strided view as on a copy
+    system = _system(c, depth)
+    f = _map(spec)
+    for img, lv in zip(build_image_tree(system, f), system.levels, strict=True):
+        want = push_intervals(f, lv)
+        assert (img.depth, img.branching) == (want.depth, want.branching)
+        assert img.lefts.tobytes() == want.lefts.tobytes()
+        assert img.rights.tobytes() == want.rights.tobytes()
 
 
 def test_random_triples_reproducible():

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
 from confdim.qsmaps import QsMap
 from confdim.qsmass import (
@@ -25,6 +27,25 @@ def test_rejects_uniform_kind():
     system = build_system(gaps, max_depth=4)
     with pytest.raises(ValueError):
         build_image_tree(system, QsMap.identity())
+
+
+def test_image_tree_maps_the_leaf_left_ends_once(monkeypatch):
+    system = build_system(GapSequence.harmonic(18), max_depth=18)
+    pushed = []
+    push = qsmass.push_intervals
+    monkeypatch.setattr(qsmass, "push_intervals",
+                        lambda f, lv: pushed.append(lv.depth) or push(f, lv))
+    tracemalloc.start()
+    try:
+        tree = build_image_tree(system, QsMap.power(2.0))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pushed == [18]
+    leaves = tree[-1]
+    assert all(np.shares_memory(lv.lefts, leaves.lefts) for lv in tree)
+    # the leaves' image left ends and every level's image right ends
+    assert kept <= 3.05 * leaves.lefts.nbytes
 
 
 def test_identity_symmetric_masses_halve():
