@@ -170,15 +170,10 @@ def _load_config(path: str) -> tuple:
 # output helpers
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: Path, header, rows):
+    """Rows hold Python scalars, so `str` gives a float's shortest repr."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -228,9 +223,8 @@ def cmd_generate(cfg: dict, outdir: Path, seed: int) -> list:
     system = _build(_require(cfg, "system"))
     rows = []
     for level in system.levels:
-        rights = level.rights
-        for j in range(level.count):
-            rows.append((level.depth, j, level.lefts[j], rights[j]))
+        rows.extend((level.depth, j, left, right) for j, (left, right)
+                    in enumerate(zip(level.lefts.tolist(), level.rights.tolist())))
     _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows)
     summary = {
         "depth": system.max_depth,
@@ -253,7 +247,7 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
         eps = [float(e) for e in eps_spec]
     res = box_count(leaves, eps)
     _write_csv(outdir / "boxcounts.csv", ["epsilon", "count"],
-               list(zip(res.scales, res.counts)))
+               list(zip(res.scales.tolist(), res.counts.tolist())))
     summary = {"slope": res.fitted_slope, "residual": res.residual}
 
     if "mass_bound" in cfg:
@@ -326,10 +320,10 @@ def cmd_mass(cfg: dict, outdir: Path, seed: int) -> list:
     d = float(_require(cfg, "d"))
     report = certificate(system, qsmap, d)
     p_max = report.p_max
-    rows = list(zip(range(1, len(p_max) + 1), p_max, np.cumprod(p_max)))
+    rows = list(zip(range(1, len(p_max) + 1), p_max.tolist(), np.cumprod(p_max).tolist()))
     _write_csv(outdir / "pi_factors.csv", ["level", "p_max", "running_product"], rows)
     _write_csv(outdir / "growth.csv", ["depth", "C_growth"],
-               list(enumerate(report.level_growth)))
+               list(enumerate(report.level_growth.tolist())))
     _write_summary(outdir / "summary.json", {
         "d": d,
         "passed": report.passed,
@@ -372,7 +366,7 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
     ]
     _write_csv(outdir / "result.csv", ["variable", "value"], rows)
     _write_csv(outdir / "density.csv", ["index", "weight"],
-               list(enumerate(res.optimizer)))
+               list(enumerate(res.optimizer.tolist())))
     _write_summary(outdir / "summary.json", {
         "value": res.value,
         "kkt_residual": res.kkt_residual,
@@ -476,19 +470,24 @@ def _growth_scan(measure: DiscreteMeasure, leaves, eps_list, slack: float):
     return results
 
 
-def _atoms(spec) -> np.ndarray:
-    """The `atoms` field as an (n, 2) array of (position, mass) rows."""
+def _pairs(cfg: dict, key: str, pair: str) -> np.ndarray:
+    """The config field `key` as an (n, 2) float array of `pair` rows."""
+    spec = _require(cfg, key)
     try:
-        atoms = np.asarray(spec, dtype=float)
+        arr = np.asarray(spec, dtype=float)
     except (ValueError, TypeError):
-        atoms = np.empty(0)
-    if atoms.ndim != 2 or atoms.shape[1] != 2:
-        raise ConfigError(f"field 'atoms' must be a list of [x, mass] pairs, got {spec!r}")
-    return atoms
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ConfigError(f"field {key!r} must be a list of {pair} pairs, got {spec!r}")
+    return arr
 
 
 def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
-    atoms = _atoms(cfg["atoms"]) if "atoms" in cfg else None
+    atoms = _pairs(cfg, "atoms", "[x, mass]") if "atoms" in cfg else None
+    Y = _pairs(cfg, "Y", "[y, weight]")
+    d_sweep = [float(d) for d in cfg.get("d_sweep", [0.5, 0.6, 0.8])]
+    eps_list = [float(e) for e in cfg.get("eps_list", [0.2])]
+    slack = float(cfg.get("scan_slack", 0.3))
     cell = float(_require(cfg, "cell_width"))
     refine = float(cfg.get("refine", 3.0))
     for name, value in (("cell_width", cell), ("refine", refine)):
@@ -504,8 +503,7 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
             masses=np.concatenate([measure.masses, atoms[:, 1]]),
         )
 
-    eps_list = [float(e) for e in cfg.get("eps_list", [0.2])]
-    scan = _growth_scan(measure, leaves, eps_list, slack=float(cfg.get("scan_slack", 0.3)))
+    scan = _growth_scan(measure, leaves, eps_list, slack=slack)
     _write_csv(outdir / "growth_scan.csv",
                ["eps", "upper_slope", "lower_slope", "upper_ok", "lower_ok"],
                [(r["eps"], r["upper_slope"], r["lower_slope"],
@@ -517,8 +515,6 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
             f"slopes ({bad['upper_slope']:.3f}, {bad['lower_slope']:.3f})"
         )
 
-    Y = [(float(y), float(w)) for y, w in _require(cfg, "Y")]
-    d_sweep = [float(d) for d in cfg.get("d_sweep", [0.5, 0.6, 0.8])]
     rows = []
     all_ok = True
     for d in d_sweep:

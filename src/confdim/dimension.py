@@ -23,15 +23,15 @@ class BoxCountResult:
     residual: float
 
 
-WINDOW_CHUNK_CELLS = 2 ** 15
-
-
 @dataclass
 class DiscreteMeasure:
-    """Nonnegative masses on disjoint intervals (atoms have left == right).
+    """Nonnegative masses on intervals and on atoms (left == right).
 
     Mass is treated as uniformly spread inside each interval when windows
-    overlap an interval partially.
+    overlap an interval partially.  Sorted by left end, the intervals must
+    have non-decreasing right ends, and neighbours may overlap by at most
+    1e-12 (rounding), as `sorted_window_masses` needs.  Atoms may lie
+    anywhere, inside intervals too.
     """
 
     lefts: np.ndarray
@@ -46,6 +46,18 @@ class DiscreteMeasure:
             raise ValueError("masses must be nonnegative")
         if np.any(self.rights < self.lefts):
             raise ValueError("intervals must have right >= left")
+        # the intervals and the atoms apart, each sorted, with its prefix sum
+        order = np.argsort(self.lefts, kind="stable")
+        lefts, rights, masses = self.lefts[order], self.rights[order], self.masses[order]
+        atom = lefts == rights
+        self._lefts, self._rights, self._masses = lefts[~atom], rights[~atom], masses[~atom]
+        overlap = self._rights[:-1] - self._lefts[1:]
+        if np.any(np.diff(self._rights) < 0) or np.any(overlap > 1e-12):
+            raise ValueError("intervals sorted by left end must have non-decreasing right ends "
+                             "and overlap by at most 1e-12")
+        self._csum = np.concatenate([[0.0], np.cumsum(self._masses)])
+        self._atoms = lefts[atom]
+        self._atom_csum = np.concatenate([[0.0], np.cumsum(masses[atom])])
 
     @property
     def total_mass(self) -> float:
@@ -58,30 +70,26 @@ class DiscreteMeasure:
     def window_masses(self, x0s, x1s) -> np.ndarray:
         """Masses of the windows [x0s[i], x1s[i]], as `window_mass` gives them.
 
-        Windows are broadcast against the intervals in chunks of at most
-        WINDOW_CHUNK_CELLS window x interval cells.  Each window's row is
-        summed on its own, so a window's mass does not depend on the batch
-        it comes in.
+        The intervals go through `sorted_window_masses`; the atoms in a
+        window are a prefix-sum difference between two sorted searches.
         """
         x0s = np.asarray(x0s, dtype=float).ravel()
         x1s = np.asarray(x1s, dtype=float).ravel()
-        lengths = self.rights - self.lefts
-        atom = lengths == 0
-        safe = np.where(atom, 1.0, lengths)
-        out = np.empty(len(x0s))
-        step = max(1, WINDOW_CHUNK_CELLS // max(1, len(self.masses)))
-        for s in range(0, len(x0s), step):
-            x0 = x0s[s:s + step, None]
-            x1 = x1s[s:s + step, None]
-            overlap = np.minimum(self.rights, x1) - np.maximum(self.lefts, x0)
-            share = np.where(atom, (self.lefts >= x0) & (self.lefts <= x1),
-                             np.clip(overlap / safe, 0.0, 1.0))
-            out[s:s + step] = np.sum(self.masses * share, axis=1)
-        return out
+        mu, _, _ = sorted_window_masses(self._lefts, self._rights, self._masses,
+                                        self._csum, x0s, x1s)
+        k0 = np.searchsorted(self._atoms, x0s, side="left")
+        k1 = np.maximum(k0, np.searchsorted(self._atoms, x1s, side="right"))
+        return mu + (self._atom_csum[k1] - self._atom_csum[k0])
 
 
 def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
     """Masses of the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
+
+    The package's one window rule.  Its callers are the certificate's window
+    and ball scans and `DiscreteMeasure.window_masses`, which serves the
+    mass-bound scan, the theorem-b growth scan, the product-system
+    rasterization and the fiber scan of `modulus_comparison`.  Both ends
+    must be sorted; intervals may touch or overlap by rounding.
 
     ``csum`` is the cumulative mass with a leading 0.  The intervals j0 (the
     first with right >= x0) .. j1 (the last with left <= x1) meet a window;
@@ -116,12 +124,7 @@ def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
 
 def natural_measure(level: IntervalLevel) -> DiscreteMeasure:
     """Equal mass on every interval of a level, total mass 1."""
-    n = level.count
-    return DiscreteMeasure(
-        lefts=level.lefts.copy(),
-        rights=level.rights.copy(),
-        masses=np.full(n, 1.0 / n),
-    )
+    return DiscreteMeasure(level.lefts, level.rights, np.full(level.count, 1.0 / level.count))
 
 
 def _as_intervals(data) -> tuple:
@@ -216,17 +219,10 @@ def mass_distribution_lower_bound(
     lo = float(np.min(measure.lefts))
     hi = float(np.max(measure.rights))
 
-    order = np.argsort(measure.lefts)
-    lefts = measure.lefts[order]
-    rights = measure.rights[order]
-    masses = measure.masses[order]
-    csum = np.concatenate([[0.0], np.cumsum(masses)])
-
     per_scale = np.empty(len(scales))
     for i, r in enumerate(scales):
         xs = np.arange(lo - r, hi + r / 4.0, r / 4.0)
-        mu, _, _ = sorted_window_masses(lefts, rights, masses, csum, xs, xs + r)
-        per_scale[i] = np.max(mu, initial=0.0) / r ** d
+        per_scale[i] = np.max(measure.window_masses(xs, xs + r), initial=0.0) / r ** d
 
     logs = np.log(scales)
     logc = np.log(np.maximum(per_scale, 1e-300))

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from confdim.cantor import IntervalLevel
-from confdim.dimension import WINDOW_CHUNK_CELLS, DiscreteMeasure
+from confdim.dimension import DiscreteMeasure
 
 
 class InfeasibleError(ValueError):
@@ -425,7 +425,13 @@ class DiscreteModulusProblem:
 
         Each set is an array of points or an (n,2) array of intervals; it is
         incident to a ball when it meets the concentric 1/5-ball.  The
-        fifth-balls must be pairwise disjoint.
+        fifth-balls must be pairwise disjoint, up to overlaps of 1e-12.
+        Incidence comes from the sorted ends: in center order, the balls
+        that [lo, hi] can meet run from the first whose running max of right
+        ends reaches lo to the last whose reverse running min of left ends
+        is at most hi.  It meets each of them whose own ends are these
+        running ends; the others are tested by the closed predicate.  A
+        running count per set and ball marks the union of a set's ranges.
         """
         balls = _ball_array(balls)
         c, r = balls[:, 0], balls[:, 1]
@@ -434,20 +440,31 @@ class DiscreteModulusProblem:
         sep = np.diff(cs) - (rs[1:] + rs[:-1]) / 5.0
         if np.any(sep < -1e-12):
             raise ValueError("fifth-balls are not pairwise disjoint")
-        # the intervals of all sets against every fifth-ball, in chunks of at
-        # most WINDOW_CHUNK_CELLS cells; [lo, hi] meets [c - r/5, c + r/5]
         spans = [np.asarray(s, dtype=float) for s in sets]
         spans = [np.stack([s, s], axis=1) if s.ndim == 1 else s for s in spans]
         sizes = np.array([len(s) for s in spans], dtype=int)
         lohi = np.concatenate(spans) if spans else np.zeros((0, 2))
         owner = np.repeat(np.arange(len(sets)), sizes)
-        inc = np.zeros((len(sets), len(balls)), dtype=bool)
-        step = max(1, WINDOW_CHUNK_CELLS // max(1, len(balls)))
-        for s in range(0, len(lohi), step):
-            hit = lohi[s:s + step, :1] <= c + r / 5.0
-            hit &= lohi[s:s + step, 1:] >= c - r / 5.0
-            piece, ball = np.divmod(np.flatnonzero(hit), len(balls))
-            inc[owner[s + piece], ball] = True
+        left, right = cs - rs / 5.0, cs + rs / 5.0
+        reach = np.maximum.accumulate(right)
+        floor = np.minimum.accumulate(left[::-1])[::-1]
+        k0 = np.searchsorted(reach, lohi[:, 0], side="left")
+        k1 = np.maximum(k0, np.searchsorted(floor, lohi[:, 1], side="right"))
+        # runs[k, i]: set i's ranges that start at ball k less those that end there
+        runs = np.zeros((len(balls) + 1, len(sets)), dtype=np.int32)
+        np.add.at(runs, (k0, owner), 1)
+        np.subtract.at(runs, (k1, owner), 1)
+        met = np.cumsum(runs, axis=0, out=runs)[:-1] > 0
+        # a ball whose own end falls short of the running one may be missed
+        odd = np.flatnonzero((right < reach) | (left > floor))
+        met[odd] = False
+        a0, a1 = np.searchsorted(odd, k0), np.searchsorted(odd, k1)
+        count = a1 - a0
+        piece = np.repeat(np.arange(len(lohi)), count)
+        ball = odd[np.arange(len(piece)) + np.repeat(a0 - (np.cumsum(count) - count), count)]
+        hit = (lohi[piece, 0] <= right[ball]) & (lohi[piece, 1] >= left[ball])
+        met[ball[hit], owner[piece[hit]]] = True
+        inc = np.ascontiguousarray(met[np.argsort(order)].T)  # input ball order
         return cls(balls=balls, p=p, delta=delta, incidence=inc)
 
 
@@ -615,7 +632,9 @@ def modulus_comparison(
     """Numeric check of mod_q(E) <= C * d-mod_q(f(E)); reports the ratio.
 
     Before comparing, scans the fiber growth lambda_E(B_r cap E) >= C1 r^s
-    on the member supports and records the ambient growth constant.
+    on the member supports, one `window_masses` call per radius over atoms
+    at the cell centers, and records the ambient growth constant.  The
+    scanned balls are centered on the support, so C2 has no effect.
     """
     if not system.members:
         return ComparisonReport(
@@ -640,20 +659,14 @@ def modulus_comparison(
             continue
         span = float(support[-1] - support[0])
         radii = [span * 2.0 ** (-k) for k in range(1, 12) if span * 2.0 ** (-k) >= h]
-        csum = np.concatenate([[0.0], np.cumsum(row)])
+        fiber = DiscreteMeasure(lefts=centers, rights=centers, masses=row)
+        cs = support[:: max(1, len(support) // 64)]
         for r in radii:
-            for c in support[:: max(1, len(support) // 64)]:
-                near = np.abs(support - c) <= r / C2
-                if not np.any(near):
-                    continue
-                k0 = np.searchsorted(centers, c - r, side="left")
-                k1 = np.searchsorted(centers, c + r, side="right")
-                mass = float(csum[k1] - csum[k0])
-                if mass < C1 * r ** s - 1e-12:
-                    hypothesis_ok = False
-                    offending = (mi, float(c), float(r), mass)
-                    break
-            if offending:
+            mass = fiber.window_masses(cs - r, cs + r)
+            low = np.flatnonzero(mass < C1 * r ** s - 1e-12)
+            if len(low):
+                hypothesis_ok = False
+                offending = (mi, float(cs[low[0]]), float(r), float(mass[low[0]]))
                 break
         if offending:
             break

@@ -165,16 +165,6 @@ class QsMap:
             out = np.interp(x, self._xs, self._ys)
         return float(out) if out.ndim == 0 else out
 
-    def apply_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.kind == "identity":
-            out = y
-        elif self.kind == "power":
-            out = np.sign(y) * np.abs(y) ** (1.0 / self.a)
-        else:
-            out = np.interp(y, self._ys, self._xs)
-        return float(out) if out.ndim == 0 else out
-
     def __call__(self, x):
         return self.apply(x)
 

@@ -348,7 +348,8 @@ THEOREM_B6 = {"system": {"c": "harmonic", "depth": 6}, "Y": [[0.0, 1.0]],
     ("theorem-a", {**THEOREM_A6, "control": [0.3]}, "control"),
     ("theorem-b", {**THEOREM_B6, "atoms": [0.1, 0.2]}, "atoms"),
     ("theorem-b", {**THEOREM_B6, "atoms": [[0.1, 0.2, 0.3]]}, "atoms"),
-], ids=["control-number", "control-list", "atoms-flat", "atoms-three-columns"])
+    ("theorem-b", {**THEOREM_B6, "Y": [[0.0]]}, "Y"),
+], ids=["control-number", "control-list", "atoms-flat", "atoms-three-columns", "Y-one-column"])
 def test_malformed_control_or_atoms_exits_2_before_any_work(tmp_path, capsys,
                                                            command, cfg, field):
     code, out = run(tmp_path, command, cfg)

@@ -80,6 +80,27 @@ def test_window_mass_atoms():
     assert m.window_mass(0.6, 0.8) == pytest.approx(0.0)
 
 
+def test_discrete_measure_rejects_unsorted_right_ends_and_overlaps():
+    # sorted by left end, [0, 1] comes before [0.2, 0.3], which it contains
+    with pytest.raises(ValueError, match="non-decreasing right ends"):
+        DiscreteMeasure(lefts=[0.2, 0.0], rights=[0.3, 1.0], masses=[1.0, 1.0])
+    # the window rule would count [1, 3] wholly inside [1.5, 3.5]
+    with pytest.raises(ValueError, match="overlap by at most 1e-12"):
+        DiscreteMeasure(lefts=[0.0, 1.0, 2.0], rights=[2.0, 3.0, 4.0], masses=[1.0, 1.0, 1.0])
+    # an atom inside an interval is fine
+    m = DiscreteMeasure(lefts=[0.5, 0.0], rights=[0.5, 1.0], masses=[2.0, 1.0])
+    assert m.window_mass(0.25, 0.5) == 2.25
+
+
+def test_natural_measure_of_a_gapless_level_is_accepted():
+    # with c = 0 the level's neighbours overlap by up to 1 ulp
+    leaves = build_system(GapSequence.constant(0.0, 16), max_depth=16).level(16)
+    assert np.any(leaves.rights[:-1] > leaves.lefts[1:])
+    m = natural_measure(leaves)
+    assert m.window_mass(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert m.window_mass(0.25, 0.5) == pytest.approx(0.25, abs=1e-12)
+
+
 def _scalar_window_mass(m, x0, x1):
     """One window, one interval at a time: the reference for window_masses."""
     total = np.zeros(len(m.masses))
@@ -96,24 +117,28 @@ def test_window_masses_match_a_scalar_loop():
     edges = np.sort(rng.uniform(0.0, 1.0, 400))
     lefts, rights = edges[0::2].copy(), edges[1::2].copy()
     rights[::7] = lefts[::7]  # atoms
-    m = DiscreteMeasure(lefts=lefts, rights=rights, masses=rng.uniform(0.0, 1.0, 200))
+    inner = (lefts[3::7] + rights[3::7]) / 2.0  # atoms strictly inside intervals
+    order = rng.permutation(200 + len(inner))  # in no particular order
+    m = DiscreteMeasure(lefts=np.concatenate([lefts, inner])[order],
+                        rights=np.concatenate([rights, inner])[order],
+                        masses=rng.uniform(0.0, 1.0, 200 + len(inner)))
     x0 = np.concatenate([
         rng.uniform(-0.1, 1.0, 300),        # windows that straddle interval ends
         lefts[:50], lefts[::7][:20] - 1e-3,  # windows starting on an end / at an atom
-        [2.0, -1.0, 0.5],                    # empty windows
+        inner - 1e-3, inner,                 # windows around / starting at an inner atom
+        [2.0, -1.0, 0.5, inner[0] + 1e-3],   # empty windows
     ])
     x1 = np.concatenate([
         x0[:300] + rng.uniform(0.0, 0.3, 300),
         rights[:50], lefts[::7][:20] + 1e-3,
-        [3.0, -0.5, 0.5 - 1e-12],
+        inner + 1e-3, inner,
+        [3.0, -0.5, 0.5 - 1e-12, inner[0] - 1e-3],
     ])
     got = m.window_masses(x0, x1)
     want = np.array([_scalar_window_mass(m, a, b) for a, b in zip(x0, x1)])
-    # more window x interval cells than one chunk holds
-    assert len(x0) * len(m.masses) > 2 ** 15
-    # the same per-interval operations and the same pairwise sum: bit for bit
-    assert np.array_equal(got, want)
-    assert np.all(got[-3:] == 0.0)
+    # a prefix-sum difference, not the loop's sum: equal up to rounding
+    assert np.max(np.abs(got - want)) <= 1e-12 * m.total_mass
+    assert np.all(got[-4:] == 0.0)
     assert m.window_masses([], []).shape == (0,)
 
 

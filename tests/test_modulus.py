@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import LinearConstraint, minimize
 
@@ -217,18 +217,86 @@ def test_discrete_problem_incidence_from_intervals():
     assert res.value == pytest.approx(1.0 + 2 * 0.25, abs=1e-9)
 
 
-def test_discrete_problem_incidence_over_many_chunks():
+def _broadcast_incidence(balls, sets):
+    """Every interval of every set against every fifth-ball: the oracle."""
+    c, r = balls[:, 0], balls[:, 1]
+    rows = []
+    for s in sets:
+        lo, hi = (s, s) if s.ndim == 1 else (s[:, 0], s[:, 1])
+        rows.append(np.any((lo[:, None] <= c + r / 5.0) & (hi[:, None] >= c - r / 5.0), axis=0))
+    return np.array(rows)
+
+
+def test_discrete_problem_incidence_over_many_sets():
     rng = np.random.default_rng(3)
     balls = np.stack([(np.arange(1024) + 0.5) / 1024, np.full(1024, 0.5 / 1024)], axis=1)
     sets = [np.sort(rng.uniform(0.0, 1.0, (int(rng.integers(1, 9)), 2)), axis=1)
             for _ in range(300)]
     sets += [rng.uniform(0.0, 1.0, 5) for _ in range(20)]  # point sets
     prob = DiscreteModulusProblem.from_intervals_1d(balls, sets, p=2.0)
+    assert np.array_equal(prob.incidence, _broadcast_incidence(balls, sets))
+
+
+def test_incidence_of_overlapping_long_intervals_takes_bounded_memory():
+    # 4.2M interval-ball pairs meet, but the incidence has only 0.6M cells;
+    # a list of the meeting pairs would take about 180 MB
+    rng = np.random.default_rng(0)
+    balls = np.stack([(np.arange(1024) + 0.5) / 1024, np.full(1024, 0.5 / 1024)], axis=1)
+    sets = [np.column_stack([rng.uniform(0.0, 0.1, 8), rng.uniform(0.9, 1.0, 8)])
+            for _ in range(600)]
+    tracemalloc.start()
+    try:
+        prob = DiscreteModulusProblem.from_intervals_1d(balls, sets, p=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert np.all(prob.incidence[:, 103:921])
+    assert np.array_equal(prob.incidence, _broadcast_incidence(balls, sets))
+
+
+@st.composite
+def _degenerate_balls_and_sets(draw):
+    """Balls in no order whose fifth-balls may have radius 0, touch, or
+    overlap by up to 1e-12, so that their ends need not be sorted, and
+    point and interval sets whose ends sit on, next to or between the
+    fifth-ball ends; a few intervals have lo > hi."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 30))
+    edges = np.sort(rng.uniform(-1.0, 1.0, 2 * n))
+    left, right = edges[0::2].copy(), edges[1::2].copy()
+    zero = rng.random(n) < draw(st.floats(0.0, 1.0))
+    right[zero] = left[zero]  # radius 0
+    pull = np.flatnonzero(rng.random(n - 1) < draw(st.floats(0.0, 1.0))) + 1
+    left[pull] = np.minimum(right[pull], right[pull - 1] - rng.uniform(0.0, 0.99e-12, len(pull)))
+    # a point ball just inside its left or right neighbour's end
+    tuck = np.flatnonzero(rng.random(n - 1) < draw(st.floats(0.0, 0.5)))
+    up = rng.random(len(tuck)) < 0.5
+    point = np.where(up, right[tuck] - 4e-13, left[tuck + 1] + 4e-13)
+    at = np.where(up, tuck + 1, tuck)
+    left[at] = right[at] = point
+    balls = np.column_stack([(left + right) / 2.0, 5.0 * (right - left) / 2.0])
+    cs, rs = balls[np.argsort(balls[:, 0])].T
+    assume(np.all(np.diff(cs) - (rs[1:] + rs[:-1]) / 5.0 >= -1e-12))
+    balls = balls[rng.permutation(n)]
     c, r5 = balls[:, 0], balls[:, 1] / 5.0
-    for row, s in zip(prob.incidence, sets):
-        lo, hi = (s, s) if s.ndim == 1 else (s[:, 0], s[:, 1])
-        want = np.any((lo[:, None] <= c + r5) & (hi[:, None] >= c - r5), axis=0)
-        assert np.array_equal(row, want)
+    ends = np.concatenate([c - r5, c + r5, rng.uniform(-1.2, 1.2, 10)])
+    ends = np.concatenate([ends, np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
+    sets = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = int(rng.integers(0, 5))
+        pts = rng.choice(ends, size=(k, 2))
+        kind = rng.random()
+        sets.append(pts[:, 0] if kind < 0.3 else pts if kind > 0.9 else np.sort(pts, axis=1))
+    return balls, sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_degenerate_balls_and_sets())
+def test_incidence_from_sorted_ends_equals_the_broadcast_predicate(case):
+    balls, sets = case
+    prob = DiscreteModulusProblem.from_intervals_1d(balls, sets, p=2.0)
+    assert np.array_equal(prob.incidence, _broadcast_incidence(balls, sets))
 
 
 def test_discrete_problem_rejects_overlapping_fifth_balls():

@@ -44,10 +44,8 @@ def test_eta_tabulated_interpolates_loglog():
     assert eta(0.01) == pytest.approx(0.02)
 
 
-def test_power_map_roundtrip():
+def test_power_map_is_odd():
     f = QsMap.power(2.0)
-    xs = np.linspace(-1, 1, 41)
-    assert np.allclose(f.apply_inverse(f.apply(xs)), xs)
     assert f.apply(-0.5) == pytest.approx(-0.25)
 
 
@@ -57,7 +55,6 @@ def test_dyadic_map_monotone_and_fixes_0_and_1():
     ys = f.apply(xs)
     assert ys[0] == 0.0 and ys[-1] == 1.0
     assert np.all(np.diff(ys) > 0)
-    assert np.allclose(f.apply_inverse(ys), xs, atol=1e-12)
 
 
 def test_dyadic_map_deterministic_in_seed():
