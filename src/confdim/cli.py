@@ -2,9 +2,11 @@
 
 Each subcommand reads a JSON config, writes CSV outputs plus a JSON summary
 into the output directory, and leaves a manifest with the input hash so a
-run can be reproduced.  Exit codes: 0 success, 2 config error, 3 growth or
-hypothesis scan failure, 4 solver non-convergence, 5 resource or internal
-error (a level above the build cap, a violated internal invariant).
+run can be reproduced.  It first reads every config field it uses and builds
+its library inputs; a failure there is a config error and writes no file.
+Exit codes: 0 success, 2 config error (or a modulus set that meets no ball),
+3 growth or hypothesis scan failure, 4 solver non-convergence, 5 resource or
+internal error (a level above the build cap, any other library failure).
 """
 
 from __future__ import annotations
@@ -14,43 +16,13 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from confdim.cantor import (
-    CantorSystem,
-    GapSequence,
-    GapSequenceError,
-    build_system,
-    closed_form_minkowski,
-    minimality_criterion,
-    truncated_length,
-)
-from confdim.dimension import (
-    DiscreteMeasure,
-    box_count,
-    mass_distribution_lower_bound,
-    natural_measure,
-)
-from confdim.modulus import (
-    DiscreteModulusProblem,
-    MeasureSystem,
-    NonConvergenceError,
-    holder_lower_bound,
-    product_system,
-    solve_discrete,
-    solve_fuglede,
-)
-from confdim.qsmaps import (
-    EtaModulus,
-    QsMap,
-    distortion_check,
-    distortion_gap_check,
-    qs_ratio_check,
-    random_triples,
-)
-from confdim.qsmass import certificate
+from confdim import cantor, dimension, modulus, qsmaps, qsmass
+from confdim.modulus import solve_discrete  # called as cli.solve_discrete, so it can be replaced
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,7 +36,7 @@ GAP_RTOL = 1e-6  # duality gap bound relative to the value
 _VERSION = "0.1.0"
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
@@ -77,79 +49,140 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config reading
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config field {key!r}")
-    return cfg[key]
-
-
-def _gap_sequence(spec: dict) -> GapSequence:
-    if not isinstance(spec, dict):
-        raise ConfigError("system spec must be an object")
-    kind = spec.get("kind", "middle_interval")
-    depth = int(_require(spec, "depth"))
-    length = int(spec.get("length", depth))
-    if length < depth:
-        raise ConfigError(f"length {length} shorter than depth {depth}")
+@contextmanager
+def _reading():
+    """A command's reading step: the errors a bad field raises become a ConfigError."""
     try:
-        if kind == "uniform":
-            gammas = _require(spec, "gammas")
-            ns = _require(spec, "n_children")
-            return GapSequence.uniform(gammas, ns)
-        c = _require(spec, "c")
-        if c == "harmonic":
-            return GapSequence.harmonic(length)
-        if isinstance(c, dict) and "const" in c:
-            return GapSequence.constant(float(c["const"]), length)
-        if isinstance(c, dict) and "values" in c:
-            return GapSequence(values=tuple(float(v) for v in c["values"]))
-        if isinstance(c, dict) and "file" in c:
-            try:
-                vals = np.loadtxt(c["file"], dtype=float, ndmin=1)
-            except OSError as exc:
-                raise ConfigError(f"cannot read gap file: {exc}") from exc
-            return GapSequence(values=tuple(vals))
-        raise ConfigError(f"unrecognized gap spec for field 'c': {c!r}")
-    except GapSequenceError as exc:
-        raise ConfigError(f"invalid field 'c': {exc}") from exc
+        yield
+    except (ValueError, TypeError, LookupError, OSError, ArithmeticError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _build(spec: dict) -> CantorSystem:
-    gaps = _gap_sequence(spec)
-    depth = int(_require(spec, "depth"))
-    return build_system(gaps, max_depth=depth)
+_REQUIRED = object()
 
 
-def _eta(spec) -> EtaModulus:
+def _field(cfg: dict, key: str, convert, default=_REQUIRED):
+    """`convert` of cfg[key], or of the default; a failure names the field."""
+    value = cfg.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing config field {key!r}")
+    try:
+        return convert(value)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"field {key!r}: {exc}") from exc
+
+
+def _typed(kind, name: str, convert):
+    """A reader of JSON values of the type `kind`, never a boolean, through `convert`."""
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"expected {name}, got {value!r}")
+        return convert(value)
+    return read
+
+
+def _checked(convert, ok, need: str):
+    """A reader: `convert`, then the range check `ok` on its result."""
+    def read(value):
+        out = convert(value)
+        if not ok(out):
+            raise ValueError(f"needs {need}, got {value!r}")
+        return out
+    return read
+
+
+def _integer(value) -> int:
+    if int(_number(value)) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _list_of(convert):
+    return lambda value: [convert(v) for v in _list(value)]
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _one_of(*names):
+    return _checked(lambda v: v, lambda v: v in names, f"one of {', '.join(map(repr, names))}")
+
+
+_number = _typed((int, float), "a number", float)
+_object = _typed(dict, "an object", lambda v: v)
+_list = _typed(list, "a list", lambda v: v)
+_array = _typed(list, "a list", lambda v: np.asarray(v, dtype=float))
+_POSITIVE = _checked(_number, lambda v: 0.0 < v < math.inf, "0 < value < inf")
+_FRACTION = _checked(_number, lambda v: 0.0 < v < 1.0, "0 < value < 1")
+_NATURAL = _checked(_integer, lambda n: n >= 0, "an integer >= 0")
+_COUNT = _checked(_integer, lambda n: n >= 1, "an integer >= 1")
+_VECTOR = _checked(_array, lambda a: a.ndim == 1, "a list of numbers")
+_PAIRS = _checked(_array, lambda a: a.ndim == 2 and a.shape[1] == 2, "a list of pairs")
+_SET = _checked(_array, lambda s: s.ndim == 1 or s.ndim == 2 and s.shape[1] == 2,
+                "a list of points or of [lo, hi] intervals")
+
+
+def _gaps(c, length: int) -> cantor.GapSequence:
+    """Middle-interval gaps: "harmonic", {"const": x}, {"values": [...]} or {"file": path}."""
+    if c == "harmonic":
+        return cantor.GapSequence.harmonic(length)
+    if isinstance(c, dict) and "const" in c:
+        return cantor.GapSequence.constant(_field(c, "const", _number), length)
+    if isinstance(c, dict) and "values" in c:
+        return cantor.GapSequence(values=tuple(_field(c, "values", _list_of(_number))))
+    if isinstance(c, dict) and "file" in c:
+        try:
+            vals = np.loadtxt(c["file"], dtype=float, ndmin=1)
+        except OSError as exc:
+            raise ConfigError(f"cannot read gap file: {exc}") from exc
+        return cantor.GapSequence(values=tuple(vals))
+    raise ValueError(f"unrecognized gap spec {c!r}")
+
+
+def _system(cfg: dict) -> cantor.CantorSystem:
+    """The `system` field, built to its `depth`."""
+    spec = _field(cfg, "system", _object)
+    depth = _field(spec, "depth", _NATURAL)
+    if _field(spec, "kind", _one_of(cantor.MIDDLE_INTERVAL, cantor.UNIFORM),
+              cantor.MIDDLE_INTERVAL) == cantor.UNIFORM:
+        gammas = _field(spec, "gammas", _list_of(_number))
+        gaps = _field(spec, "n_children",
+                      lambda ns: cantor.GapSequence.uniform(gammas, _list_of(_integer)(ns)))
+    else:
+        length = _field(spec, "length", _checked(_integer, lambda n: n >= depth,
+                                                 f"an integer >= depth {depth}"), depth)
+        gaps = _field(spec, "c", lambda c: _gaps(c, length))
+    return cantor.build_system(gaps, max_depth=depth)
+
+
+def _eta(spec) -> qsmaps.EtaModulus:
+    """An eta spec: "identity" (or null), {"C", "K"} or {"ts", "etas"}."""
     if spec is None or spec == "identity":
-        return EtaModulus.identity()
-    if not isinstance(spec, dict):
-        raise ConfigError("eta spec must be 'identity' or an object")
+        return qsmaps.EtaModulus.identity()
+    spec = _object(spec)
     if "ts" in spec:
-        return EtaModulus.tabulated(spec["ts"], spec["etas"])
-    return EtaModulus.power(float(_require(spec, "C")), float(_require(spec, "K")))
+        ts = _field(spec, "ts", _list_of(_number))
+        return qsmaps.EtaModulus.tabulated(ts, _field(spec, "etas", _checked(
+            _list_of(_number), lambda e: len(e) == len(ts), f"{len(ts)} values, one per t")))
+    return qsmaps.EtaModulus.power(_field(spec, "C", _number), _field(spec, "K", _number))
 
 
-def _qs_map(spec: dict, seed: int) -> QsMap:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("map spec must be an object with field 'kind'")
-    kind = spec["kind"]
-    eta = _eta(spec.get("eta")) if "eta" in spec else None
+def _qs_map(spec, seed: int) -> qsmaps.QsMap:
+    """A map spec: identity, power (`a`) or dyadic_weight (`rho`, `weight_depth`, `seed`)."""
+    spec = _object(spec)
+    kind = _field(spec, "kind", _one_of("identity", "power", "dyadic_weight"))
+    eta = _field(spec, "eta", _eta) if "eta" in spec else None
     if kind == "identity":
-        return QsMap.identity()
+        return qsmaps.QsMap.identity()
     if kind == "power":
-        return QsMap.power(float(_require(spec, "a")), eta=eta)
-    if kind == "dyadic_weight":
-        return QsMap.dyadic_weight(
-            rho=float(spec.get("rho", 2.0)),
-            depth=int(spec.get("weight_depth", 8)),
-            seed=int(spec.get("seed", seed)),
-            eta=eta,
-        )
-    raise ConfigError(f"unknown map kind {kind!r}")
+        return qsmaps.QsMap.power(_field(spec, "a", _POSITIVE), eta=eta)
+    rho = _field(spec, "rho", _checked(_POSITIVE, lambda r: r >= 1, "rho >= 1"), 2.0)
+    return qsmaps.QsMap.dyadic_weight(rho=rho, depth=_field(spec, "weight_depth", _NATURAL, 8),
+                                      seed=_field(spec, "seed", _NATURAL, seed), eta=eta)
 
 
 def _load_config(path: str) -> tuple:
@@ -159,7 +192,7 @@ def _load_config(path: str) -> tuple:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -178,33 +211,20 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_summary(path: Path, record: dict):
-    path.write_text(json.dumps(record, indent=2, sort_keys=True, default=_json_default) + "\n")
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, np.bool_):
-        return bool(o)
-    raise TypeError(f"not JSON serializable: {type(o)}")
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(outdir: Path, command: str, config_raw: bytes, filenames):
-    digest = {}
-    for name in sorted(filenames):
-        digest[name] = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-    manifest = {
+    _write_summary(outdir / "manifest.json", {
         "command": command,
         "version": _VERSION,
         "config_sha256": hashlib.sha256(config_raw).hexdigest(),
-        "outputs": digest,
-    }
-    _write_summary(outdir / "manifest.json", manifest)
+        "outputs": {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                    for name in filenames},
+    })
 
 
-def _check_solve(res, where: str = "") -> None:
+def _check_solve(res, where: str) -> None:
     """Accept a solve only with a small KKT residual and duality gap."""
     if res.kkt_residual > KKT_TOL:
         raise SolverError(f"KKT residual {res.kkt_residual:.3g} above {KKT_TOL:g}{where}")
@@ -220,64 +240,69 @@ def _check_solve(res, where: str = "") -> None:
 
 
 def cmd_generate(cfg: dict, outdir: Path, seed: int) -> list:
-    system = _build(_require(cfg, "system"))
+    with _reading():
+        system = _system(cfg)
     rows = []
     for level in system.levels:
         rows.extend((level.depth, j, left, right) for j, (left, right)
                     in enumerate(zip(level.lefts.tolist(), level.rights.tolist())))
     _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows)
-    summary = {
+    _write_summary(outdir / "summary.json", {
         "depth": system.max_depth,
         "leaf_count": system.level(system.max_depth).count,
-        "truncated_length": truncated_length(system, system.max_depth),
-    }
-    _write_summary(outdir / "summary.json", summary)
+        "truncated_length": cantor.truncated_length(system, system.max_depth),
+    })
     return ["levels.csv", "summary.json"]
 
 
+def _epsilons(spec) -> list:
+    """A list of box sizes, or {"base", "k_min", "k_max"} for base^-k."""
+    if isinstance(spec, dict):
+        base = _field(spec, "base", _POSITIVE)
+        ks = range(_field(spec, "k_min", _integer, 1), _field(spec, "k_max", _integer) + 1)
+        spec = [base ** -k for k in ks]
+    return _list_of(_POSITIVE)(spec)
+
+
 def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
-    system = _build(_require(cfg, "system"))
-    leaves = system.level(system.max_depth)
-    eps_spec = _require(cfg, "epsilons")
-    if isinstance(eps_spec, dict):
-        base = float(_require(eps_spec, "base"))
-        eps = [base ** -k for k in range(int(eps_spec.get("k_min", 1)),
-                                         int(_require(eps_spec, "k_max")) + 1)]
-    else:
-        eps = [float(e) for e in eps_spec]
-    res = box_count(leaves, eps)
+    with _reading():
+        system = _system(cfg)
+        leaves = system.level(system.max_depth)
+        eps = _field(cfg, "epsilons", _epsilons)
+        mb = _field(cfg, "mass_bound", _object) if "mass_bound" in cfg else None
+        if mb is not None:
+            d = _field(mb, "d", _checked(_number, lambda v: 0.0 < v <= 1.0, "0 < value <= 1"))
+            scales = _field(mb, "scales", _checked(_list_of(_POSITIVE), len, "a nonempty list"))
+    res = dimension.box_count(leaves, eps)
     _write_csv(outdir / "boxcounts.csv", ["epsilon", "count"],
                list(zip(res.scales.tolist(), res.counts.tolist())))
     summary = {"slope": res.fitted_slope, "residual": res.residual}
 
-    if "mass_bound" in cfg:
-        mb = cfg["mass_bound"]
-        report = mass_distribution_lower_bound(
-            natural_measure(leaves),
-            float(_require(mb, "d")),
-            [float(s) for s in _require(mb, "scales")],
-        )
-        summary["mass_bound"] = {
-            "d": report.d,
-            "C_observed": report.C_observed,
-            "slope": report.slope,
-            "passed": report.passed,
-        }
+    if mb is not None:
+        report = dimension.mass_distribution_lower_bound(
+            dimension.natural_measure(leaves), d, scales)
+        summary["mass_bound"] = {k: getattr(report, k)
+                                 for k in ("d", "C_observed", "slope", "passed")}
     _write_summary(outdir / "summary.json", summary)
     return ["boxcounts.csv", "summary.json"]
 
 
 def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
-    qsmap = _qs_map(_require(cfg, "map"), seed)
-    eta = _eta(cfg.get("eta")) if "eta" in cfg else qsmap.eta
-    if eta is None:
-        raise ConfigError("missing config field 'eta' and the map claims none")
-    lo, hi = cfg.get("interval", [-1.0, 1.0])
-    if not 0.0 < hi - lo < math.inf:
-        raise ConfigError(f"field 'interval' needs 0 < hi - lo < inf, got {[lo, hi]!r}")
-    n = int(cfg.get("n_pairs", 10000))
+    with _reading():
+        qsmap = _field(cfg, "map", lambda spec: _qs_map(spec, seed))
+        eta = _field(cfg, "eta", _eta) if "eta" in cfg else qsmap.eta
+        if eta is None:
+            raise ConfigError("missing config field 'eta' and the map claims none")
+        dlo, dhi = qsmap.domain
+        lo, hi = _field(cfg, "interval", _checked(
+            _list_of(_number),
+            lambda v: len(v) == 2 and dlo <= v[0] and v[1] <= dhi and 0.0 < v[1] - v[0] < math.inf,
+            f"[lo, hi] inside the map's domain [{dlo}, {dhi}] with 0 < hi - lo < inf"),
+            [-1.0, 1.0])
+        n = _field(cfg, "n_pairs", _COUNT, 10000)
 
-    triple_violation = qs_ratio_check(qsmap, random_triples(lo, hi, n, seed=seed), eta)
+    triple_violation = qsmaps.qs_ratio_check(
+        qsmap, qsmaps.random_triples(lo, hi, n, seed=seed), eta)
     rng = np.random.default_rng(seed)
     diam_viol = gap_viol = 0
     for _ in range(n):
@@ -287,124 +312,105 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
         a = np.sort(rng.uniform(b[0], b[-1], 2))
         while a[1] - a[0] < 1e-12 * (hi - lo):
             a = np.sort(rng.uniform(b[0], b[-1], 2))
-        if not distortion_check(qsmap, a, np.concatenate([a, b]), eta).ok:
+        if not qsmaps.distortion_check(qsmap, a, np.concatenate([a, b]), eta).ok:
             diam_viol += 1
         mid = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
         g = rng.uniform(1e-4, 0.15) * (hi - lo)
         x1 = np.sort(rng.uniform(lo, mid - g / 2, 3))
         x2 = np.sort(rng.uniform(mid + g / 2, hi, 3))
-        if not distortion_gap_check(qsmap, x1, x2, eta).ok:
+        if not qsmaps.distortion_gap_check(qsmap, x1, x2, eta).ok:
             gap_viol += 1
-    rows = [
-        ("triple_max_violation_ratio", triple_violation),
-        ("diameter_bound_violations", diam_viol),
-        ("gap_bound_violations", gap_viol),
-        ("pairs_tested", n),
-    ]
-    _write_csv(outdir / "results.csv", ["variable", "value"], rows)
-    _write_summary(outdir / "summary.json", {
-        "triple_max_violation_ratio": triple_violation,
-        "diameter_bound_violations": diam_viol,
-        "gap_bound_violations": gap_viol,
-        "pairs_tested": n,
-        "all_bounds_hold": bool(
-            triple_violation <= 1.0 and diam_viol == 0 and gap_viol == 0
-        ),
-    })
+    summary = {"triple_max_violation_ratio": triple_violation,
+               "diameter_bound_violations": diam_viol, "gap_bound_violations": gap_viol,
+               "pairs_tested": n}
+    _write_csv(outdir / "results.csv", ["variable", "value"], list(summary.items()))
+    summary["all_bounds_hold"] = bool(triple_violation <= 1.0 and diam_viol == 0
+                                      and gap_viol == 0)
+    _write_summary(outdir / "summary.json", summary)
     return ["results.csv", "summary.json"]
 
 
 def cmd_mass(cfg: dict, outdir: Path, seed: int) -> list:
-    system = _build(_require(cfg, "system"))
-    qsmap = _qs_map(_require(cfg, "map"), seed)
-    d = float(_require(cfg, "d"))
-    report = certificate(system, qsmap, d)
+    with _reading():
+        system = _system(cfg)
+        if system.gaps.kind != cantor.MIDDLE_INTERVAL or system.max_depth < 1:
+            raise ConfigError("field 'system': the certificate needs a middle-interval "
+                              "(binary) system of depth >= 1")
+        qsmap = _field(cfg, "map", lambda spec: _qs_map(spec, seed))
+        d = _field(cfg, "d", _FRACTION)
+    report = qsmass.certificate(system, qsmap, d)
     p_max = report.p_max
     rows = list(zip(range(1, len(p_max) + 1), p_max.tolist(), np.cumprod(p_max).tolist()))
     _write_csv(outdir / "pi_factors.csv", ["level", "p_max", "running_product"], rows)
     _write_csv(outdir / "growth.csv", ["depth", "C_growth"],
                list(enumerate(report.level_growth.tolist())))
-    _write_summary(outdir / "summary.json", {
-        "d": d,
-        "passed": report.passed,
-        "C_growth": report.C_growth,
-        "growth_ok": report.growth_ok,
-        "interval_ok": report.interval_ok,
-        "ball_ok": report.ball_ok,
-        "worst_ball_ratio": report.worst_ball_ratio,
-    })
+    _write_summary(outdir / "summary.json", {"d": d, **{k: getattr(report, k) for k in (
+        "passed", "C_growth", "growth_ok", "interval_ok", "ball_ok", "worst_ball_ratio")}})
     return ["pi_factors.csv", "growth.csv", "summary.json"]
 
 
 def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
-    prob = _require(cfg, "problem")
-    kind = _require(prob, "kind")
-    if kind == "fuglede":
-        system = MeasureSystem(
-            mu=np.asarray(_require(prob, "mu"), dtype=float),
-            members=[np.asarray(m, dtype=float) for m in _require(prob, "members")],
-            p=float(_require(prob, "p")),
-        )
-        res = solve_fuglede(system)
-    elif kind == "discrete":
-        balls, p, delta = _require(prob, "balls"), float(_require(prob, "p")), prob.get("delta")
-        if "incidence" in prob:
-            problem = DiscreteModulusProblem(balls=balls, p=p, delta=delta,
-                                             incidence=prob["incidence"])
+    with _reading():
+        prob = _field(cfg, "problem", _object)
+        kind = _field(prob, "kind", _one_of("fuglede", "discrete"))
+        p = _field(prob, "p", _number)
+        if kind == "fuglede":
+            problem = modulus.MeasureSystem(mu=_field(prob, "mu", _VECTOR),
+                                            members=_field(prob, "members", _list_of(_VECTOR)),
+                                            p=p)
         else:
-            problem = DiscreteModulusProblem.from_intervals_1d(
-                balls, _require(prob, "sets"), p=p, delta=delta)
-        res = solve_discrete(problem)
-    else:
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    _check_solve(res)
-    rows = [
-        ("value", res.value),
-        ("kkt_residual", res.kkt_residual),
-        ("duality_gap_bound", res.duality_gap_bound),
-        ("iterations", res.iterations),
-    ]
-    _write_csv(outdir / "result.csv", ["variable", "value"], rows)
+            balls = _field(prob, "balls", _array)
+            delta = _field(prob, "delta", _optional(_number), None)
+            if "incidence" in prob:
+                problem = modulus.DiscreteModulusProblem(
+                    balls=balls, p=p, delta=delta, incidence=_field(prob, "incidence", _list))
+            else:
+                problem = modulus.DiscreteModulusProblem.from_intervals_1d(
+                    balls, _field(prob, "sets", _list_of(_SET)), p=p, delta=delta)
+    res = modulus.solve_fuglede(problem) if kind == "fuglede" else solve_discrete(problem)
+    _check_solve(res, "")
+    summary = {k: getattr(res, k)
+               for k in ("value", "kkt_residual", "duality_gap_bound", "iterations")}
+    _write_csv(outdir / "result.csv", ["variable", "value"], list(summary.items()))
     _write_csv(outdir / "density.csv", ["index", "weight"],
                list(enumerate(res.optimizer.tolist())))
-    _write_summary(outdir / "summary.json", {
-        "value": res.value,
-        "kkt_residual": res.kkt_residual,
-        "duality_gap_bound": res.duality_gap_bound,
-        "iterations": res.iterations,
-    })
+    _write_summary(outdir / "summary.json", summary)
     return ["result.csv", "density.csv", "summary.json"]
 
 
 def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
-    control = cfg.get("control")
-    if control is not None and not isinstance(control, dict):
-        raise ConfigError(f"field 'control' must be an object, got {control!r}")
-    depth = int(cfg.get("depth", 14))
-    length = int(cfg.get("minkowski_n", 10000))
-    gaps = _gap_sequence({"c": cfg.get("c", "harmonic"),
-                          "depth": depth, "length": max(depth, length)})
-    system = build_system(GapSequence(values=gaps.values[:depth]), max_depth=depth)
+    with _reading():
+        control = _field(cfg, "control", _optional(_object), None)
+        depth = _field(cfg, "depth", _COUNT, 14)
+        length = max(depth, _field(cfg, "minkowski_n", _COUNT, 10000))
+        gaps = _field(cfg, "c", lambda c: _gaps(c, length), "harmonic")
+        system = cantor.build_system(cantor.GapSequence(values=gaps.values[:depth]),
+                                     max_depth=depth)
+        mink_rows = _field(cfg, "minkowski_points", lambda ns: [
+            (n, cantor.closed_form_minkowski(gaps, n))
+            for n in _checked(_list_of(_integer), len, "a nonempty list")(ns)],
+            [10, 100, 1000, length])
+        M = _field(cfg, "M", _number, 1.0)
+        tail_window = min(len(gaps), _field(cfg, "tail_window", _COUNT, 1000))
+        d_sweep = _field(cfg, "d_sweep", _list_of(_FRACTION), [0.8, 0.9, 0.95])
+        maps = _field(cfg, "maps", _list_of(lambda spec: _qs_map(spec, seed)))
+        labels = [spec.get("label", f"{spec['kind']}_{i}") for i, spec in enumerate(cfg["maps"])]
+        if control is not None:
+            csys = cantor.build_system(_field(
+                control, "c", lambda c: cantor.GapSequence.constant(_number(c), depth), 1 / 3),
+                max_depth=depth)
 
-    length_rows = [(n, truncated_length(system, n)) for n in range(depth + 1)]
+    length_rows = [(n, cantor.truncated_length(system, n)) for n in range(depth + 1)]
     _write_csv(outdir / "lengths.csv", ["depth", "truncated_length"], length_rows)
-
-    ns = [int(n) for n in cfg.get("minkowski_points", [10, 100, 1000, length])]
-    mink_rows = [(n, closed_form_minkowski(gaps, n)) for n in ns]
     _write_csv(outdir / "minkowski.csv", ["n", "dimension"], mink_rows)
 
-    mreport = minimality_criterion(gaps, M=float(cfg.get("M", 1.0)),
-                                   tail_window=min(len(gaps), int(cfg.get("tail_window", 1000))))
+    mreport = cantor.minimality_criterion(gaps, M=M, tail_window=tail_window)
 
-    d_sweep = [float(d) for d in cfg.get("d_sweep", [0.8, 0.9, 0.95])]
-    map_specs = _require(cfg, "maps")
     cert_rows = []
     all_pass = True
-    for mi, mspec in enumerate(map_specs):
-        qsmap = _qs_map(mspec, seed)
-        label = mspec.get("label", f"{mspec['kind']}_{mi}")
+    for label, qsmap in zip(labels, maps):
         for d in d_sweep:
-            rep = certificate(system, qsmap, d)
+            rep = qsmass.certificate(system, qsmap, d)
             all_pass &= rep.passed
             cert_rows.append((label, d, int(rep.passed), rep.C_growth,
                               int(rep.growth_ok), int(rep.interval_ok), int(rep.ball_ok)))
@@ -414,10 +420,8 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
 
     control_rows = []
     if control is not None:
-        csys = build_system(GapSequence.constant(float(control.get("c", 1 / 3)), depth),
-                            max_depth=depth)
         for d in d_sweep:
-            rep = certificate(csys, QsMap.identity(), d)
+            rep = qsmass.certificate(csys, qsmaps.QsMap.identity(), d)
             growth = rep.level_growth
             rate = float(np.min(growth[1:] / growth[:-1]))
             control_rows.append((d, int(rep.passed), rep.C_growth, rate))
@@ -428,11 +432,8 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
         "depth": depth,
         "final_truncated_length": length_rows[-1][1],
         "minkowski_tail": mink_rows[-1][1],
-        "minimality": {
-            "product_limit_estimate": mreport.product_limit_estimate,
-            "ratio_ok": mreport.ratio_ok,
-            "satisfied_at_finite_scale": mreport.satisfied_at_finite_scale,
-        },
+        "minimality": {k: getattr(mreport, k) for k in (
+            "product_limit_estimate", "ratio_ok", "satisfied_at_finite_scale")},
         "all_certificates_pass": bool(all_pass),
         "control_all_fail": bool(all(row[1] == 0 for row in control_rows))
         if control_rows else None,
@@ -443,7 +444,7 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
     return files
 
 
-def _growth_scan(measure: DiscreteMeasure, leaves, eps_list, slack: float):
+def _growth_scan(measure: dimension.DiscreteMeasure, leaves, eps_list, slack: float):
     """Two-sided slope test of window masses around points of the set."""
     centers = (leaves.lefts + leaves.rights) / 2.0
     if len(centers) > 128:
@@ -470,38 +471,33 @@ def _growth_scan(measure: DiscreteMeasure, leaves, eps_list, slack: float):
     return results
 
 
-def _pairs(cfg: dict, key: str, pair: str) -> np.ndarray:
-    """The config field `key` as an (n, 2) float array of `pair` rows."""
-    spec = _require(cfg, key)
-    try:
-        arr = np.asarray(spec, dtype=float)
-    except (ValueError, TypeError):
-        arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError(f"field {key!r} must be a list of {pair} pairs, got {spec!r}")
-    return arr
-
-
 def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
-    atoms = _pairs(cfg, "atoms", "[x, mass]") if "atoms" in cfg else None
-    Y = _pairs(cfg, "Y", "[y, weight]")
-    d_sweep = [float(d) for d in cfg.get("d_sweep", [0.5, 0.6, 0.8])]
-    eps_list = [float(e) for e in cfg.get("eps_list", [0.2])]
-    slack = float(cfg.get("scan_slack", 0.3))
-    cell = float(_require(cfg, "cell_width"))
-    refine = float(cfg.get("refine", 3.0))
-    for name, value in (("cell_width", cell), ("refine", refine)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"field {name!r} needs 0 < value < inf, got {value!r}")
-    system = _build(_require(cfg, "system"))
-    leaves = system.level(system.max_depth)
-    measure = natural_measure(leaves)
-    if atoms is not None:
-        measure = DiscreteMeasure(
-            lefts=np.concatenate([measure.lefts, atoms[:, 0]]),
-            rights=np.concatenate([measure.rights, atoms[:, 0]]),
-            masses=np.concatenate([measure.masses, atoms[:, 1]]),
-        )
+    with _reading():
+        Y = _field(cfg, "Y", _checked(
+            _PAIRS, lambda y: np.all(y[:, 1] >= 0) and np.sum(y[:, 1]) > 0,
+            "[y, weight] pairs, weights >= 0 with a positive sum"))
+        d_sweep = _field(cfg, "d_sweep", _list_of(_FRACTION), [0.5, 0.6, 0.8])
+        eps_list = _field(cfg, "eps_list", _list_of(_number), [0.2])
+        slack = _field(cfg, "scan_slack", _number, 0.3)
+        system = _system(cfg)
+        leaves = system.level(system.max_depth)
+        top = min(1.0, leaves.min_gap())  # both grid widths must resolve every gap
+        cell = _field(cfg, "cell_width", _checked(_number, lambda w: 0.0 < w <= top,
+                                                  f"0 < value <= {top:g}, the smallest gap"))
+        refine = _field(cfg, "refine", _checked(
+            _number, lambda r: 0.0 < r < math.inf and cell / r <= top,
+            f"0 < value < inf and cell_width / value <= {top:g}"), 3.0)
+        measure = dimension.natural_measure(leaves)
+        if "atoms" in cfg:
+            atoms = _field(cfg, "atoms", _checked(_PAIRS, lambda a: np.all(a[:, 1] >= 0),
+                                                  "[x, mass] pairs, masses >= 0"))
+            # lambda_E stays a probability measure; growth slopes do not see the scale
+            masses = np.concatenate([measure.masses, atoms[:, 1]])
+            measure = dimension.DiscreteMeasure(
+                lefts=np.concatenate([measure.lefts, atoms[:, 0]]),
+                rights=np.concatenate([measure.rights, atoms[:, 0]]),
+                masses=masses / np.sum(masses),
+            )
 
     scan = _growth_scan(measure, leaves, eps_list, slack=slack)
     _write_csv(outdir / "growth_scan.csv",
@@ -519,10 +515,10 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
     all_ok = True
     for d in d_sweep:
         for width in (cell, cell / refine):
-            sysd = product_system(leaves, measure, Y, width, p=1.0 + d)
-            res = solve_fuglede(sysd)
+            sysd = modulus.product_system(leaves, measure, Y, width, p=1.0 + d)
+            res = modulus.solve_fuglede(sysd)
             _check_solve(res, f" at d={d}")
-            bound = holder_lower_bound(sysd, d)
+            bound = modulus.holder_lower_bound(sysd, d)
             ok = res.value >= bound - 1e-3
             all_ok &= ok
             rows.append((d, width, res.value, bound, res.kkt_residual, int(ok)))
@@ -560,28 +556,30 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     try:
         cfg, raw = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _field(cfg, "seed", _NATURAL, 0) if args.seed is None else args.seed
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         files = _COMMANDS[args.command](cfg, outdir, seed)
         _write_manifest(outdir, args.command, raw, files)
-    except (ValueError, KeyError, TypeError) as exc:  # ConfigError, GapSequenceError
+    except (ConfigError, cantor.GapSequenceError, modulus.InfeasibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ScanError as exc:
         print(f"scan failure: {exc}", file=sys.stderr)
         return EXIT_SCAN
-    except (SolverError, NonConvergenceError) as exc:
+    except (SolverError, modulus.NonConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MemoryError as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INTERNAL
-    except AssertionError as exc:
-        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+    except (AssertionError, ValueError, TypeError, LookupError) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 

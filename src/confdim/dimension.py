@@ -89,13 +89,13 @@ def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
     and ball scans and `DiscreteMeasure.window_masses`, which serves the
     mass-bound scan, the theorem-b growth scan, the product-system
     rasterization and the fiber scan of `modulus_comparison`.  Both ends
-    must be sorted; intervals may touch or overlap by rounding.
+    must be sorted, and every interval must have positive length; intervals
+    may touch or overlap by rounding.
 
     ``csum`` is the cumulative mass with a leading 0.  The intervals j0 (the
     first with right >= x0) .. j1 (the last with left <= x1) meet a window;
     their prefix sum loses the outside fraction of interval j0 and, when it
-    is another one, of interval j1.  An atom (left == right) that meets a
-    window lies wholly inside it.  A window that meets no interval has
+    is another one, of interval j1.  A window that meets no interval has
     j1 < j0 and mass 0, and so has one that only touches interval ends,
     where the prefix sum would leave a rounding residue instead of 0.
     Returns (mu, j0, j1).
@@ -109,9 +109,7 @@ def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
 
     def inside(j):
         l, r = lefts[j], rights[j]
-        atom = r == l
-        frac = (np.minimum(r, x1) - np.maximum(l, x0)) / np.where(atom, 1.0, r - l)
-        return np.where(atom, 1.0, np.clip(frac, 0.0, 1.0))
+        return np.clip((np.minimum(r, x1) - np.maximum(l, x0)) / (r - l), 0.0, 1.0)
 
     f0, f1 = inside(a), inside(b)
     mu = np.zeros(x0s.shape)

@@ -1,14 +1,19 @@
+import contextlib
+import copy
 import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import confdim
 import confdim.cli as cli
@@ -370,6 +375,248 @@ def test_theorem_b_nonpositive_width_or_refine_exits_2_before_any_work(tmp_path,
     assert code == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_theorem_b_atoms_that_pass_the_scan_keep_a_probability_measure(tmp_path, capsys):
+    # the atoms raised the total mass above 1, and the product members failed
+    # the Holder bound's normalization check
+    cfg = {**THEOREM_B6, "atoms": [[0.26, 0.001], [0.5, 0.0]]}
+    code, out = run(tmp_path, "theorem-b", cfg)
+    assert code == 0, capsys.readouterr().err
+    values = [float(line.split(",")[2])
+              for line in (out / "products.csv").read_text().splitlines()[1:]]
+    assert len(values) == 2 and all(abs(v - 1.0) < 1e-9 for v in values)
+
+
+HARMONIC6 = {"c": "harmonic", "depth": 6}
+UNIFORM2 = {"kind": "uniform", "gammas": [0.1, 0.1], "n_children": [3, 3], "depth": 2}
+
+
+@pytest.mark.parametrize("command,cfg,field", [
+    ("theorem-b", {**THEOREM_B6, "cell_width": 0.05}, "cell_width"),
+    ("theorem-a", {**THEOREM_A6, "tail_window": 0}, "tail_window"),
+    ("theorem-a", {**THEOREM_A6, "d_sweep": [1.0]}, "d_sweep"),
+    ("theorem-a", {**THEOREM_A6, "maps": {"kind": "identity"}}, "maps"),
+    ("theorem-a", {**THEOREM_A6, "minkowski_points": [10, 20000]}, "minkowski_points"),
+    ("dimension", {"system": HARMONIC6, "epsilons": [0.1], "mass_bound": {"d": 0.9}}, "scales"),
+    ("mass", {"system": HARMONIC6, "map": {"kind": "identity"}, "d": "x"}, "d"),
+    ("distort", {"map": {"kind": "identity"}, "n_pairs": -5}, "n_pairs"),
+    ("mass", {"system": UNIFORM2, "map": {"kind": "identity"}, "d": 0.5}, "system"),
+    ("distort", {"map": {"kind": "dyadic_weight"}, "eta": "identity"}, "interval"),
+    ("generate", {"system": {"c": "harmonic", "depth": 3.7}}, "depth"),
+], ids=["cell-width-above-gap", "tail-window-0", "d-sweep-1", "maps-object",
+        "minkowski-point-too-long", "mass-bound-without-scales", "d-string",
+        "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval", "depth-3.7"])
+def test_config_faults_found_mid_run_exit_2_naming_the_field_before_any_work(
+        tmp_path, capsys, command, cfg, field):
+    code, out = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"field '{field}'" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError, KeyError])
+def test_a_library_fault_in_the_run_step_exits_5(tmp_path, capsys, monkeypatch, error):
+    def broken(system, qsmap, d):
+        raise error("broken certificate")
+
+    monkeypatch.setattr(qsmass, "certificate", broken)
+    code, _ = run(tmp_path, "mass", MASS14)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "broken certificate" in err
+    assert err.count("\n") == 1
+
+
+# small configs that run to exit 0; a key that is no command names its command
+# in _COMMAND_OF
+_FUZZ_BASES = {
+    "generate": {"system": {"c": "harmonic", "depth": 4}, "seed": 1},
+    "uniform": {"system": {"kind": "uniform", "gammas": [0.1, 0.2], "n_children": [3, 2],
+                           "depth": 2}},
+    "dimension": {"system": {"c": {"const": 1 / 3}, "depth": 5},
+                  "epsilons": {"base": 3.0, "k_min": 1, "k_max": 4},
+                  "mass_bound": {"d": 0.6, "scales": [0.1, 0.01]}},
+    "distort": {"map": {"kind": "power", "a": 2, "eta": {"C": 4.3, "K": 2}},
+                "interval": [0.0, 1.0], "n_pairs": 5},
+    "dyadic": {"map": {"kind": "dyadic_weight", "rho": 2.0, "weight_depth": 3, "seed": 1},
+               "eta": {"ts": [0.1, 1.0, 10.0], "etas": [0.1, 1.0, 10.0]},
+               "interval": [0.0, 1.0], "n_pairs": 5},
+    "mass": {"system": {"c": "harmonic", "depth": 5}, "map": {"kind": "identity"}, "d": 0.9},
+    "fuglede": {"problem": {"kind": "fuglede", "mu": [1, 1, 1],
+                            "members": [[1, 1, 0], [0, 1, 1]], "p": 2}},
+    "discrete": {"problem": {"kind": "discrete", "p": 2, "delta": 1.0,
+                             "balls": [[0.0, 0.5], [2.0, 0.5], [4.0, 0.5]],
+                             "sets": [[0.05], [[1.95, 4.05]]]}},
+    "incidence": {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS,
+                              "incidence": [[1, 0], [1, 1]]}},
+    "theorem-a": {"depth": 4, "minkowski_n": 20, "minkowski_points": [5, 20], "tail_window": 10,
+                  "M": 1.0, "c": "harmonic", "maps": [{"kind": "power", "a": 2, "label": "sq"}],
+                  "d_sweep": [0.9], "control": {"c": 0.3}},
+    "theorem-b": {"system": {"c": "harmonic", "depth": 4}, "Y": [[0.0, 1.0]],
+                  "cell_width": 0.005, "refine": 2.0, "d_sweep": [0.6], "eps_list": [0.2],
+                  "scan_slack": 0.3, "atoms": [[0.5, 0.0]]},
+}
+_COMMAND_OF = {"uniform": "generate", "dyadic": "distort", "fuglede": "modulus",
+               "discrete": "modulus", "incidence": "modulus"}
+
+# small, so that a depth read as its integer part stays cheap
+_NON_INTEGER = st.floats(0.1, 3.9).filter(lambda v: not v.is_integer())
+_NOT_NATURAL = st.integers(max_value=-1) | _NON_INTEGER
+_NOT_COUNT = st.integers(max_value=0) | _NON_INTEGER
+_NOT_POSITIVE = st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+_NOT_FRACTION = st.floats().filter(lambda v: not 0.0 < v < 1.0)
+_BAD_GAPS = st.sampled_from(["bogus", {"const": 1.5}, {"const": -0.1}, {"const": "0.3"},
+                             {"values": [0.5, 1.0, 0.1, 0.1, 0.1]}, {"x": 1},
+                             {"file": "no-such-gap-file.txt"}])
+
+
+def _text_but(*valid):
+    return st.text(max_size=8).filter(lambda t: t not in valid)
+
+
+# (base config, path of the field, the JSON types it accepts, required, values
+# of an accepted type that are out of range)
+_FUZZ_FIELDS = [
+    ("generate", ("system",), {"object"}, True, st.nothing()),
+    ("generate", ("system", "depth"), {"number"}, True, _NOT_NATURAL),
+    ("generate", ("system", "c"), {"string", "object"}, True, _BAD_GAPS),
+    ("generate", ("system", "kind"), {"string"}, False,
+     _text_but("middle_interval", "uniform")),
+    ("generate", ("system", "length"), {"number"}, False, st.integers(max_value=3)),
+    ("generate", ("seed",), {"number"}, False, _NOT_NATURAL),
+    ("uniform", ("system", "gammas"), {"list"}, True,
+     st.sampled_from([[0.6, 0.9], ["x", 0.1], [0.1], [1.2, 0.1]])),
+    ("uniform", ("system", "n_children"), {"list"}, True,
+     st.sampled_from([[1, 2], [2.5, 2], [3], [3, "2"]])),
+    ("dimension", ("epsilons",), {"list", "object"}, True,
+     st.lists(_NOT_POSITIVE, min_size=1, max_size=3)
+     | st.sampled_from([{"base": 0, "k_max": 2}, {"base": 3.0, "k_max": 2.5}, {"base": 3.0},
+                        {"base": 0.5, "k_max": 2000}, {"base": 3.0, "k_max": 2000}])),
+    ("dimension", ("mass_bound",), {"object"}, False, st.nothing()),
+    ("dimension", ("mass_bound", "d"), {"number"}, True,
+     st.floats().filter(lambda v: not 0.0 < v <= 1.0)),
+    ("dimension", ("mass_bound", "scales"), {"list"}, True,
+     st.just([]) | st.lists(_NOT_POSITIVE, min_size=1, max_size=3)),
+    ("distort", ("map",), {"object"}, True, st.nothing()),
+    ("distort", ("map", "kind"), {"string"}, True,
+     _text_but("identity", "power", "dyadic_weight")),
+    ("distort", ("map", "a"), {"number"}, True, _NOT_POSITIVE),
+    ("distort", ("map", "eta"), {"string", "object", "null"}, True, _text_but("identity")),
+    ("distort", ("map", "eta", "C"), {"number"}, True, st.floats(max_value=0.0)),
+    ("distort", ("map", "eta", "K"), {"number"}, True, st.floats(max_value=0.99)),
+    ("distort", ("interval",), {"list"}, False,
+     st.sampled_from([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0, 2.0], [0.0], [-1e308, 1e308]])),
+    ("distort", ("n_pairs",), {"number"}, False, _NOT_COUNT),
+    ("dyadic", ("map", "rho"), {"number"}, False, st.floats(max_value=0.99)),
+    ("dyadic", ("map", "weight_depth"), {"number"}, False, _NOT_NATURAL),
+    ("dyadic", ("map", "seed"), {"number"}, False, _NOT_NATURAL),
+    ("dyadic", ("eta",), {"string", "object", "null"}, False, _text_but("identity")),
+    ("dyadic", ("eta", "ts"), {"list"}, True,
+     st.sampled_from([[1.0, 0.1, 10.0], [-1.0, 1.0, 2.0]])),
+    ("dyadic", ("eta", "etas"), {"list"}, True, st.sampled_from([[1.0], [1.0, 0.5, 0.1]])),
+    ("dyadic", ("interval",), {"list"}, False, st.sampled_from([[-1.0, 1.0], [0.5, 1.5]])),
+    ("mass", ("system",), {"object"}, True, st.nothing()),
+    ("mass", ("system", "depth"), {"number"}, True, _NOT_COUNT),
+    ("mass", ("map",), {"object"}, True, st.nothing()),
+    ("mass", ("d",), {"number"}, True, _NOT_FRACTION),
+    ("fuglede", ("problem",), {"object"}, True, st.nothing()),
+    ("fuglede", ("problem", "kind"), {"string"}, True, _text_but("fuglede", "discrete")),
+    ("fuglede", ("problem", "p"), {"number"}, True, st.floats(max_value=1.0)),
+    ("fuglede", ("problem", "mu"), {"list"}, True,
+     st.sampled_from([[-1, 1, 1], [[1, 1, 1]], [0, 0, 0], [1, 1]])),
+    ("fuglede", ("problem", "members"), {"list"}, True,
+     st.sampled_from([[[1, 1]], [[0, 0, 0]], [[-1, 2, 0]], [1, 1, 1]])),
+    ("discrete", ("problem", "balls"), {"list"}, True,
+     st.sampled_from([[0.5, 0.1], [[0.0, 0.5, 1.0]], [], [[0.0, 0.5], [0.1, 0.5]]])),
+    ("discrete", ("problem", "sets"), {"list"}, True,
+     st.sampled_from([[[9.0]], [[[[0.0]]]], [], [[[0.0, 1.0, 2.0]]]])),
+    ("discrete", ("problem", "delta"), {"number", "null"}, False, st.floats(max_value=0.99)),
+    ("discrete", ("problem", "p"), {"number"}, True, st.floats(max_value=1.0)),
+    ("incidence", ("problem", "incidence"), {"list"}, True,
+     st.sampled_from([[[1, 0, 1]], [[0, 0]], [], [[1], [1]]])),
+    ("theorem-a", ("depth",), {"number"}, False, _NOT_COUNT),
+    ("theorem-a", ("minkowski_n",), {"number"}, False, _NOT_COUNT),
+    ("theorem-a", ("minkowski_points",), {"list"}, False,
+     st.just([]) | st.lists(st.integers(21, 10 ** 6) | st.integers(max_value=0), min_size=1,
+                            max_size=3)),
+    ("theorem-a", ("tail_window",), {"number"}, False, _NOT_COUNT),
+    ("theorem-a", ("M",), {"number"}, False, st.nothing()),
+    ("theorem-a", ("c",), {"string", "object"}, False, _BAD_GAPS),
+    ("theorem-a", ("maps",), {"list"}, True, st.sampled_from([[5], [{"a": 2}]])),
+    ("theorem-a", ("maps", 0, "a"), {"number"}, True, _NOT_POSITIVE),
+    ("theorem-a", ("d_sweep",), {"list"}, False, st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
+    ("theorem-a", ("control",), {"object", "null"}, False, st.nothing()),
+    ("theorem-a", ("control", "c"), {"number"}, False,
+     st.floats().filter(lambda v: not 0.0 <= v < 1.0)),
+    ("theorem-b", ("system",), {"object"}, True, st.nothing()),
+    ("theorem-b", ("Y",), {"list"}, True,
+     st.sampled_from([[[0.0]], [[0.0, -1.0]], [[0.0, 0.0]], [], [0.0, 1.0]])),
+    ("theorem-b", ("cell_width",), {"number"}, True, _NOT_POSITIVE | st.floats(0.0063, 1e6)),
+    ("theorem-b", ("refine",), {"number"}, False, _NOT_POSITIVE | st.floats(0.0, 0.79)),
+    ("theorem-b", ("d_sweep",), {"list"}, False, st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
+    ("theorem-b", ("eps_list",), {"list"}, False, st.nothing()),
+    ("theorem-b", ("scan_slack",), {"number"}, False, st.nothing()),
+    ("theorem-b", ("atoms",), {"list"}, False,
+     st.sampled_from([[[0.1, -0.5]], [0.1, 0.2], [[0.1, 0.2, 0.3]], []])),
+]
+
+_JSON_TYPES = {
+    "string": st.text(max_size=8),
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-10, 10) | st.floats(allow_nan=False),
+    "list": st.lists(st.integers(0, 3), max_size=3),
+    "object": st.dictionaries(st.sampled_from(["x", "kind", "c"]), st.integers(0, 3), max_size=2),
+}
+_DROP = object()
+
+
+def _mutated(base, path, value):
+    """A copy of the base config with the field at `path` set to `value`, or dropped."""
+    cfg = copy.deepcopy(_FUZZ_BASES[base])
+    *parents, key = path
+    owner = functools.reduce(lambda node, k: node[k], parents, cfg)
+    if value is _DROP:
+        del owner[key]
+    else:
+        owner[key] = value
+    return cfg
+
+
+def _run_quietly(command, cfg):
+    """Run in a fresh directory: exit code, stderr, and the files written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    return code, err.getvalue(), files
+
+
+@pytest.mark.parametrize("base", sorted(_FUZZ_BASES))
+def test_fuzz_bases_run(base):
+    code, err, files = _run_quietly(_COMMAND_OF.get(base, base), _FUZZ_BASES[base])
+    assert code == 0, err
+    assert "manifest.json" in files
+
+
+@pytest.mark.parametrize("base,path,types,required,bad", _FUZZ_FIELDS,
+                         ids=[f"{f[0]}-{'.'.join(map(str, f[1]))}" for f in _FUZZ_FIELDS])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_broken_config_field_exits_2_before_any_work(base, path, types, required, bad,
+                                                           data):
+    wrong = st.one_of(*(s for name, s in _JSON_TYPES.items() if name not in types))
+    value = data.draw((st.just(_DROP) if required else st.nothing()) | wrong | bad)
+    code, err, files = _run_quietly(_COMMAND_OF.get(base, base), _mutated(base, path, value))
+    assert code == 2, err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert files == []
 
 
 def test_runtime_loads_no_test_only_package():

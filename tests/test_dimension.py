@@ -205,11 +205,10 @@ def test_sorted_window_masses_equal_the_certificate_formula_bitwise(case):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_intervals_and_windows(atoms=True))
-def test_sorted_window_masses_with_atoms_match_a_scalar_loop(case):
+def test_discrete_measure_window_masses_with_atoms_match_a_scalar_loop(case):
     lefts, rights, masses, x0, x1 = case
-    csum = np.concatenate([[0.0], np.cumsum(masses)])
-    mu, _, _ = sorted_window_masses(lefts, rights, masses, csum, x0, x1)
     m = DiscreteMeasure(lefts=lefts, rights=rights, masses=masses)
+    mu = m.window_masses(x0, x1)
     want = np.array([_scalar_window_mass(m, a, b) for a, b in zip(x0, x1)])
     assert np.all(np.isfinite(mu))
     assert np.max(np.abs(mu - want)) <= 1e-12 * m.total_mass
