@@ -181,7 +181,10 @@ def _qs_map(spec, seed: int) -> qsmaps.QsMap:
     if kind == "power":
         return qsmaps.QsMap.power(_field(spec, "a", _POSITIVE), eta=eta)
     rho = _field(spec, "rho", _checked(_POSITIVE, lambda r: r >= 1, "rho >= 1"), 2.0)
-    return qsmaps.QsMap.dyadic_weight(rho=rho, depth=_field(spec, "weight_depth", _NATURAL, 8),
+    depth = _field(spec, "weight_depth", _checked(
+        _NATURAL, lambda n: n < cantor.MEMORY_CAP.bit_length(),  # 2 ** n <= MEMORY_CAP
+        f"2 ** weight_depth <= {cantor.MEMORY_CAP}"), 8)
+    return qsmaps.QsMap.dyadic_weight(rho=rho, depth=depth,
                                       seed=_field(spec, "seed", _NATURAL, seed), eta=eta)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from confdim.cantor import IntervalLevel, parent_indices
+from confdim.cantor import MEMORY_CAP, IntervalLevel, parent_indices
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,14 @@ class QsMap:
 
         With explicit ``ratios`` (one array of 2^k values per level k) those
         are used directly; otherwise deterministic ratios in [1/rho, rho] are
-        drawn from ``seed``.
+        drawn from ``seed``, for a profile of 2 ** depth + 1 points with
+        2 ** depth <= MEMORY_CAP.
         """
         if ratios is None:
             if rho < 1:
                 raise ValueError("rho must be >= 1")
+            if depth >= MEMORY_CAP.bit_length():  # 2 ** depth > MEMORY_CAP
+                raise ValueError(f"depth {depth}: 2 ** depth profile intervals > cap {MEMORY_CAP}")
             rng = np.random.default_rng(seed)
             ratios = [
                 np.exp(rng.uniform(-math.log(rho), math.log(rho), size=2 ** k))
@@ -151,6 +154,8 @@ class QsMap:
 
     def _check_domain(self, x: np.ndarray):
         lo, hi = self.domain
+        if lo == -math.inf and hi == math.inf:  # no value lies outside
+            return
         if np.any(x < lo) or np.any(x > hi):
             raise ValueError(f"point outside map domain [{lo}, {hi}]")
 
@@ -275,12 +280,6 @@ class ImageLevel:
     @property
     def count(self) -> int:
         return len(self.lefts)
-
-    def sibling_gaps(self) -> np.ndarray:
-        """dist(f(E), f(E')) per binary sibling pair (2j, 2j+1)."""
-        if self.count % 2 != 0:
-            raise ValueError("sibling gaps assume a binary level")
-        return self.lefts[1::2] - self.rights[0::2]
 
 
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:

@@ -8,6 +8,9 @@ proportion to diam^d; the per-generation factors
 control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
+
+The measure is built level by level in blocks of PAIR_BLOCK sibling pairs, so
+its temporaries stay cache-sized; each node's bits are those of a whole-level pass.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ _REL_TOL = 1e-9
 # most MAX_WINDOWS ball centers and a window step of at least 1/MAX_WINDOWS
 STABILITY_FACTOR = 2.0
 MAX_WINDOWS = 512
+
+# sibling pairs per block of build_recursive_measure: a block's temporaries
+# stay in cache, and none spans a whole deep level
+PAIR_BLOCK = 2 ** 15
 
 
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
@@ -65,33 +72,44 @@ def build_recursive_measure(tree: list, d: float) -> RecursiveMeasure:
     prod = np.array([1.0])  # prod of p_i along the root-to-node path, current level
     p_max = []
     growth = [float(np.max(masses[0] / tree[0].diams ** d))]
-    for n in range(1, len(tree)):
-        lv = tree[n]
-        diams = lv.diams
-        dl, dr = diams[0::2], diams[1::2]
-        gap = lv.sibling_gaps()
-        w = diams ** d
-        wl, wr = w[0::2], w[1::2]
-        denom = wl + wr
-        parent_mass = masses[n - 1]
-        child = np.empty(lv.count)
-        # Sterbenz two-step: the larger child lands in [parent/2, parent], so
-        # the final complement is exact and siblings sum to the parent bitwise
-        small0 = parent_mass * np.minimum(wl, wr) / denom
-        big = parent_mass - small0
-        small = parent_mass - big
-        left_is_small = wl <= wr
-        child[0::2] = np.where(left_is_small, small, big)
-        child[1::2] = np.where(left_is_small, big, small)
-        p = (dl + gap + dr) ** d / denom
-        prod = np.repeat(prod * p, 2)
+    for lv in tree[1:]:
+        parent_mass, parent_prod = masses[-1], prod
+        pairs = len(parent_mass)
+        if lv.count != 2 * pairs:
+            raise ValueError(f"level {lv.depth} is not binary")
+        child, prod = np.empty(lv.count), np.empty(lv.count)
+        p_top = growth_top = -np.inf
+        for j0 in range(0, pairs, PAIR_BLOCK):
+            j1 = min(j0 + PAIR_BLOCK, pairs)
+            lefts, rights = lv.lefts[2 * j0:2 * j1], lv.rights[2 * j0:2 * j1]
+            diams = rights - lefts
+            dl, dr = diams[0::2], diams[1::2]
+            gap = lefts[1::2] - rights[0::2]
+            w = diams ** d
+            wl, wr = w[0::2], w[1::2]
+            denom = wl + wr
+            pm = parent_mass[j0:j1]
+            # Sterbenz two-step: the larger child lands in [parent/2, parent], so
+            # the final complement is exact and siblings sum to the parent bitwise
+            small0 = pm * np.minimum(wl, wr) / denom
+            big = pm - small0
+            small = pm - big
+            left_is_small = wl <= wr
+            mass = child[2 * j0:2 * j1]
+            mass[0::2] = np.where(left_is_small, small, big)
+            mass[1::2] = np.where(left_is_small, big, small)
+            p = (dl + gap + dr) ** d / denom
+            path = prod[2 * j0:2 * j1]
+            path[0::2] = path[1::2] = parent_prod[j0:j1] * p
+            # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
+            ratio = mass / w
+            if np.any(ratio > path * (1.0 + _REL_TOL)):
+                raise AssertionError("path-product bound violated beyond tolerance")
+            p_top = np.maximum(p_top, np.max(p))
+            growth_top = np.maximum(growth_top, np.max(ratio))
         masses.append(child)
-        p_max.append(float(np.max(p)))
-        # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
-        ratio = child / w
-        if np.any(ratio > prod * (1.0 + _REL_TOL)):
-            raise AssertionError("path-product bound violated beyond tolerance")
-        growth.append(float(np.max(ratio)))
+        p_max.append(float(p_top))
+        growth.append(float(growth_top))
     return RecursiveMeasure(d=d, masses=masses, level_growth=np.array(growth),
                             p_max=np.array(p_max))
 
@@ -181,7 +199,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
         interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
 
         # ball scan on the image side at the matching image scale
-        r = float(np.median(tree[n].diams))
+        r = float(np.median(tree[n].diams, overwrite_input=True))
         mu_b, k0, k1 = sorted_window_masses(img_l, img_r, leaf_mass, csum,
                                             centers - r, centers + r)
         hit = k1 >= k0

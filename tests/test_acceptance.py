@@ -106,7 +106,8 @@ def test_criterion_3_measure_machinery():
     for n in range(1, 15):
         lv = tree[n]
         dl, dr = lv.diams[0::2], lv.diams[1::2]
-        prod = np.repeat(prod * (dl + lv.sibling_gaps() + dr) ** 0.9
+        gap = lv.lefts[1::2] - lv.rights[0::2]
+        prod = np.repeat(prod * (dl + gap + dr) ** 0.9
                          / (dl ** 0.9 + dr ** 0.9), 2)
         bounded &= bool(np.all(measure.masses[n] / lv.diams ** 0.9 <= prod * (1 + 1e-9)))
     small = build_system(GapSequence.constant(0.01, 8), max_depth=8)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import confdim
+import confdim.cantor as cantor
 import confdim.cli as cli
 import confdim.modulus as modulus
 import confdim.qsmass as qsmass
@@ -511,7 +512,9 @@ _FUZZ_FIELDS = [
      st.sampled_from([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0, 2.0], [0.0], [-1e308, 1e308]])),
     ("distort", ("n_pairs",), {"number"}, False, _NOT_COUNT),
     ("dyadic", ("map", "rho"), {"number"}, False, st.floats(max_value=0.99)),
-    ("dyadic", ("map", "weight_depth"), {"number"}, False, _NOT_NATURAL),
+    ("dyadic", ("map", "weight_depth"), {"number"}, False,
+     _NOT_NATURAL | st.integers(cantor.MEMORY_CAP.bit_length(), 2 ** 70)
+     | st.sampled_from([30, 40, 1e300])),
     ("dyadic", ("map", "seed"), {"number"}, False, _NOT_NATURAL),
     ("dyadic", ("eta",), {"string", "object", "null"}, False, _text_but("identity")),
     ("dyadic", ("eta", "ts"), {"list"}, True,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import confdim.qsmaps as qsmaps
 from confdim.cantor import GapSequence, build_system
 from confdim.qsmaps import (
     EtaModulus,
@@ -68,6 +69,28 @@ def test_dyadic_map_rejects_domain_violation():
     f = QsMap.dyadic_weight(depth=3, seed=0)
     with pytest.raises(ValueError):
         f.apply(1.5)
+
+
+def test_dyadic_map_refuses_a_depth_above_the_cap_before_drawing(monkeypatch):
+    monkeypatch.setattr(qsmaps, "MEMORY_CAP", 2 ** 4)
+    assert len(QsMap.dyadic_weight(depth=4)._ys) == 2 ** 4 + 1
+    monkeypatch.setattr(qsmaps.np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    for depth in (5, 30):
+        with pytest.raises(ValueError, match="cap"):
+            QsMap.dyadic_weight(depth=depth)
+
+
+def test_unbounded_domain_check_reads_no_value():
+    class Unreadable(np.ndarray):
+        def __lt__(self, other):
+            raise AssertionError("compared")
+        __gt__ = __lt__
+
+    x = np.linspace(-1.0, 1.0, 5).view(Unreadable)
+    QsMap.power(2.0)._check_domain(x)
+    QsMap.identity()._check_domain(x)
+    with pytest.raises(AssertionError, match="compared"):
+        QsMap.dyadic_weight(depth=3)._check_domain(x)
 
 
 def test_identity_satisfies_identity_eta():
@@ -147,7 +170,6 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
         assert np.array_equal(img.parent_index, lv.parent_index)
         assert np.all(img.diams > 0)
         assert np.all(img.lefts[1:] > img.rights[:-1])
-        assert len(img.sibling_gaps()) == img.count // 2
         # even children share their parent's left end bit for bit
         assert np.array_equal(lv.lefts[0::2], parent.lefts)
         assert np.array_equal(img.lefts[0::2], parent_img.lefts)

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
-from confdim.qsmaps import QsMap
+from confdim.qsmaps import ImageLevel, QsMap
 from confdim.qsmass import (
     _ball_centers,
     build_image_tree,
@@ -110,7 +110,8 @@ def _path_products(tree, d):
     prods = [prod]
     for lv in tree[1:]:
         dl, dr = lv.diams[0::2], lv.diams[1::2]
-        prod = np.repeat(prod * (dl + lv.sibling_gaps() + dr) ** d / (dl ** d + dr ** d), 2)
+        gap = lv.lefts[1::2] - lv.rights[0::2]
+        prod = np.repeat(prod * (dl + gap + dr) ** d / (dl ** d + dr ** d), 2)
         prods.append(prod)
     return prods
 
@@ -124,6 +125,134 @@ def test_path_product_dominates_node_growth(c, a, d, depth):
     for n in range(1, depth + 1):
         ratio = m.masses[n] / tree[n].diams ** m.d
         assert np.all(ratio <= prods[n] * (1 + 1e-9))
+
+
+def _whole_level_measure(tree, d):
+    """The measure built one whole level at a time, as before the blocks."""
+    masses = [np.array([1.0])]
+    prod = np.array([1.0])
+    p_max = []
+    growth = [float(np.max(masses[0] / tree[0].diams ** d))]
+    for n in range(1, len(tree)):
+        lv = tree[n]
+        diams = lv.diams
+        dl, dr = diams[0::2], diams[1::2]
+        gap = lv.lefts[1::2] - lv.rights[0::2]
+        w = diams ** d
+        wl, wr = w[0::2], w[1::2]
+        denom = wl + wr
+        parent_mass = masses[n - 1]
+        child = np.empty(lv.count)
+        small0 = parent_mass * np.minimum(wl, wr) / denom
+        big = parent_mass - small0
+        small = parent_mass - big
+        left_is_small = wl <= wr
+        child[0::2] = np.where(left_is_small, small, big)
+        child[1::2] = np.where(left_is_small, big, small)
+        p = (dl + gap + dr) ** d / denom
+        prod = np.repeat(prod * p, 2)
+        masses.append(child)
+        p_max.append(float(np.max(p)))
+        ratio = child / w
+        if np.any(ratio > prod * (1.0 + 1e-9)):
+            raise AssertionError("path-product bound violated beyond tolerance")
+        growth.append(float(np.max(ratio)))
+    return masses, np.array(growth), np.array(p_max)
+
+
+def _mirrored(tree):
+    """The tree under x -> -x, nodes in increasing order: node j becomes node count-1-j."""
+    return [ImageLevel(depth=lv.depth, lefts=-lv.rights[::-1], rights=-lv.lefts[::-1],
+                       branching=lv.branching) for lv in tree]
+
+
+def _bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _blocked_measure(tree, d, block):
+    """build_recursive_measure at PAIR_BLOCK = block, or None when its check fires."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsmass, "PAIR_BLOCK", block)
+        try:
+            return build_recursive_measure(tree, d)
+        except AssertionError:
+            return None
+
+
+# the gaps of a config whose very unequal siblings trip the path-product check
+UNEQUAL_SIBLINGS = [0.9873274616875112, 0.045941028027493315, 0.18607872130125316,
+                    0.14611824603020393, 0.3356267613582828, 0.9290789854345256]
+_BLOCKS = [1, 3] + [2 ** k for k in range(8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.one_of(st.just("harmonic"), st.floats(0.05, 0.9),
+                   st.lists(st.floats(0.01, 0.99), min_size=10, max_size=10)),
+       power=st.one_of(st.none(), st.floats(1.0, 5.0)),
+       rho=st.floats(1.0, 4.0), weight_depth=st.integers(0, 8), seed=st.integers(0, 2 ** 16),
+       d=st.floats(0.05, 0.95), depth=st.integers(1, 10), block=st.sampled_from(_BLOCKS),
+       mirror=st.booleans())
+@example(c=UNEQUAL_SIBLINGS, power=5.0, rho=1.0, weight_depth=0, seed=0, d=0.9, depth=6,
+         block=1, mirror=False)
+@example(c="harmonic", power=None, rho=3.0, weight_depth=8, seed=1, d=0.9, depth=10, block=3,
+         mirror=False)
+def test_block_build_equals_the_whole_level_build_bitwise(c, power, rho, weight_depth, seed, d,
+                                                          depth, block, mirror):
+    """Power maps, or dyadic_weight maps when `power` is None; `mirror` flips the tree."""
+    gaps = GapSequence(values=tuple(c)) if isinstance(c, list) else _gaps(c, depth)
+    qsmap = (QsMap.power(power) if power is not None
+             else QsMap.dyadic_weight(rho=rho, depth=weight_depth, seed=seed))
+    try:
+        tree = build_image_tree(build_system(gaps, max_depth=depth), qsmap)
+    except ValueError:  # leaf images below double resolution
+        reject()
+    if mirror:
+        tree = _mirrored(tree)
+    try:
+        want = _whole_level_measure(tree, d)
+    except AssertionError:
+        want = None
+    got = _blocked_measure(tree, d, block)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        masses, growth, p_max = want
+        assert _bits(got.masses) == _bits(masses)
+        assert _bits([got.level_growth, got.p_max]) == _bits([growth, p_max])
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("first", [[], [0.5, 0.5]])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_unequal_siblings_trip_the_check_at_every_block_size(block, first, mirror):
+    """The check fires on the first node of level 1, or of level 3 after `first`;
+    mirrored, on the last node."""
+    tree = build_image_tree(build_system(GapSequence(values=tuple(first + UNEQUAL_SIBLINGS)),
+                                         max_depth=6), QsMap.power(5.0))
+    if mirror:
+        tree = _mirrored(tree)
+    with pytest.raises(AssertionError):
+        _whole_level_measure(tree, 0.9)
+    assert _blocked_measure(tree, 0.9, block) is None
+
+
+def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
+    # at depth 16 the deepest level spans 32 blocks of 2^10 pairs
+    monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
+    tree = build_image_tree(build_system(GapSequence.harmonic(16), max_depth=16),
+                            QsMap.power(2.0))
+    tracemalloc.start()
+    try:
+        m = build_recursive_measure(tree, 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in m.masses)
+    # the masses, the path products of two levels and one block's temporaries;
+    # a whole-level build needs about 8x the leaf bytes beyond its masses
+    assert peak <= kept + 2 * tree[-1].lefts.nbytes
 
 
 def test_certificate_passes_for_harmonic_identity():
