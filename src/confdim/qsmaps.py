@@ -165,7 +165,9 @@ class QsMap:
         if self.kind == "identity":
             out = x
         elif self.kind == "power":
-            out = np.sign(x) * np.abs(x) ** self.a
+            out = np.abs(x)
+            out **= self.a
+            out *= np.sign(x)
         else:
             out = np.interp(x, self._xs, self._ys)
         return float(out) if out.ndim == 0 else out

@@ -11,6 +11,8 @@ intervals and on balls of the image.
 
 The measure is built level by level in blocks of PAIR_BLOCK sibling pairs, so
 its temporaries stay cache-sized; each node's bits are those of a whole-level pass.
+Siblings share one path product, kept once per pair; the certificate frees
+the upper levels' masses and images before its leaf-sized scans.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def build_recursive_measure(tree: list, d: float) -> RecursiveMeasure:
     if len(tree) < 2:
         raise ValueError("tree depth must be >= 1")
     masses = [np.array([1.0])]
-    prod = np.array([1.0])  # prod of p_i along the root-to-node path, current level
+    prod = np.array([1.0])  # prod of p_i along the root-to-node path, one per sibling pair
     p_max = []
     growth = [float(np.max(masses[0] / tree[0].diams ** d))]
     for lv in tree[1:]:
@@ -77,7 +79,7 @@ def build_recursive_measure(tree: list, d: float) -> RecursiveMeasure:
         pairs = len(parent_mass)
         if lv.count != 2 * pairs:
             raise ValueError(f"level {lv.depth} is not binary")
-        child, prod = np.empty(lv.count), np.empty(lv.count)
+        child, prod = np.empty(lv.count), np.empty(pairs)
         p_top = growth_top = -np.inf
         for j0 in range(0, pairs, PAIR_BLOCK):
             j1 = min(j0 + PAIR_BLOCK, pairs)
@@ -99,11 +101,12 @@ def build_recursive_measure(tree: list, d: float) -> RecursiveMeasure:
             mass[0::2] = np.where(left_is_small, small, big)
             mass[1::2] = np.where(left_is_small, big, small)
             p = (dl + gap + dr) ** d / denom
-            path = prod[2 * j0:2 * j1]
-            path[0::2] = path[1::2] = parent_prod[j0:j1] * p
+            # parent node j is in the parent level's sibling pair j // 2
+            path = prod[j0:j1]
+            np.multiply(parent_prod[np.arange(j0, j1) // 2], p, out=path)
             # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
             ratio = mass / w
-            if np.any(ratio > path * (1.0 + _REL_TOL)):
+            if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
                 raise AssertionError("path-product bound violated beyond tolerance")
             p_top = np.maximum(p_top, np.max(p))
             growth_top = np.maximum(growth_top, np.max(ratio))
@@ -161,25 +164,30 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     depth = system.max_depth
     tree = build_image_tree(system, qsmap)
     measure = build_recursive_measure(tree, d)
-
-    level_growth = measure.level_growth
+    # each step frees what it leaves behind before the next leaf-sized temporary:
+    # the upper masses, then the upper image levels once their ball radii are known
+    leaf_mass, level_growth, p_max = measure.masses[depth], measure.level_growth, measure.p_max
+    del measure
     top = np.arange((depth + 1) // 2, depth + 1)
+    radii = [float(np.median(tree[n].diams, overwrite_input=True)) for n in top]
+    img = tree[depth]
+    del tree
+
     growth_ok = _stability(level_growth[top], STABILITY_FACTOR)
     c_growth = float(np.max(level_growth[top]))
 
     # leaf aggregates for the window / ball scans
     leaves = system.level(depth)
     leaf_l, leaf_r = leaves.lefts, leaves.rights
-    img = tree[depth]
     img_l, img_r = img.lefts, img.rights
-    leaf_mass = measure.masses[depth]
-    csum = np.concatenate([[0.0], np.cumsum(leaf_mass)])
+    csum = np.zeros(len(leaf_mass) + 1)
+    np.cumsum(leaf_mass, out=csum[1:])
     centers = _ball_centers(img_l, img_r, MAX_WINDOWS)
 
     interval_c = np.full(len(top), np.nan)
     ball_c = np.full(len(top), np.nan)
 
-    for ti, n in enumerate(top):
+    for ti, (n, r) in enumerate(zip(top, radii)):
         scale = float(np.exp(system.level(n).log_length))
         step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
         xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
@@ -199,7 +207,6 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
         interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
 
         # ball scan on the image side at the matching image scale
-        r = float(np.median(tree[n].diams, overwrite_input=True))
         mu_b, k0, k1 = sorted_window_masses(img_l, img_r, leaf_mass, csum,
                                             centers - r, centers + r)
         hit = k1 >= k0
@@ -219,5 +226,5 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
         growth_ok=growth_ok,
         interval_ok=interval_ok,
         ball_ok=ball_ok,
-        p_max=measure.p_max,
+        p_max=p_max,
     )

@@ -50,6 +50,18 @@ def test_power_map_is_odd():
     assert f.apply(-0.5) == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("a", [2, 2.0, 0.5, 3, 1.7])
+def test_power_map_bits_equal_sign_times_power(a):
+    tiny = np.finfo(float).smallest_subnormal
+    xs = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny, -1e-310,
+                   1e-300, -0.25, 0.5, 0.7, -1.0, 2.5])
+    f = QsMap.power(a)
+    want = np.sign(xs) * np.abs(xs) ** a
+    assert f.apply(xs).tobytes() == want.tobytes()
+    for x, w in zip(xs, want):
+        assert np.float64(f.apply(x)).tobytes() == w.tobytes()
+
+
 def test_dyadic_map_monotone_and_fixes_0_and_1():
     f = QsMap.dyadic_weight(rho=2.0, depth=6, seed=3)
     xs = np.linspace(0, 1, 257)

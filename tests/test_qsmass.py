@@ -228,9 +228,9 @@ def test_block_build_equals_the_whole_level_build_bitwise(c, power, rho, weight_
 @pytest.mark.parametrize("mirror", [False, True])
 def test_unequal_siblings_trip_the_check_at_every_block_size(block, first, mirror):
     """The check fires on the first node of level 1, or of level 3 after `first`;
-    mirrored, on the last node."""
+    mirrored, on the last node.  The tree ends at that level, so no later one can fire."""
     tree = build_image_tree(build_system(GapSequence(values=tuple(first + UNEQUAL_SIBLINGS)),
-                                         max_depth=6), QsMap.power(5.0))
+                                         max_depth=len(first) + 1), QsMap.power(5.0))
     if mirror:
         tree = _mirrored(tree)
     with pytest.raises(AssertionError):
@@ -250,9 +250,25 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     finally:
         tracemalloc.stop()
     kept = sum(a.nbytes for a in m.masses)
-    # the masses, the path products of two levels and one block's temporaries;
-    # a whole-level build needs about 8x the leaf bytes beyond its masses
-    assert peak <= kept + 2 * tree[-1].lefts.nbytes
+    # the masses, one path product per sibling pair on two levels (3/4 of a leaf
+    # array) and one block's temporaries; a whole-level build needs about 8x
+    # the leaf bytes beyond its masses
+    assert peak <= kept + 1.25 * tree[-1].lefts.nbytes
+
+
+def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
+    monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
+    system = build_system(GapSequence.harmonic(16), max_depth=16)
+    leaf_bytes = system.levels[-1].lefts.nbytes
+    tracemalloc.start()
+    try:
+        certificate(system, QsMap.power(2.0), 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the tree, the masses and the per-pair products while the measure is built;
+    # the scans then hold only the leaf masses and images, csum and leaf right ends
+    assert peak <= 8 * leaf_bytes
 
 
 def test_certificate_passes_for_harmonic_identity():
