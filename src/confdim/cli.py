@@ -121,6 +121,8 @@ _FRACTION = _checked(_number, lambda v: 0.0 < v < 1.0, "0 < value < 1")
 _NATURAL = _checked(_integer, lambda n: n >= 0, "an integer >= 0")
 _COUNT = _checked(_integer, lambda n: n >= 1, "an integer >= 1")
 _VECTOR = _checked(_array, lambda a: a.ndim == 1, "a list of numbers")
+_MEASURE = _checked(_VECTOR, lambda a: np.all(a >= 0) and np.sum(a) > 0,
+                    "nonnegative numbers with a positive sum")
 _PAIRS = _checked(_array, lambda a: a.ndim == 2 and a.shape[1] == 2, "a list of pairs")
 _SET = _checked(_array, lambda s: s.ndim == 1 or s.ndim == 2 and s.shape[1] == 2,
                 "a list of points or of [lo, hi] intervals")
@@ -356,20 +358,26 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
     with _reading():
         prob = _field(cfg, "problem", _object)
         kind = _field(prob, "kind", _one_of("fuglede", "discrete"))
-        p = _field(prob, "p", _number)
+        p = _field(prob, "p", _checked(_number, lambda v: 1.0 < v < math.inf, "1 < value < inf"))
         if kind == "fuglede":
-            problem = modulus.MeasureSystem(mu=_field(prob, "mu", _VECTOR),
-                                            members=_field(prob, "members", _list_of(_VECTOR)),
-                                            p=p)
+            mu = _field(prob, "mu", _MEASURE)
+            members = _field(prob, "members", _checked(
+                _list_of(_MEASURE), lambda ms: all(len(lam) == len(mu) for lam in ms),
+                f"members of {len(mu)} cells"))
+            problem = modulus.MeasureSystem(mu=mu, members=members, p=p)
         else:
             balls = _field(prob, "balls", _array)
             delta = _field(prob, "delta", _optional(_number), None)
             if "incidence" in prob:
+                incidence = _field(prob, "incidence", _checked(
+                    _array, lambda a: a.size and a.ndim == 2 and a.shape[1] == len(balls),
+                    f"a nonempty list of rows of {len(balls)} numbers"))
                 problem = modulus.DiscreteModulusProblem(
-                    balls=balls, p=p, delta=delta, incidence=_field(prob, "incidence", _list))
+                    balls=balls, p=p, delta=delta, incidence=incidence)
             else:
                 problem = modulus.DiscreteModulusProblem.from_intervals_1d(
-                    balls, _field(prob, "sets", _list_of(_SET)), p=p, delta=delta)
+                    balls, _field(prob, "sets", _checked(_list_of(_SET), len, "a nonempty list")),
+                    p=p, delta=delta)
     res = modulus.solve_fuglede(problem) if kind == "fuglede" else solve_discrete(problem)
     _check_solve(res, "")
     summary = {k: getattr(res, k)

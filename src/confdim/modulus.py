@@ -9,7 +9,9 @@ with p > 1, nonnegative weights w and a nonnegative constraint matrix A
 smooth concave dual by projected gradient ascent with backtracking, followed
 by projected-Newton polishing on the active constraints; the reported value
 comes from a rescaled primal-feasible point, so it is always an upper bound
-with a certified duality gap.
+with a certified duality gap.  Each dual iterate y is evaluated once, into
+its primal point x, A x and the dual value; the gradient steps, the polish,
+the residual, the rescale and the gap all read that one state.
 
 The solver works on the coordinate form of A (its nonzeros, sorted once by
 row and once by column), so A x and A^T y cost O(nnz), and the Newton matrix
@@ -20,15 +22,15 @@ product systems and in discrete programs on disjoint balls, but m_act^2 n
 when every row meets every column, where a dense BLAS product would be some
 30 times faster.  The pairs are taken column block by column block, at most
 PAIR_CHUNK at a time, so memory stays O(nnz + m^2).  Rows implied by
-another row (A_i >= A_k entrywise) are redundant and keep a zero
-multiplier.  A solve that stops before it covers every row raises
+another row (A_i >= A_k entrywise), found by the same pair sums, are
+redundant and keep a zero multiplier.  A solve that stops before it covers every row raises
 NonConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -75,6 +77,8 @@ class SolveResult:
 
 # the dual ascent stops once the norm of its projected gradient is this small
 SOLVE_TOL = 1e-9
+# the most gradient steps of one solve
+MAX_ITER = 100000
 # the most Newton steps of one polish
 POLISH_SWEEPS = 40
 
@@ -97,11 +101,11 @@ class _Coords:
     """
 
     def __init__(self, A: np.ndarray):
-        A = np.ascontiguousarray(A, dtype=float)
+        A = np.ascontiguousarray(A)  # float, or boolean as a 0/1 matrix
         self.m, self.n = A.shape
-        flat = np.flatnonzero(A != 0)  # row-major order: sorted by row
+        flat = np.flatnonzero(A)  # row-major order: sorted by row
         rows, cols = np.divmod(flat, self.n)
-        vals = A.ravel()[flat]
+        vals = A.ravel()[flat].astype(float, copy=False)
         self.row_cols, self.row_vals = cols, vals
         self.row_ids, self.row_starts = _segments(rows)
         order = np.argsort(cols, kind="stable")
@@ -139,12 +143,11 @@ class _Coords:
         keys instead has no bound but the number of pairs.
         """
         m = self.m
-        R, V = self.col_rows, self.col_vals
-        hits = np.zeros(m * m, dtype=np.int64)  # [i * m + k]: columns where A[i] >= A[k] > 0
-        for E in self._column_blocks(np.ones(m, dtype=bool)):
-            r, v = R[E], V[E]
-            np.add.at(hits, _outer(r * m, r, np.add)[_outer(v, v, np.greater_equal)], 1)
-        nnz = np.bincount(R, minlength=m)
+        V = self.col_vals
+        # hits[i * m + k]: the number of columns where A[i] >= A[k] > 0
+        hits = self._pair_sums(np.ones(m, dtype=bool), lambda E: _outer(
+            V[E], V[E], np.greater_equal).astype(float)).ravel()
+        nnz = np.bincount(self.col_rows, minlength=m)
         key = np.flatnonzero(hits)
         i, k = np.divmod(key, m)
         implied = (hits[key] == nnz[k]) & (i != k)  # row i by row k
@@ -166,14 +169,24 @@ class _Coords:
 
     def gram(self, active: np.ndarray, d: np.ndarray) -> np.ndarray:
         """A[active] diag(d) A[active].T as a dense m_act x m_act matrix."""
-        pos = np.cumsum(active) - 1
-        k = int(pos[-1]) + 1
-        R, V = self.col_rows, self.col_vals
+        V = self.col_vals
+        return self._pair_sums(active, lambda E: _outer(
+            V[E] * d[self.col_cols[E]], V[E], np.multiply))
+
+    def _pair_sums(self, rows: np.ndarray, terms) -> np.ndarray:
+        """Sums over the pairs of marked rows that share a column, k x k.
+
+        Entry (a, b), for the a-th and b-th of the k rows marked in ``rows``,
+        sums ``terms`` over the columns where both have an entry;
+        ``terms(E)`` gives one float per pair of entries in each column of a
+        block E of ``_column_blocks``, flattened as ``_outer`` does.
+        """
+        pos = np.cumsum(rows) - 1
+        k = int(np.count_nonzero(rows))
         out = np.zeros(k * k)
-        for E in self._column_blocks(active):
-            i, v = pos[R[E]], V[E]
-            np.add.at(out, _outer(i * k, i, np.add),
-                      _outer(v * d[self.col_cols[E]], v, np.multiply))
+        for E in self._column_blocks(rows):
+            i = pos[self.col_rows[E]]
+            np.add.at(out, _outer(i * k, i, np.add), terms(E))
         return out.reshape(k, k)
 
 
@@ -194,89 +207,78 @@ def _segment_sums(terms, ids, starts, size) -> np.ndarray:
     return out
 
 
-def _solve_power_program(
-    w: np.ndarray,
-    A: np.ndarray,
-    p: float,
-    max_iter: int = 100000,
-) -> SolveResult:
+def _solve_power_program(w: np.ndarray, A: np.ndarray, p: float) -> SolveResult:
     """min sum w x^p s.t. A x >= 1, x >= 0 via dual projected gradient."""
     m, n = A.shape
     q = 1.0 / (p - 1.0)
     C = _Coords(A)
 
-    def primal(y):
+    def evaluate(y):
+        """The primal point x of the multipliers y, A x, and the dual value."""
         s = C.tdot(y)
         x = np.zeros(n)
         pos = s > 0
         x[pos] = (s[pos] / (p * w[pos])) ** q
-        return x
-
-    def dual_value(y, x):
-        return float(np.sum(w * x ** p) + y @ (1.0 - C.dot(x)))
+        Ax = C.dot(x)
+        return x, Ax, float(np.sum(w * x ** p) + y @ (1.0 - Ax))
 
     live = C.needed  # implied rows keep a zero multiplier
     y = live.astype(float)
-    x = primal(y)
-    g = dual_value(y, x)
+    x, Ax, g = evaluate(y)
     step = 1.0
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
-        grad = np.where(live, 1.0 - C.dot(x), 0.0)
+        grad = np.where(live, 1.0 - Ax, 0.0)
         gnorm = float(np.linalg.norm(grad * ((y > 0) | (grad > 0))))
         if gnorm <= SOLVE_TOL:
             break
         # backtracking ascent step
-        improved = False
         for _ in range(60):
             y_new = np.maximum(y + step * grad, 0.0)
-            x_new = primal(y_new)
-            g_new = dual_value(y_new, x_new)
+            x_new, Ax_new, g_new = evaluate(y_new)
             if g_new > g + 1e-12 * abs(g):
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-        y, x, g = y_new, x_new, g_new
+        y, x, Ax, g = y_new, x_new, Ax_new, g_new
         step *= 2.0
 
         # projected-Newton polish on the active set every few sweeps
         if it % 20 == 0 or gnorm < 1e-4:
-            y, x, g = _newton_polish(C, q, y, live, primal, dual_value)
-            grad = np.where(live, 1.0 - C.dot(x), 0.0)
+            y, x, Ax, g = _newton_polish(C, q, live, evaluate, y, x, Ax, g)
+            grad = np.where(live, 1.0 - Ax, 0.0)
             gnorm = float(np.linalg.norm(grad * ((y > 0) | (grad > 0))))
             if gnorm <= SOLVE_TOL:
                 break
 
-    y, x, g = _newton_polish(C, q, y, live, primal, dual_value)
+    y, x, Ax, g = _newton_polish(C, q, live, evaluate, y, x, Ax, g)
 
     # certified primal value: rescale onto the feasible set
-    Ax = C.dot(x)
     worst = float(np.min(Ax)) if m else 1.0
     if worst <= 0:
         raise NonConvergenceError(np.where(Ax <= 0)[0], it)
     x_feas = x / min(worst, 1.0)
     value = float(np.sum(w * x_feas ** p))
-    gap = value - dual_value(y, x)
 
     Axf = C.dot(x_feas)
     feas = float(max(0.0, np.max(1.0 - Axf))) if m else 0.0
     comp = float(np.max(np.abs(y * (1.0 - Axf)))) if m else 0.0
-    kkt = max(feas, comp)
     return SolveResult(
-        value=value, optimizer=x_feas, multipliers=y,
-        kkt_residual=kkt, duality_gap_bound=float(max(gap, 0.0)), iterations=it,
+        value=value, optimizer=x_feas, multipliers=y, kkt_residual=max(feas, comp),
+        duality_gap_bound=float(max(value - g, 0.0)), iterations=it,
     )
 
 
-def _newton_polish(C: _Coords, q, y, live, primal, dual_value):
-    """Newton steps on the stationarity system of the active constraints."""
-    x = primal(y)
-    g = dual_value(y, x)
+def _newton_polish(C: _Coords, q, live, evaluate, y, x, Ax, g):
+    """Newton steps on the stationarity system of the active constraints.
+
+    Takes and returns an evaluated state: multipliers y and their
+    ``evaluate(y)``, that is x, A x and the dual value g.
+    """
     for _ in range(POLISH_SWEEPS):
-        resid = C.dot(x) - 1.0
+        resid = Ax - 1.0
         active = live & ((y > 1e-14) | (resid < 0))
         # stop at the rounding floor; from within 1e-12 one step reaches it
         err = float(np.max(np.abs(resid[active]))) if np.any(active) else 0.0
@@ -293,22 +295,19 @@ def _newton_polish(C: _Coords, q, y, live, primal, dual_value):
             delta, *_ = np.linalg.lstsq(J, -resid[active], rcond=None)
         y_try = y.copy()
         t = 1.0
-        improved = False
         for _ in range(30):
             y_try[:] = y
             y_try[active] = np.maximum(y[active] + t * delta, 0.0)
-            x_try = primal(y_try)
-            g_try = dual_value(y_try, x_try)
+            x_try, Ax_try, g_try = evaluate(y_try)
             if g_try >= g - 1e-15 * abs(g):
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-        y, x, g = y_try, x_try, g_try
+        y, x, Ax, g = y_try, x_try, Ax_try, g_try
         if err < 1e-12:
             break
-    return y, x, g
+    return y, x, Ax, g
 
 
 @dataclass
@@ -356,7 +355,7 @@ def solve_fuglede(system: MeasureSystem) -> SolveResult:
         if float(np.sum(lam[~live])) > 0:
             free_members.append(i)  # satisfiable on a zero-mu cell at no cost
         else:
-            rows.append((i, lam[live]))
+            rows.append(lam[live])
 
     x_full = np.zeros(n)
     if not rows:
@@ -365,14 +364,9 @@ def solve_fuglede(system: MeasureSystem) -> SolveResult:
             kkt_residual=0.0, duality_gap_bound=0.0, iterations=0,
         )
     else:
-        A = np.stack([lam for _, lam in rows])
-        res = _solve_power_program(mu[live], A, system.p)
+        res = _solve_power_program(mu[live], np.stack(rows), system.p)
         x_full[live] = res.optimizer
-        result = SolveResult(
-            value=res.value, optimizer=x_full, multipliers=res.multipliers,
-            kkt_residual=res.kkt_residual,
-            duality_gap_bound=res.duality_gap_bound, iterations=res.iterations,
-        )
+        result = replace(res, optimizer=x_full)
     # make the reported density admissible for the dropped members too
     for i in free_members:
         lam = system.members[i]
@@ -473,9 +467,8 @@ def solve_discrete(problem: DiscreteModulusProblem) -> SolveResult:
     empty = np.where(~np.any(problem.incidence, axis=1))[0]
     if len(empty):
         raise InfeasibleError(empty, f"sets {empty.tolist()} meet no fifth-ball")
-    A = problem.incidence.astype(float)
-    w = np.ones(A.shape[1])
-    return _solve_power_program(w, A, problem.p)
+    w = np.ones(problem.incidence.shape[1])
+    return _solve_power_program(w, problem.incidence, problem.p)
 
 
 def vitali_disjointify(balls: np.ndarray) -> np.ndarray:
@@ -627,7 +620,6 @@ def modulus_comparison(
     s: float,
     C1: float,
     C2: float,
-    p_growth: Optional[float] = None,
 ) -> ComparisonReport:
     """Numeric check of mod_q(E) <= C * d-mod_q(f(E)); reports the ratio.
 
@@ -671,7 +663,6 @@ def modulus_comparison(
         if offending:
             break
 
-    p_growth = p_growth if p_growth is not None else system.p
     mu_grid = system.mu.reshape(-1, n_cols)
     amb_c = 0.0
     for r in [h * 2.0 ** k for k in range(0, 8)]:
@@ -679,7 +670,7 @@ def modulus_comparison(
         kernel = np.ones(width_cells)
         for rowv in mu_grid:
             conv = np.convolve(rowv, kernel, mode="same")
-            amb_c = max(amb_c, float(np.max(conv)) / r ** p_growth)
+            amb_c = max(amb_c, float(np.max(conv)) / r ** system.p)
 
     lhs = solve_fuglede(system).value
     rhs = solve_discrete(image_problem).value

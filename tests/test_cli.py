@@ -260,9 +260,9 @@ TWO_BALLS = [[0.1, 0.01], [0.5, 0.01]]
 
 @pytest.mark.parametrize("problem,message", [
     ({"balls": TWO_BALLS, "incidence": [[1, 0, 1]]},
-     "incidence must have shape (n_sets, 2), got (1, 3)"),
+     "field 'incidence': needs a nonempty list of rows of 2 numbers, got [[1, 0, 1]]"),
     ({"balls": TWO_BALLS, "incidence": [[1], [1]]},
-     "incidence must have shape (n_sets, 2), got (2, 1)"),
+     "field 'incidence': needs a nonempty list of rows of 2 numbers, got [[1], [1]]"),
     ({"balls": [0.5, 0.1], "sets": [[0.5]]},
      "balls must have shape (n, 2), got (2,)"),
     ({"balls": [0.5, 0.1], "incidence": [[1, 1]]},
@@ -291,8 +291,7 @@ DISCRETE_RUNS = {"problem": {"kind": "discrete", "p": 2,
 def test_modulus_stopped_solver_exits_4(tmp_path, monkeypatch):
     # a feasible program whose solve stops after one sweep is a solver
     # failure, not a config error
-    stopped = functools.partial(modulus._solve_power_program, max_iter=1)
-    monkeypatch.setattr(modulus, "_solve_power_program", stopped)
+    monkeypatch.setattr(modulus, "MAX_ITER", 1)
     code, _ = run(tmp_path, "modulus", DISCRETE_RUNS)
     assert code == 4
 
@@ -391,6 +390,7 @@ def test_theorem_b_atoms_that_pass_the_scan_keep_a_probability_measure(tmp_path,
 
 HARMONIC6 = {"c": "harmonic", "depth": 6}
 UNIFORM2 = {"kind": "uniform", "gammas": [0.1, 0.1], "n_children": [3, 3], "depth": 2}
+FUGLEDE2 = {"kind": "fuglede", "mu": [1, 1], "members": [[1, 1]], "p": 2}
 
 
 @pytest.mark.parametrize("command,cfg,field", [
@@ -405,9 +405,17 @@ UNIFORM2 = {"kind": "uniform", "gammas": [0.1, 0.1], "n_children": [3, 3], "dept
     ("mass", {"system": UNIFORM2, "map": {"kind": "identity"}, "d": 0.5}, "system"),
     ("distort", {"map": {"kind": "dyadic_weight"}, "eta": "identity"}, "interval"),
     ("generate", {"system": {"c": "harmonic", "depth": 3.7}}, "depth"),
+    ("modulus", {"problem": {**FUGLEDE2, "mu": [-1, 1]}}, "mu"),
+    ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS, "sets": []}},
+     "sets"),
+    ("modulus", {"problem": {**FUGLEDE2, "members": [[1, 1, 1]]}}, "members"),
+    ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS,
+                             "incidence": [[1]]}}, "incidence"),
+    ("modulus", {"problem": {**FUGLEDE2, "p": 1}}, "p"),
 ], ids=["cell-width-above-gap", "tail-window-0", "d-sweep-1", "maps-object",
         "minkowski-point-too-long", "mass-bound-without-scales", "d-string",
-        "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval", "depth-3.7"])
+        "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval", "depth-3.7",
+        "negative-mu", "no-sets", "member-cell-count", "incidence-one-column", "p-1"])
 def test_config_faults_found_mid_run_exit_2_naming_the_field_before_any_work(
         tmp_path, capsys, command, cfg, field):
     code, out = run(tmp_path, command, cfg)

@@ -124,6 +124,39 @@ def test_implied_rows_are_dropped_without_changing_the_value():
     assert res.kkt_residual <= 1e-12
 
 
+@st.composite
+def power_programs(draw):
+    """Small programs of 0/1 (boolean) or weighted rows, with a repeated row
+    and a row implied by the first."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    A = draw(hnp.arrays(bool, (m + 1, n)))
+    A[np.arange(m + 1), draw(hnp.arrays(np.int64, m + 1, elements=st.integers(0, n - 1)))] = True
+    if draw(st.booleans()):
+        A = A * draw(hnp.arrays(float, (m + 1, n), elements=st.floats(0.25, 4.0)))
+    A = np.vstack([A[:m], A[m - 1], np.maximum(A[0], A[m])])
+    w = draw(hnp.arrays(float, n, elements=st.floats(0.1, 2.0)))
+    return w, A, draw(st.sampled_from([1.5, 2.0, 3.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=power_programs(), budget=st.sampled_from([1, 2, 3, modulus.MAX_ITER]))
+def test_gap_bound_is_the_value_less_the_dual_of_the_returned_multipliers(program, budget):
+    # a small gradient budget leaves the work to the final polish
+    w, A, p = program
+    with mock.patch.object(modulus, "MAX_ITER", budget):
+        try:
+            res = _solve_power_program(w, A, p)
+        except NonConvergenceError:
+            assume(False)
+    # the dual at the returned multipliers, recomputed densely
+    A, y = A.astype(float), res.multipliers
+    s = A.T @ y
+    x = np.zeros_like(w)
+    x[s > 0] = (s[s > 0] / (p * w[s > 0])) ** (1.0 / (p - 1.0))
+    dual = float(np.sum(w * x ** p) + y @ (1.0 - A @ x))
+    assert abs(res.duality_gap_bound - max(res.value - dual, 0.0)) <= 1e-12 * res.value
+
+
 def _local_runs(rng, n_blocks, block, n_sets):
     """Sets that are runs of 2-6 neighbouring balls inside blocks."""
     A = np.zeros((n_sets, n_blocks * block))
@@ -169,14 +202,16 @@ def test_dense_members_solve_in_bounded_memory():
     assert res.duality_gap_bound <= 1e-9 * res.value
 
 
-def test_stopped_solver_reports_non_convergence():
+def test_stopped_solver_reports_non_convergence(monkeypatch):
     rng = np.random.default_rng(0)
     A = (rng.random((30, 80)) < 0.2).astype(float)
     A[np.arange(30), rng.integers(0, 80, 30)] = 1.0  # every row can be covered
+    monkeypatch.setattr(modulus, "MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as err:
-        _solve_power_program(np.ones(80), A, 2.0, max_iter=1)
+        _solve_power_program(np.ones(80), A, 2.0)
     assert not isinstance(err.value, InfeasibleError)
     assert err.value.member_indices == list(range(30))
+    monkeypatch.undo()
     assert _solve_power_program(np.ones(80), A, 2.0).kkt_residual <= 1e-9
 
 
