@@ -30,7 +30,7 @@ class DiscreteMeasure:
     Mass is treated as uniformly spread inside each interval when windows
     overlap an interval partially.  Sorted by left end, the intervals must
     have non-decreasing right ends, and neighbours may overlap by at most
-    1e-12 (rounding), as `sorted_window_masses` needs.  Atoms may lie
+    1e-12 (rounding), as `locate_windows` needs.  Atoms may lie
     anywhere, inside intervals too.
     """
 
@@ -55,7 +55,7 @@ class DiscreteMeasure:
         if np.any(np.diff(self._rights) < 0) or np.any(overlap > 1e-12):
             raise ValueError("intervals sorted by left end must have non-decreasing right ends "
                              "and overlap by at most 1e-12")
-        self._csum = np.concatenate([[0.0], np.cumsum(self._masses)])
+        self._prefix = np.cumsum(self._masses)
         self._atoms = lefts[atom]
         self._atom_csum = np.concatenate([[0.0], np.cumsum(masses[atom])])
 
@@ -70,35 +70,62 @@ class DiscreteMeasure:
     def window_masses(self, x0s, x1s) -> np.ndarray:
         """Masses of the windows [x0s[i], x1s[i]], as `window_mass` gives them.
 
-        The intervals go through `sorted_window_masses`; the atoms in a
-        window are a prefix-sum difference between two sorted searches.
+        The intervals go through `locate_windows`; the atoms in a window
+        are a prefix-sum difference between two sorted searches.
         """
         x0s = np.asarray(x0s, dtype=float).ravel()
         x1s = np.asarray(x1s, dtype=float).ravel()
-        mu, _, _ = sorted_window_masses(self._lefts, self._rights, self._masses,
-                                        self._csum, x0s, x1s)
+        mu = locate_windows(self._lefts, self._rights, self._masses, x0s, x1s).masses(self._prefix)
         k0 = np.searchsorted(self._atoms, x0s, side="left")
         k1 = np.maximum(k0, np.searchsorted(self._atoms, x1s, side="right"))
         return mu + (self._atom_csum[k1] - self._atom_csum[k0])
 
 
-def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
-    """Masses of the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
+@dataclass
+class WindowLocation:
+    """Windows [x0s[i], x1s[i]] located among sorted intervals: the first step of the window rule.
 
-    The package's one window rule.  Its callers are the certificate's window
-    and ball scans and `DiscreteMeasure.window_masses`, which serves the
-    mass-bound scan, the theorem-b growth scan, the product-system
-    rasterization and the fiber scan of `modulus_comparison`.  Both ends
-    must be sorted, and every interval must have positive length; intervals
-    may touch or overlap by rounding.
+    Intervals j0 (the first with right >= x0) .. j1 (the last with left <= x1)
+    meet a window; ``hit`` marks the windows with j1 >= j0.  For each window
+    hit, in order, ``outside_j0`` is interval j0's mass outside the window,
+    ``outside_j1`` interval j1's when it is another one (else 0), and
+    ``touch`` whether the window only touches interval ends.
+    """
 
-    ``csum`` is the cumulative mass with a leading 0.  The intervals j0 (the
-    first with right >= x0) .. j1 (the last with left <= x1) meet a window;
-    their prefix sum loses the outside fraction of interval j0 and, when it
-    is another one, of interval j1.  A window that meets no interval has
-    j1 < j0 and mass 0, and so has one that only touches interval ends,
-    where the prefix sum would leave a rounding residue instead of 0.
-    Returns (mu, j0, j1).
+    j0: np.ndarray
+    j1: np.ndarray
+    hit: np.ndarray
+    outside_j0: np.ndarray
+    outside_j1: np.ndarray
+    touch: np.ndarray
+
+    def masses(self, prefix: np.ndarray) -> np.ndarray:
+        """The window masses: the second step, over the inclusive prefix sum of the masses.
+
+        A window that meets no interval gets 0, and so does one that only
+        touches interval ends, where the prefix sum would leave a rounding
+        residue instead of 0.
+        """
+        a, b = self.j0[self.hit], self.j1[self.hit]
+        m = prefix[b] - np.where(a > 0, prefix[a - 1], 0.0)
+        m -= self.outside_j0
+        m -= self.outside_j1
+        mu = np.zeros(self.j0.shape)
+        mu[self.hit] = np.where(self.touch, 0.0, m)
+        return mu
+
+
+def locate_windows(lefts, rights, masses, x0s, x1s) -> WindowLocation:
+    """Locate the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
+
+    The package's one window rule is this step and `WindowLocation.masses`.
+    Its callers are the certificate's window and ball scans and
+    `DiscreteMeasure.window_masses`, which serves the mass-bound scan, the
+    theorem-b growth scan, the product-system rasterization and the fiber
+    scan of `modulus_comparison`.  Both ends must be sorted, and every
+    interval must have positive length; intervals may touch or overlap by
+    rounding.  Only this step reads the masses, so a caller may then turn
+    them into their prefix sum in place.
     """
     x0s = np.asarray(x0s, dtype=float)
     x1s = np.asarray(x1s, dtype=float)
@@ -112,12 +139,9 @@ def sorted_window_masses(lefts, rights, masses, csum, x0s, x1s) -> tuple:
         return np.clip((np.minimum(r, x1) - np.maximum(l, x0)) / (r - l), 0.0, 1.0)
 
     f0, f1 = inside(a), inside(b)
-    mu = np.zeros(x0s.shape)
-    m = csum[b + 1] - csum[a]
-    m -= masses[a] * (1.0 - f0)
-    m -= np.where(a == b, 0.0, masses[b] * (1.0 - f1))
-    mu[hit] = np.where((b - a <= 1) & (f0 == 0.0) & (f1 == 0.0), 0.0, m)
-    return mu, j0, j1
+    return WindowLocation(j0=j0, j1=j1, hit=hit, outside_j0=masses[a] * (1.0 - f0),
+                          outside_j1=np.where(a == b, 0.0, masses[b] * (1.0 - f1)),
+                          touch=(b - a <= 1) & (f0 == 0.0) & (f1 == 0.0))
 
 
 def natural_measure(level: IntervalLevel) -> DiscreteMeasure:

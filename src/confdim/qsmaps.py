@@ -167,7 +167,8 @@ class QsMap:
         elif self.kind == "power":
             out = np.abs(x)
             out **= self.a
-            out *= np.sign(x)
+            if np.any(x < 0):  # Cantor points never are: skip the sign array
+                out *= np.sign(x)
         else:
             out = np.interp(x, self._xs, self._ys)
         return float(out) if out.ndim == 0 else out
@@ -264,7 +265,11 @@ def distortion_gap_check(
 
 @dataclass
 class ImageLevel:
-    """Endpoint images of one interval level under an increasing map."""
+    """Endpoint images of one interval level under an increasing map.
+
+    ``rights`` is an array, or MappedRights, which maps the right ends it is
+    indexed at.
+    """
 
     depth: int
     lefts: np.ndarray
@@ -277,11 +282,31 @@ class ImageLevel:
 
     @property
     def diams(self) -> np.ndarray:
-        return self.rights - self.lefts
+        return self.rights[:] - self.lefts
 
     @property
     def count(self) -> int:
         return len(self.lefts)
+
+
+class MappedRights:
+    """A level's image right ends, formed and mapped when indexed.
+
+    ``rights[s]`` is ``qsmap.apply(level.rights)[s]`` and maps the intervals
+    ``s`` only, so a reader that walks the level in blocks never holds all of
+    them.
+    """
+
+    def __init__(self, qsmap: QsMap, level: IntervalLevel):
+        self.qsmap, self.level = qsmap, level
+
+    def __getitem__(self, s) -> np.ndarray:
+        return self.qsmap.apply(self.level.lefts[s] + np.exp(self.level.log_length))
+
+
+# intervals per block when push_intervals maps right ends: the temporaries
+# stay cache-sized, and none spans a whole deep level
+PUSH_BLOCK = 2 ** 16
 
 
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
@@ -289,10 +314,14 @@ def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
 
     The image keeps the level's ``branching``: the tree is the same.  An image
     tree pushes only its leaves and views their left ends on upper levels.
+    The right ends are mapped PUSH_BLOCK at a time into one array.
     """
+    mapped, rights = MappedRights(qsmap, level), np.empty(level.count)
+    for i in range(0, level.count, PUSH_BLOCK):
+        rights[i:i + PUSH_BLOCK] = mapped[i:i + PUSH_BLOCK]
     return ImageLevel(
         depth=level.depth,
         lefts=qsmap.apply(level.lefts),
-        rights=qsmap.apply(level.rights),
+        rights=rights,
         branching=level.branching,
     )

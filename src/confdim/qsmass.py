@@ -9,10 +9,17 @@ control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
 
-The measure is built level by level in blocks of PAIR_BLOCK sibling pairs, so
-its temporaries stay cache-sized; each node's bits are those of a whole-level pass.
-Siblings share one path product, kept once per pair; the certificate frees
-the upper levels' masses and images before its leaf-sized scans.
+The pipeline runs one pass per level, so no leaf-sized array lives without
+need.  The image tree stores only the mapped leaves; an upper level's image
+right ends are mapped block by block as the measure reaches the level.  The
+measure is built level by level in blocks of PAIR_BLOCK sibling pairs, so its
+temporaries stay cache-sized, and each node's bits are those of a whole-level
+pass.  Two levels of masses live at a time, in two buffers that alternate by
+level; siblings share one path product, and the leaf level's path products
+exist one block at a time.  Each level records its median image diameter,
+the certificate's ball radius at that depth.  The certificate locates every
+window and ball first, then turns the leaf masses into their prefix sum in
+place and sums.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from confdim.cantor import MIDDLE_INTERVAL, CantorSystem
-from confdim.dimension import sorted_window_masses
-from confdim.qsmaps import ImageLevel, QsMap, push_intervals
+from confdim.dimension import locate_windows
+from confdim.qsmaps import ImageLevel, MappedRights, QsMap, push_intervals
 
 _REL_TOL = 1e-9
 
@@ -42,79 +49,125 @@ PAIR_BLOCK = 2 ** 15
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
     """The image of every level of a binary system, as ImageLevels by depth.
 
-    Only the leaves' left ends are mapped; upper levels view them, as in the domain.
+    Only the leaves are mapped and stored.  An upper level views the leaves'
+    image left ends, as in the domain, and its right ends are MappedRights:
+    mapped block by block as the measure reaches the level.
     """
     if system.gaps.kind != MIDDLE_INTERVAL:
         raise ValueError("recursive measure machinery assumes binary systems")
     leaves = push_intervals(qsmap, system.levels[-1])
-    tree = [ImageLevel(depth=lv.depth, lefts=leaves.lefts[::leaves.count // lv.count],
-                       rights=qsmap.apply(lv.rights), branching=lv.branching)
+    return [ImageLevel(depth=lv.depth, lefts=leaves.lefts[::leaves.count // lv.count],
+                       rights=MappedRights(qsmap, lv), branching=lv.branching)
             for lv in system.levels[:-1]] + [leaves]
-    for lv in tree[1:]:
-        if np.any(lv.rights <= lv.lefts):
-            raise ValueError(f"zero-diameter node at depth {lv.depth}")
-    return tree
 
 
 @dataclass
 class RecursiveMeasure:
     d: float
-    masses: list              # per level, array of node masses, root mass 1
+    masses: list              # [the leaf masses]: the build keeps no upper level
     level_growth: np.ndarray  # per level, max mu/diam^d over its nodes
     p_max: np.ndarray         # per level >= 1, max p_i over its sibling pairs
+    median_diams: np.ndarray  # per level, the median image diameter of its nodes
 
 
-def build_recursive_measure(tree: list, d: float) -> RecursiveMeasure:
-    """Assign masses by the diam^d proportional split, tracking p_i maxima."""
+def _levels(tree, d: float):
+    """The measure's level loop, root first: yields (masses, growth, p_max, median_diam).
+
+    ``growth`` is max mu/diam^d over the level's nodes, ``p_max`` the max p_i
+    over its sibling pairs (None at the root) and ``median_diam`` the median
+    image diameter.  ``tree`` is a list of ImageLevels by depth.  The yielded
+    masses are views of two buffers that alternate by level, so a level's
+    masses hold until the level after the next one is built.
+    """
     if not (0.0 < d < 1.0):
         raise ValueError("d must be in (0, 1)")
     if len(tree) < 2:
         raise ValueError("tree depth must be >= 1")
-    masses = [np.array([1.0])]
+    depth = len(tree) - 1
+    leaves = tree[depth].count
+    # Nothing level-sized is allocated or freed level by level, so the heap
+    # does not fragment: alternate levels share two mass buffers (the leaves'
+    # is the larger) and two path-product buffers, and an upper level's
+    # diameters, kept for its median, go in the back half of the leaf masses'
+    # buffer, which no upper level's masses reach.
+    mass_bufs = (np.empty(leaves), np.empty(leaves // 2))
+    prod_bufs = (np.empty(leaves // 4), np.empty(leaves // 8))
+    masses = np.array([1.0])
     prod = np.array([1.0])  # prod of p_i along the root-to-node path, one per sibling pair
-    p_max = []
-    growth = [float(np.max(masses[0] / tree[0].diams ** d))]
-    for lv in tree[1:]:
-        parent_mass, parent_prod = masses[-1], prod
-        pairs = len(parent_mass)
-        if lv.count != 2 * pairs:
+    diams = tree[0].diams
+    yield masses, float(np.max(masses / diams ** d)), None, float(np.median(diams))
+    for n in range(1, depth + 1):
+        lv = tree[n]
+        if lv.count != 2 * len(masses):
             raise ValueError(f"level {lv.depth} is not binary")
-        child, prod = np.empty(lv.count), np.empty(pairs)
-        p_top = growth_top = -np.inf
-        for j0 in range(0, pairs, PAIR_BLOCK):
-            j1 = min(j0 + PAIR_BLOCK, pairs)
-            lefts, rights = lv.lefts[2 * j0:2 * j1], lv.rights[2 * j0:2 * j1]
-            diams = rights - lefts
-            dl, dr = diams[0::2], diams[1::2]
-            gap = lefts[1::2] - rights[0::2]
-            w = diams ** d
-            wl, wr = w[0::2], w[1::2]
-            denom = wl + wr
-            pm = parent_mass[j0:j1]
-            # Sterbenz two-step: the larger child lands in [parent/2, parent], so
-            # the final complement is exact and siblings sum to the parent bitwise
-            small0 = pm * np.minimum(wl, wr) / denom
-            big = pm - small0
-            small = pm - big
-            left_is_small = wl <= wr
-            mass = child[2 * j0:2 * j1]
-            mass[0::2] = np.where(left_is_small, small, big)
-            mass[1::2] = np.where(left_is_small, big, small)
-            p = (dl + gap + dr) ** d / denom
-            # parent node j is in the parent level's sibling pair j // 2
-            path = prod[j0:j1]
-            np.multiply(parent_prod[np.arange(j0, j1) // 2], p, out=path)
-            # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
-            ratio = mass / w
-            if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
-                raise AssertionError("path-product bound violated beyond tolerance")
-            p_top = np.maximum(p_top, np.max(p))
-            growth_top = np.maximum(growth_top, np.max(ratio))
-        masses.append(child)
-        p_max.append(float(p_top))
-        growth.append(float(growth_top))
-    return RecursiveMeasure(d=d, masses=masses, level_growth=np.array(growth),
-                            p_max=np.array(p_max))
+        child = mass_bufs[(depth - n) % 2][:lv.count]
+        if n < depth:
+            child_prod = prod_bufs[(depth - n - 1) % 2][:lv.count // 2]
+            diams = mass_bufs[0][leaves // 2:leaves // 2 + lv.count]
+            growth, p_max = _split_level(lv, masses, prod, child, child_prod, diams, d)
+            median_diam = float(np.median(diams, overwrite_input=True))
+        else:
+            # the leaf diameters go in the leaf masses' buffer before the masses do
+            median_diam = float(np.median(np.subtract(lv.rights, lv.lefts, out=child),
+                                          overwrite_input=True))
+            child_prod = None
+            growth, p_max = _split_level(lv, masses, prod, child, None, None, d)
+        masses, prod = child, child_prod
+        yield masses, growth, p_max, median_diam
+
+
+def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarray,
+                 masses: np.ndarray, prod, diams_out, d: float) -> tuple:
+    """Fill one level's ``masses``, path products and diameters, block by block.
+
+    Returns the level's max growth and max p_i.  With ``prod`` and
+    ``diams_out`` None (the leaf level) those live for their block only.
+    Parent node j is in the parent level's sibling pair j // 2.
+    """
+    p_top = growth_top = -np.inf
+    for j0 in range(0, len(parent_mass), PAIR_BLOCK):
+        j1 = min(j0 + PAIR_BLOCK, len(parent_mass))
+        lefts, rights = lv.lefts[2 * j0:2 * j1], lv.rights[2 * j0:2 * j1]
+        diams = np.subtract(rights, lefts,
+                            out=None if diams_out is None else diams_out[2 * j0:2 * j1])
+        if np.any(diams <= 0):
+            raise ValueError(f"zero-diameter node at depth {lv.depth}")
+        dl, dr = diams[0::2], diams[1::2]
+        gap = lefts[1::2] - rights[0::2]
+        w = diams ** d
+        wl, wr = w[0::2], w[1::2]
+        denom = wl + wr
+        pm = parent_mass[j0:j1]
+        # Sterbenz two-step: the larger child lands in [parent/2, parent], so
+        # the final complement is exact and siblings sum to the parent bitwise
+        small0 = pm * np.minimum(wl, wr) / denom
+        big = pm - small0
+        small = pm - big
+        left_is_small = wl <= wr
+        mass = masses[2 * j0:2 * j1]
+        mass[0::2] = np.where(left_is_small, small, big)
+        mass[1::2] = np.where(left_is_small, big, small)
+        p = (dl + gap + dr) ** d / denom
+        path = np.multiply(parent_prod[np.arange(j0, j1) // 2], p,
+                           out=None if prod is None else prod[j0:j1])
+        # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
+        ratio = mass / w
+        if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
+            raise AssertionError("path-product bound violated beyond tolerance")
+        p_top = np.maximum(p_top, np.max(p))
+        growth_top = np.maximum(growth_top, np.max(ratio))
+    return float(growth_top), float(p_top)
+
+
+def build_recursive_measure(tree, d: float) -> RecursiveMeasure:
+    """Assign masses by the diam^d proportional split, tracking p_i maxima.
+
+    Keeps the leaf masses and, per level, the growth, p_max and median diameter.
+    """
+    # the level loop reuses its buffers, so only the last masses it yields hold
+    masses, growth, p_max, median_diams = zip(*_levels(tree, d))
+    return RecursiveMeasure(d=d, masses=[masses[-1]], level_growth=np.array(growth),
+                            p_max=np.array(p_max[1:]), median_diams=np.array(median_diams))
 
 
 # ---------------------------------------------------------------------------
@@ -164,54 +217,53 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     depth = system.max_depth
     tree = build_image_tree(system, qsmap)
     measure = build_recursive_measure(tree, d)
-    # each step frees what it leaves behind before the next leaf-sized temporary:
-    # the upper masses, then the upper image levels once their ball radii are known
-    leaf_mass, level_growth, p_max = measure.masses[depth], measure.level_growth, measure.p_max
-    del measure
+    (leaf_mass,) = measure.masses
+    level_growth, p_max = measure.level_growth, measure.p_max
     top = np.arange((depth + 1) // 2, depth + 1)
-    radii = [float(np.median(tree[n].diams, overwrite_input=True)) for n in top]
-    img = tree[depth]
-    del tree
+    radii = [float(r) for r in measure.median_diams[top]]
+    img_l, img_r = tree[depth].lefts, tree[depth].rights
+    del measure, tree
 
     growth_ok = _stability(level_growth[top], STABILITY_FACTOR)
     c_growth = float(np.max(level_growth[top]))
 
-    # leaf aggregates for the window / ball scans
+    # every ball and window is located before any is summed: the image right
+    # ends go before the domain right ends are formed, and the leaf masses
+    # then become their prefix sum in place
+    centers = _ball_centers(img_l, img_r, MAX_WINDOWS)
+    balls = [locate_windows(img_l, img_r, leaf_mass, centers - r, centers + r) for r in radii]
+    del img_r
     leaves = system.level(depth)
     leaf_l, leaf_r = leaves.lefts, leaves.rights
-    img_l, img_r = img.lefts, img.rights
-    csum = np.zeros(len(leaf_mass) + 1)
-    np.cumsum(leaf_mass, out=csum[1:])
-    centers = _ball_centers(img_l, img_r, MAX_WINDOWS)
-
-    interval_c = np.full(len(top), np.nan)
-    ball_c = np.full(len(top), np.nan)
-
-    for ti, (n, r) in enumerate(zip(top, radii)):
+    windows = []
+    for n in top:
         scale = float(np.exp(system.level(n).log_length))
         step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
         xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
         x1 = xs + scale
         # boundary leaves count proportionally to their overlap with the
         # window, else the finest scanned scale overstates the constant
-        mu, j0, j1 = sorted_window_masses(leaf_l, leaf_r, leaf_mass, csum, xs, x1)
-        sel = j1 >= j0
-        if not np.any(sel):
-            continue
-        mu = mu[sel]
-        lo = np.maximum(img_l[j0[sel]], qsmap.apply(np.maximum(xs[sel], leaf_l[0])))
-        hi = np.minimum(img_r[j1[sel]], qsmap.apply(np.minimum(x1[sel], leaf_r[-1])))
-        span = np.maximum(hi - lo, 0.0)
-        good = span > 0
-        ratios = mu[good] / span[good] ** d
-        interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
+        win = locate_windows(leaf_l, leaf_r, leaf_mass, xs, x1)
+        sel = win.hit
+        # the map is elementwise, so a mapped leaf end has the image tree's bits
+        lo = np.maximum(img_l[win.j0[sel]], qsmap.apply(np.maximum(xs[sel], leaf_l[0])))
+        hi = np.minimum(qsmap.apply(leaf_r[win.j1[sel]]),
+                        qsmap.apply(np.minimum(x1[sel], leaf_r[-1])))
+        windows.append((win, np.maximum(hi - lo, 0.0)))
+    del leaf_r
+    prefix = np.cumsum(leaf_mass, out=leaf_mass)
+    del leaf_mass
 
+    interval_c = np.full(len(top), np.nan)
+    ball_c = np.full(len(top), np.nan)
+    for ti, ((win, span), ball, r) in enumerate(zip(windows, balls, radii)):
+        if np.any(win.hit):
+            good = span > 0
+            ratios = win.masses(prefix)[win.hit][good] / span[good] ** d
+            interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
         # ball scan on the image side at the matching image scale
-        mu_b, k0, k1 = sorted_window_masses(img_l, img_r, leaf_mass, csum,
-                                            centers - r, centers + r)
-        hit = k1 >= k0
-        if np.any(hit):
-            ball_c[ti] = float(np.max(mu_b[hit])) / r ** d
+        if np.any(ball.hit):
+            ball_c[ti] = float(np.max(ball.masses(prefix)[ball.hit])) / r ** d
 
     interval_ok = _stability(interval_c, STABILITY_FACTOR * 2.0)
     ball_ok = _stability(ball_c, STABILITY_FACTOR * 2.0)

@@ -31,6 +31,7 @@ from confdim.modulus import (
     vitali_disjointify,
 )
 from confdim.qsmaps import EtaModulus, QsMap, distortion_check, distortion_gap_check
+import confdim.qsmass as qsmass
 from confdim.qsmass import build_image_tree, build_recursive_measure, certificate
 
 POWER2_C = 2.0 + math.sqrt(5.0) + 1e-9  # calibrated gauge constant for a = 2
@@ -94,10 +95,11 @@ def test_criterion_2_theorem_a_pipeline():
 def test_criterion_3_measure_machinery():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = build_image_tree(system, QsMap.power(1.5))
-    measure = build_recursive_measure(tree, 0.9)
-    conserved = all(
-        np.array_equal(measure.masses[n][0::2] + measure.masses[n][1::2],
-                       measure.masses[n - 1])
+    # every level's masses as the measure's own level loop builds them; the loop
+    # reuses its buffers two levels on, so each level is copied
+    masses = [m.copy() for m, *_ in qsmass._levels(tree, 0.9)]
+    conserved = len(masses) == 15 and all(
+        np.array_equal(masses[n][0::2] + masses[n][1::2], masses[n - 1])
         for n in range(1, 15)
     )
     # path product of p_i = (dl + gap + dr)^d / (dl^d + dr^d), formed from the tree
@@ -109,7 +111,7 @@ def test_criterion_3_measure_machinery():
         gap = lv.lefts[1::2] - lv.rights[0::2]
         prod = np.repeat(prod * (dl + gap + dr) ** 0.9
                          / (dl ** 0.9 + dr ** 0.9), 2)
-        bounded &= bool(np.all(measure.masses[n] / lv.diams ** 0.9 <= prod * (1 + 1e-9)))
+        bounded &= bool(np.all(masses[n] / lv.diams ** 0.9 <= prod * (1 + 1e-9)))
     small = build_system(GapSequence.constant(0.01, 8), max_depth=8)
     stree = build_image_tree(small, QsMap.identity())
     p_max = build_recursive_measure(stree, 0.9).p_max

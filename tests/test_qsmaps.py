@@ -200,14 +200,19 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
 @example(c=0.3, spec=("dyadic", 2.0, 0), depth=12)
 def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth):
     # the tree maps only the leaves' left ends and views them on upper levels,
-    # so the map must give the same bits on a strided view as on a copy
+    # so the map must give the same bits on a strided view as on a copy; right
+    # ends are mapped in blocks, so the map must also give them as on the whole level
     system = _system(c, depth)
     f = _map(spec)
-    for img, lv in zip(build_image_tree(system, f), system.levels, strict=True):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsmaps, "PUSH_BLOCK", 3)
+        tree = build_image_tree(system, f)
+    assert tree[-1].rights.tobytes() == f.apply(system.levels[-1].rights).tobytes()
+    for img, lv in zip(tree, system.levels, strict=True):
         want = push_intervals(f, lv)
         assert (img.depth, img.branching) == (want.depth, want.branching)
         assert img.lefts.tobytes() == want.lefts.tobytes()
-        assert img.rights.tobytes() == want.rights.tobytes()
+        assert img.rights[:].tobytes() == want.rights.tobytes()
 
 
 def test_random_triples_reproducible():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -22,6 +23,14 @@ def _measure(gaps, qsmap, d, depth):
     return build_recursive_measure(tree, d), tree
 
 
+def _level_masses(tree, d):
+    """Every level's masses, root first, as the measure's own level loop builds them.
+
+    The loop reuses its buffers two levels on, so each level is copied.
+    """
+    return [masses.copy() for masses, *_ in qsmass._levels(tree, d)]
+
+
 def test_rejects_uniform_kind():
     gaps = GapSequence.uniform([0.1] * 4, [3] * 4)
     system = build_system(gaps, max_depth=4)
@@ -44,14 +53,16 @@ def test_image_tree_maps_the_leaf_left_ends_once(monkeypatch):
     assert pushed == [18]
     leaves = tree[-1]
     assert all(np.shares_memory(lv.lefts, leaves.lefts) for lv in tree)
-    # the leaves' image left ends and every level's image right ends
-    assert kept <= 3.05 * leaves.lefts.nbytes
+    # the leaves' image left and right ends; upper right ends are mapped on reading
+    assert kept <= 2.05 * leaves.lefts.nbytes
 
 
 def test_identity_symmetric_masses_halve():
-    m, _ = _measure(GapSequence.constant(0.2, 6), QsMap.identity(), 0.7, 6)
+    _, tree = _measure(GapSequence.constant(0.2, 6), QsMap.identity(), 0.7, 6)
+    levels = _level_masses(tree, 0.7)
+    assert len(levels) == 7
     for n in range(7):
-        assert np.allclose(m.masses[n], 2.0 ** -n)
+        assert np.allclose(levels[n], 2.0 ** -n)
 
 
 def _gaps(c, depth):
@@ -71,10 +82,12 @@ _measure_cases = dict(
 @given(**_measure_cases)
 @example(c="harmonic", a=1.5, d=0.9, depth=10)
 def test_mass_conservation_exact(c, a, d, depth):
-    m, _ = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
+    m, tree = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
+    levels = _level_masses(tree, d)
+    assert np.array_equal(m.masses[0], levels[depth])
     for n in range(1, depth + 1):
-        pair_sums = m.masses[n][0::2] + m.masses[n][1::2]
-        assert np.array_equal(pair_sums, m.masses[n - 1])
+        pair_sums = levels[n][0::2] + levels[n][1::2]
+        assert np.array_equal(pair_sums, levels[n - 1])
 
 
 def test_pi_factor_arithmetic_oracle():
@@ -97,10 +110,10 @@ def test_pi_factor_small_d_limit():
 
 def test_power_map_level_one_split():
     # middle thirds under x -> x^2: images [0, 1/9] and [4/9, 1]
-    m, tree = _measure(GapSequence.constant(1 / 3, 2), QsMap.power(2.0), 0.5, 2)
+    _, tree = _measure(GapSequence.constant(1 / 3, 2), QsMap.power(2.0), 0.5, 2)
     w = np.array([(1 / 9) ** 0.5, (5 / 9) ** 0.5])
     expected = w / np.sum(w)
-    assert m.masses[1] == pytest.approx(expected)
+    assert _level_masses(tree, 0.5)[1] == pytest.approx(expected)
     assert expected[0] == pytest.approx(0.309, abs=5e-4)
 
 
@@ -120,10 +133,10 @@ def _path_products(tree, d):
 @given(**_measure_cases)
 @example(c="harmonic", a=2.0, d=0.9, depth=12)
 def test_path_product_dominates_node_growth(c, a, d, depth):
-    m, tree = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
+    _, tree = _measure(_gaps(c, depth), QsMap.power(a), d, depth)
     prods = _path_products(tree, d)
-    for n in range(1, depth + 1):
-        ratio = m.masses[n] / tree[n].diams ** m.d
+    for n, masses in enumerate(_level_masses(tree, d)):
+        ratio = masses / tree[n].diams ** d
         assert np.all(ratio <= prods[n] * (1 + 1e-9))
 
 
@@ -171,11 +184,12 @@ def _bits(arrays):
 
 
 def _blocked_measure(tree, d, block):
-    """build_recursive_measure at PAIR_BLOCK = block, or None when its check fires."""
+    """At PAIR_BLOCK = block, every level's masses from the measure's level loop and
+    build_recursive_measure's result, or None when the path-product check fires."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsmass, "PAIR_BLOCK", block)
         try:
-            return build_recursive_measure(tree, d)
+            return _level_masses(tree, d), build_recursive_measure(tree, d)
         except AssertionError:
             return None
 
@@ -203,9 +217,8 @@ def test_block_build_equals_the_whole_level_build_bitwise(c, power, rho, weight_
     gaps = GapSequence(values=tuple(c)) if isinstance(c, list) else _gaps(c, depth)
     qsmap = (QsMap.power(power) if power is not None
              else QsMap.dyadic_weight(rho=rho, depth=weight_depth, seed=seed))
-    try:
-        tree = build_image_tree(build_system(gaps, max_depth=depth), qsmap)
-    except ValueError:  # leaf images below double resolution
+    tree = build_image_tree(build_system(gaps, max_depth=depth), qsmap)
+    if any(np.any(lv.diams <= 0) for lv in tree):  # images below double resolution
         reject()
     if mirror:
         tree = _mirrored(tree)
@@ -219,8 +232,10 @@ def test_block_build_equals_the_whole_level_build_bitwise(c, power, rho, weight_
     else:
         assert got is not None
         masses, growth, p_max = want
-        assert _bits(got.masses) == _bits(masses)
-        assert _bits([got.level_growth, got.p_max]) == _bits([growth, p_max])
+        levels, m = got
+        assert _bits(levels) == _bits(masses)
+        assert _bits(m.masses) == _bits(masses[-1:])
+        assert _bits([m.level_growth, m.p_max]) == _bits([growth, p_max])
 
 
 @pytest.mark.parametrize("block", _BLOCKS)
@@ -238,37 +253,47 @@ def test_unequal_siblings_trip_the_check_at_every_block_size(block, first, mirro
     assert _blocked_measure(tree, 0.9, block) is None
 
 
+def _warm_up():
+    """A first certificate imports numpy submodules, which a trace would count."""
+    certificate(build_system(GapSequence.harmonic(3), max_depth=3), QsMap.power(2.0), 0.9)
+
+
 def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     # at depth 16 the deepest level spans 32 blocks of 2^10 pairs
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
     tree = build_image_tree(build_system(GapSequence.harmonic(16), max_depth=16),
                             QsMap.power(2.0))
+    _warm_up()
     tracemalloc.start()
     try:
         m = build_recursive_measure(tree, 0.9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in m.masses)
-    # the masses, one path product per sibling pair on two levels (3/4 of a leaf
-    # array) and one block's temporaries; a whole-level build needs about 8x
-    # the leaf bytes beyond its masses
-    assert peak <= kept + 1.25 * tree[-1].lefts.nbytes
+    (kept,) = m.masses
+    leaf_bytes = tree[-1].lefts.nbytes
+    assert kept.nbytes == leaf_bytes
+    # two live levels of masses (the leaves and their parents: 1.5 leaf arrays),
+    # their path products (one per sibling pair: 0.375) and one block's
+    # temporaries (about 0.27 at this depth and block; measured peak 2.15)
+    assert peak <= 2.4 * leaf_bytes
 
 
 def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
     system = build_system(GapSequence.harmonic(16), max_depth=16)
     leaf_bytes = system.levels[-1].lefts.nbytes
+    _warm_up()
     tracemalloc.start()
     try:
         certificate(system, QsMap.power(2.0), 0.9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the tree, the masses and the per-pair products while the measure is built;
-    # the scans then hold only the leaf masses and images, csum and leaf right ends
-    assert peak <= 8 * leaf_bytes
+    # the peak is the leaf pass: the image leaves (2), two levels of masses (1.5),
+    # their path products (0.375) and one block's temporaries (about 0.27 here);
+    # measured 4.15, and the scans hold less.  The domain leaves are the system's.
+    assert peak <= 4.5 * leaf_bytes
 
 
 def test_certificate_passes_for_harmonic_identity():
@@ -289,8 +314,72 @@ def test_certificate_fails_for_constant_third():
 def test_certificate_rejects_zero_diameter_images():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     collapse = QsMap.power(200.0)  # the leftmost leaf image underflows to width 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^zero-diameter node at depth 4$"):
         certificate(system, collapse, 0.9)
+
+
+
+def test_a_shallower_path_product_fault_comes_before_deeper_zero_diameters():
+    # each level is checked as it is built: x^200 images reach width 0 at depth 4,
+    # and at d = 0.1 the path-product bound breaks on a level above it first
+    tree = build_image_tree(build_system(GapSequence.harmonic(6), max_depth=6), QsMap.power(200.0))
+    assert all(np.all(tree[n].diams > 0) for n in range(4)) and np.any(tree[4].diams <= 0)
+    built = []
+    with pytest.raises(AssertionError, match="path-product bound"):
+        for masses, *_ in qsmass._levels(tree, 0.1):
+            built.append(len(masses))
+    assert len(built) < 4
+
+
+_GOLDEN_MAPS = {"identity": QsMap.identity(), "x^2": QsMap.power(2.0),
+                "x^0.5": QsMap.power(0.5),
+                "dyadic": QsMap.dyadic_weight(rho=3.0, depth=12, seed=5)}
+
+# Every CertificateReport field, recorded before the measure was built one level
+# at a time: (passed, growth_ok, interval_ok, ball_ok, C_growth and
+# worst_ball_ratio as float.hex, and the first 16 hex digits of the sha256 of
+# the level_growth and p_max bytes).  Recorded with numpy 2.4 on x86-64 with
+# AVX-512; pow and exp may round differently on another SIMD target.
+GOLDEN_REPORTS = {
+    ("harmonic", 16, "identity", 0.5): (
+        False, False, False, False, "0x1.800000000000dp-3", "0x1.4de8634c06804p-2",
+        "861a3598726f5648", "faae61c876aeb782"),
+    ("harmonic", 16, "identity", 0.9): (
+        True, True, True, True, "0x1.18374e9af19b5p+2", "0x1.ff1f6df56bf9bp+2",
+        "99131fcb38364478", "09ecd0466cdc8d09"),
+    ("harmonic", 16, "x^2", 0.5): (
+        False, False, False, True, "0x1.2f4871daa642fp-2", "0x1.22b136102e817p+0",
+        "9b6a9013e2f216b1", "fe16bd79668657e6"),
+    ("harmonic", 16, "x^2", 0.9): (
+        True, True, True, True, "0x1.60502c5bb5f9ap+2", "0x1.149bcd2520f67p+3",
+        "7f30305f5322b569", "5e97c057e5f84b54"),
+    ("harmonic", 16, "x^0.5", 0.5): (
+        False, False, False, False, "0x1.65b944603fb70p-3", "0x1.43555c9fbeca2p-2",
+        "8d22a15c6c9a4d64", "ceb92922546490e6"),
+    ("harmonic", 16, "x^0.5", 0.9): (
+        True, True, True, True, "0x1.cb954eaf88e18p+1", "0x1.93fd8f9cf3b03p+2",
+        "4a942e26c4907df0", "1178ba1602aa26a1"),
+    ("harmonic", 16, "dyadic", 0.5): (
+        False, False, False, False, "0x1.fdff777e81b84p-3", "0x1.073aa153eb371p-1",
+        "7ae8ed58320a0bcb", "70a20f3a4480ebf7"),
+    ("harmonic", 16, "dyadic", 0.9): (
+        True, True, True, True, "0x1.a75e3cb098ed7p+2", "0x1.755eb77666383p+3",
+        "50d8ac404ef26fb3", "4c3a84b6eb38be74"),
+    ("1/3", 14, "identity", 0.9): (
+        False, False, True, False, "0x1.f5a586614cb14p+5", "0x1.f5a586605b5bbp+5",
+        "72d57c0c0bb5916f", "7bbe8c7f816df9db"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_REPORTS), ids=str)
+def test_certificate_reports_keep_their_recorded_bits(case):
+    c, depth, f, d = case
+    gaps = GapSequence.harmonic(depth) if c == "harmonic" else GapSequence.constant(1 / 3, depth)
+    r = certificate(build_system(gaps, max_depth=depth), _GOLDEN_MAPS[f], d)
+    digest = [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (r.level_growth, r.p_max)]
+    assert (r.level_growth.shape, r.p_max.shape) == ((depth + 1,), (depth,))
+    assert (r.passed, r.growth_ok, r.interval_ok, r.ball_ok, float(r.C_growth).hex(),
+            float(r.worst_ball_ratio).hex(), *digest) == GOLDEN_REPORTS[case]
 
 
 def test_level_growth_equals_a_recomputation_bitwise():
@@ -298,8 +387,9 @@ def test_level_growth_equals_a_recomputation_bitwise():
     f, d = QsMap.power(2.0), 0.9
     rep = certificate(system, f, d)
     tree = build_image_tree(system, f)
-    m = build_recursive_measure(tree, d)
-    growth = [np.max(m.masses[n] / tree[n].diams ** d) for n in range(15)]
+    levels = _level_masses(tree, d)
+    assert len(levels) == 15
+    growth = [np.max(masses / tree[n].diams ** d) for n, masses in enumerate(levels)]
     assert np.array_equal(rep.level_growth, growth)
 
 
