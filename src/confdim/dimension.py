@@ -75,10 +75,33 @@ class DiscreteMeasure:
         """
         x0s = np.asarray(x0s, dtype=float).ravel()
         x1s = np.asarray(x1s, dtype=float).ravel()
-        mu = locate_windows(self._lefts, self._rights, self._masses, x0s, x1s).masses(self._prefix)
+        mu = locate_windows(self._lefts, self._rights, x0s, x1s).masses(self._prefix, self._masses)
         k0 = np.searchsorted(self._atoms, x0s, side="left")
         k1 = np.maximum(k0, np.searchsorted(self._atoms, x1s, side="right"))
         return mu + (self._atom_csum[k1] - self._atom_csum[k0])
+
+
+def sorted_search(ends, xs, side: str) -> np.ndarray:
+    """``np.searchsorted(ends, xs, side)`` over sorted ends that need not be stored.
+
+    An array goes to ``np.searchsorted``.  Anything else needs ``len`` and
+    must map an index array to the ends there, as MappedEnds does: a
+    vectorized binary search then forms O(len(xs) log len(ends)) ends and
+    returns what ``np.searchsorted`` returns on the materialized ends.
+    """
+    if isinstance(ends, np.ndarray):
+        return np.searchsorted(ends, xs, side=side)
+    xs = np.asarray(xs, dtype=float)
+    lo = np.zeros(xs.shape, dtype=np.intp)
+    hi = np.full(xs.shape, len(ends), dtype=np.intp)
+    # invariant: ends[:lo] fall before each x and ends[hi:] do not
+    while len(open_ := np.flatnonzero(lo < hi)):
+        mid = (lo[open_] + hi[open_]) // 2
+        e, x = ends[mid], xs[open_]
+        before = e < x if side == "left" else e <= x
+        lo[open_[before]] = mid[before] + 1
+        hi[open_[~before]] = mid[~before]
+    return lo
 
 
 @dataclass
@@ -86,36 +109,52 @@ class WindowLocation:
     """Windows [x0s[i], x1s[i]] located among sorted intervals: the first step of the window rule.
 
     Intervals j0 (the first with right >= x0) .. j1 (the last with left <= x1)
-    meet a window; ``hit`` marks the windows with j1 >= j0.  For each window
-    hit, in order, ``outside_j0`` is interval j0's mass outside the window,
-    ``outside_j1`` interval j1's when it is another one (else 0), and
-    ``touch`` whether the window only touches interval ends.
+    meet a window, and ``hit`` marks the windows with j1 >= j0.  The
+    interval ends are kept as given, arrays or MappedEnds, for the second
+    step, which is the first to read them at j0 and j1.
     """
 
+    lefts: np.ndarray
+    rights: np.ndarray
+    x0s: np.ndarray
+    x1s: np.ndarray
     j0: np.ndarray
     j1: np.ndarray
     hit: np.ndarray
-    outside_j0: np.ndarray
-    outside_j1: np.ndarray
-    touch: np.ndarray
 
-    def masses(self, prefix: np.ndarray) -> np.ndarray:
-        """The window masses: the second step, over the inclusive prefix sum of the masses.
-
-        A window that meets no interval gets 0, and so does one that only
-        touches interval ends, where the prefix sum would leave a rounding
-        residue instead of 0.
-        """
+    @property
+    def reads(self) -> np.ndarray:
+        """The interval indices at which the second step reads masses or the prefix sum."""
         a, b = self.j0[self.hit], self.j1[self.hit]
-        m = prefix[b] - np.where(a > 0, prefix[a - 1], 0.0)
-        m -= self.outside_j0
-        m -= self.outside_j1
+        return np.concatenate([a, b, np.maximum(a - 1, 0)])
+
+    def masses(self, prefix, masses) -> np.ndarray:
+        """The window masses: the second step, over the masses and their inclusive prefix sum.
+
+        ``prefix`` and ``masses`` are arrays, or anything that maps the index
+        arrays of ``reads`` to the values there.  A window's boundary
+        intervals count in proportion to their overlap with it.  A window
+        that meets no interval gets 0, and so does one that only touches
+        interval ends, where the prefix sum would leave a rounding residue
+        instead of 0.
+        """
+        hit = self.hit
+        a, b, x0, x1 = self.j0[hit], self.j1[hit], self.x0s[hit], self.x1s[hit]
+
+        def inside(j):
+            l, r = self.lefts[j], self.rights[j]
+            return np.clip((np.minimum(r, x1) - np.maximum(l, x0)) / (r - l), 0.0, 1.0)
+
+        f0, f1 = inside(a), inside(b)
+        m = prefix[b] - np.where(a > 0, prefix[np.maximum(a - 1, 0)], 0.0)
+        m -= masses[a] * (1.0 - f0)
+        m -= np.where(a == b, 0.0, masses[b] * (1.0 - f1))
         mu = np.zeros(self.j0.shape)
-        mu[self.hit] = np.where(self.touch, 0.0, m)
+        mu[hit] = np.where((b - a <= 1) & (f0 == 0.0) & (f1 == 0.0), 0.0, m)
         return mu
 
 
-def locate_windows(lefts, rights, masses, x0s, x1s) -> WindowLocation:
+def locate_windows(lefts, rights, x0s, x1s) -> WindowLocation:
     """Locate the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
 
     The package's one window rule is this step and `WindowLocation.masses`.
@@ -123,25 +162,17 @@ def locate_windows(lefts, rights, masses, x0s, x1s) -> WindowLocation:
     `DiscreteMeasure.window_masses`, which serves the mass-bound scan, the
     theorem-b growth scan, the product-system rasterization and the fiber
     scan of `modulus_comparison`.  Both ends must be sorted, and every
-    interval must have positive length; intervals may touch or overlap by
-    rounding.  Only this step reads the masses, so a caller may then turn
-    them into their prefix sum in place.
+    interval must have positive length by the second step; intervals may
+    touch or overlap by rounding.  The ends go through `sorted_search`, so
+    they may be MappedEnds, and no mass is read here: a caller may locate
+    its windows before the masses exist.
     """
     x0s = np.asarray(x0s, dtype=float)
     x1s = np.asarray(x1s, dtype=float)
-    j1 = np.searchsorted(lefts, x1s, side="right") - 1
-    j0 = np.searchsorted(rights, x0s, side="left")
-    hit = j1 >= j0
-    a, b, x0, x1 = j0[hit], j1[hit], x0s[hit], x1s[hit]
-
-    def inside(j):
-        l, r = lefts[j], rights[j]
-        return np.clip((np.minimum(r, x1) - np.maximum(l, x0)) / (r - l), 0.0, 1.0)
-
-    f0, f1 = inside(a), inside(b)
-    return WindowLocation(j0=j0, j1=j1, hit=hit, outside_j0=masses[a] * (1.0 - f0),
-                          outside_j1=np.where(a == b, 0.0, masses[b] * (1.0 - f1)),
-                          touch=(b - a <= 1) & (f0 == 0.0) & (f1 == 0.0))
+    j1 = sorted_search(lefts, x1s, side="right") - 1
+    j0 = sorted_search(rights, x0s, side="left")
+    return WindowLocation(lefts=lefts, rights=rights, x0s=x0s, x1s=x1s, j0=j0, j1=j1,
+                          hit=j1 >= j0)
 
 
 def natural_measure(level: IntervalLevel) -> DiscreteMeasure:

@@ -267,8 +267,8 @@ def distortion_gap_check(
 class ImageLevel:
     """Endpoint images of one interval level under an increasing map.
 
-    ``rights`` is an array, or MappedRights, which maps the right ends it is
-    indexed at.
+    ``lefts`` and ``rights`` are arrays, or the MappedEnds of one level,
+    which map the ends they are indexed at.
     """
 
     depth: int
@@ -276,32 +276,50 @@ class ImageLevel:
     rights: np.ndarray
     branching: int
 
+    def ends(self, s) -> tuple:
+        """(lefts[s], rights[s]); a mapped level reads its domain left ends once."""
+        if isinstance(self.lefts, MappedEnds):
+            return self.lefts.both(s)
+        return self.lefts[s], self.rights[s]
+
     @property
     def parent_index(self) -> np.ndarray:
         return parent_indices(self.count, self.branching)
 
     @property
     def diams(self) -> np.ndarray:
-        return self.rights[:] - self.lefts
+        lefts, rights = self.ends(slice(None))
+        return rights - lefts
 
     @property
     def count(self) -> int:
         return len(self.lefts)
 
 
-class MappedRights:
-    """A level's image right ends, formed and mapped when indexed.
+class MappedEnds:
+    """One side of a level's image ends, formed and mapped when indexed.
 
-    ``rights[s]`` is ``qsmap.apply(level.rights)[s]`` and maps the intervals
-    ``s`` only, so a reader that walks the level in blocks never holds all of
-    them.
+    ``MappedEnds(qsmap, level, right)[s]`` is ``qsmap.apply(level.rights)[s]``
+    (``level.lefts`` when ``right`` is False) and maps the intervals ``s``
+    only, so a reader that walks the level in blocks, or probes it at a few
+    indices, never holds all of them.  The map is elementwise, so the bits do
+    not depend on which intervals are mapped together.
     """
 
-    def __init__(self, qsmap: QsMap, level: IntervalLevel):
-        self.qsmap, self.level = qsmap, level
+    def __init__(self, qsmap: QsMap, level: IntervalLevel, right: bool):
+        self.qsmap, self.level, self.right = qsmap, level, right
+
+    def __len__(self) -> int:
+        return self.level.count
 
     def __getitem__(self, s) -> np.ndarray:
-        return self.qsmap.apply(self.level.lefts[s] + np.exp(self.level.log_length))
+        x = self.level.lefts[s]
+        return self.qsmap.apply(x + np.exp(self.level.log_length) if self.right else x)
+
+    def both(self, s) -> tuple:
+        """The image left and right ends of the intervals ``s``, from one read of their lefts."""
+        x = self.level.lefts[s]
+        return self.qsmap.apply(x), self.qsmap.apply(x + np.exp(self.level.log_length))
 
 
 # intervals per block when push_intervals maps right ends: the temporaries
@@ -312,11 +330,10 @@ PUSH_BLOCK = 2 ** 16
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
     """Image diameters and gaps of a level; valid since maps are increasing.
 
-    The image keeps the level's ``branching``: the tree is the same.  An image
-    tree pushes only its leaves and views their left ends on upper levels.
-    The right ends are mapped PUSH_BLOCK at a time into one array.
+    The image keeps the level's ``branching``: the tree is the same.  The
+    right ends are mapped PUSH_BLOCK at a time into one array.
     """
-    mapped, rights = MappedRights(qsmap, level), np.empty(level.count)
+    mapped, rights = MappedEnds(qsmap, level, right=True), np.empty(level.count)
     for i in range(0, level.count, PUSH_BLOCK):
         rights[i:i + PUSH_BLOCK] = mapped[i:i + PUSH_BLOCK]
     return ImageLevel(

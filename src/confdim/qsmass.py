@@ -9,29 +9,34 @@ control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
 
-The pipeline runs one pass per level, so no leaf-sized array lives without
-need.  The image tree stores only the mapped leaves; an upper level's image
-right ends are mapped block by block as the measure reaches the level.  The
-measure is built level by level in blocks of PAIR_BLOCK sibling pairs, so its
-temporaries stay cache-sized, and each node's bits are those of a whole-level
-pass.  Two levels of masses live at a time, in two buffers that alternate by
-level; siblings share one path product, and the leaf level's path products
-exist one block at a time.  Each level records its median image diameter,
-the certificate's ball radius at that depth.  The certificate locates every
-window and ball first, then turns the leaf masses into their prefix sum in
-place and sums.
+The pipeline stores no leaf-sized array but the system's domain left ends.
+The image tree maps nothing up front: every level's image ends are mapped
+block by block, from one read of its domain left ends, as the measure
+reaches the level.  The measure is built level by level in blocks of
+PAIR_BLOCK sibling pairs, so its temporaries stay cache-sized, and each
+node's bits are those of a whole-level pass.  Two upper levels of masses
+live at a time, in two buffers that alternate by level, and siblings share
+one path product.  Each level records its median image diameter, the
+certificate's ball radius at that depth: the leaves' from one scratch buffer
+freed before the level buffers exist, an upper level's from a level-sized
+diameter buffer.  The leaf level is never stored: its masses, path products
+and prefix sum live one block at a time.  The certificate locates every
+window before the measure and every ball when the measure reaches the
+leaves, by sorted searches that map only the ends they probe, and the leaf
+pass keeps the masses and prefix sums at the located leaves only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from confdim.cantor import MIDDLE_INTERVAL, CantorSystem
 from confdim.dimension import locate_windows
-from confdim.qsmaps import ImageLevel, MappedRights, QsMap, push_intervals
+from confdim.qsmaps import ImageLevel, MappedEnds, QsMap
 
 _REL_TOL = 1e-9
 
@@ -49,25 +54,62 @@ PAIR_BLOCK = 2 ** 15
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
     """The image of every level of a binary system, as ImageLevels by depth.
 
-    Only the leaves are mapped and stored.  An upper level views the leaves'
-    image left ends, as in the domain, and its right ends are MappedRights:
-    mapped block by block as the measure reaches the level.
+    Nothing is mapped here: every level's image ends are MappedEnds, mapped
+    block by block from one read of its domain left ends as the measure
+    reaches the level.
     """
     if system.gaps.kind != MIDDLE_INTERVAL:
         raise ValueError("recursive measure machinery assumes binary systems")
-    leaves = push_intervals(qsmap, system.levels[-1])
-    return [ImageLevel(depth=lv.depth, lefts=leaves.lefts[::leaves.count // lv.count],
-                       rights=MappedRights(qsmap, lv), branching=lv.branching)
-            for lv in system.levels[:-1]] + [leaves]
+    return [ImageLevel(depth=lv.depth, lefts=MappedEnds(qsmap, lv, right=False),
+                       rights=MappedEnds(qsmap, lv, right=True), branching=lv.branching)
+            for lv in system.levels]
+
+
+@dataclass
+class ScannedLevel(ImageLevel):
+    """A tree's leaf level with the reads that a scan makes of its masses.
+
+    The leaf masses are never stored whole.  When the measure reaches this
+    level, before any of its masses exist, it calls ``locate`` with every
+    level's median image diameter, root first; ``locate`` returns the sorted,
+    unique leaf indices at which the measure keeps the masses and their
+    inclusive prefix sum.
+    """
+
+    locate: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass
+class LeafReads:
+    """The leaf masses and their inclusive prefix sum at the sorted leaf indices ``keys``."""
+
+    keys: np.ndarray
+    masses: np.ndarray
+    prefix: np.ndarray
 
 
 @dataclass
 class RecursiveMeasure:
     d: float
-    masses: list              # [the leaf masses]: the build keeps no upper level
+    leaves: LeafReads         # the leaf reads of a ScannedLevel (none for another leaf level)
     level_growth: np.ndarray  # per level, max mu/diam^d over its nodes
     p_max: np.ndarray         # per level >= 1, max p_i over its sibling pairs
     median_diams: np.ndarray  # per level, the median image diameter of its nodes
+
+    @property
+    def masses(self) -> list:
+        """[the leaf masses at ``leaves.keys``]: the build keeps no level whole."""
+        return [self.leaves.masses]
+
+
+def _median_diam(lv: ImageLevel) -> float:
+    """The median image diameter of a level, from one scratch buffer filled block by block."""
+    diams = np.empty(lv.count)
+    block = 2 * PAIR_BLOCK
+    for i in range(0, lv.count, block):
+        lefts, rights = lv.ends(slice(i, i + block))
+        np.subtract(rights, lefts, out=diams[i:i + block])
+    return float(np.median(diams, overwrite_input=True))
 
 
 def _levels(tree, d: float):
@@ -75,59 +117,71 @@ def _levels(tree, d: float):
 
     ``growth`` is max mu/diam^d over the level's nodes, ``p_max`` the max p_i
     over its sibling pairs (None at the root) and ``median_diam`` the median
-    image diameter.  ``tree`` is a list of ImageLevels by depth.  The yielded
-    masses are views of two buffers that alternate by level, so a level's
-    masses hold until the level after the next one is built.
+    image diameter.  ``tree`` is a list of ImageLevels by depth.  An upper
+    level yields its masses, views of two buffers that alternate by level,
+    so they hold until the level after the next one is built.  The leaf
+    level yields LeafReads in place of masses.
     """
     if not (0.0 < d < 1.0):
         raise ValueError("d must be in (0, 1)")
     if len(tree) < 2:
         raise ValueError("tree depth must be >= 1")
     depth = len(tree) - 1
-    leaves = tree[depth].count
-    # Nothing level-sized is allocated or freed level by level, so the heap
-    # does not fragment: alternate levels share two mass buffers (the leaves'
-    # is the larger) and two path-product buffers, and an upper level's
-    # diameters, kept for its median, go in the back half of the leaf masses'
-    # buffer, which no upper level's masses reach.
-    mass_bufs = (np.empty(leaves), np.empty(leaves // 2))
-    prod_bufs = (np.empty(leaves // 4), np.empty(leaves // 8))
+    leaves = tree[depth]
+    # the leaf median's scratch buffer is freed before the level buffers
+    # exist; nothing level-sized is allocated or freed level by level after
+    # it, so the heap does not fragment: alternate levels share two mass
+    # buffers and two path-product buffers, and every upper level's
+    # diameters go in one buffer, kept for its median
+    leaf_median = _median_diam(leaves)
+    mass_bufs = (np.empty(leaves.count // 2), np.empty(leaves.count // 4))
+    prod_bufs = (np.empty(leaves.count // 4), np.empty(leaves.count // 8))
+    diams_buf = np.empty(leaves.count // 2)
     masses = np.array([1.0])
     prod = np.array([1.0])  # prod of p_i along the root-to-node path, one per sibling pair
     diams = tree[0].diams
-    yield masses, float(np.max(masses / diams ** d)), None, float(np.median(diams))
-    for n in range(1, depth + 1):
+    medians = [float(np.median(diams))]
+    yield masses, float(np.max(masses / diams ** d)), None, medians[0]
+    for n in range(1, depth):
         lv = tree[n]
-        if lv.count != 2 * len(masses):
-            raise ValueError(f"level {lv.depth} is not binary")
-        child = mass_bufs[(depth - n) % 2][:lv.count]
-        if n < depth:
-            child_prod = prod_bufs[(depth - n - 1) % 2][:lv.count // 2]
-            diams = mass_bufs[0][leaves // 2:leaves // 2 + lv.count]
-            growth, p_max = _split_level(lv, masses, prod, child, child_prod, diams, d)
-            median_diam = float(np.median(diams, overwrite_input=True))
-        else:
-            # the leaf diameters go in the leaf masses' buffer before the masses do
-            median_diam = float(np.median(np.subtract(lv.rights, lv.lefts, out=child),
-                                          overwrite_input=True))
-            child_prod = None
-            growth, p_max = _split_level(lv, masses, prod, child, None, None, d)
+        _check_binary(lv, masses)
+        child = mass_bufs[(depth - 1 - n) % 2][:lv.count]
+        child_prod = prod_bufs[(depth - 1 - n) % 2][:lv.count // 2]
+        diams = diams_buf[:lv.count]
+        growth, p_max = _split_level(lv, masses, prod, child, child_prod, diams, None, d)
+        medians.append(float(np.median(diams, overwrite_input=True)))
         masses, prod = child, child_prod
-        yield masses, growth, p_max, median_diam
+        yield masses, growth, p_max, medians[-1]
+    del diams_buf, diams
+    _check_binary(leaves, masses)
+    keys = (leaves.locate(np.array(medians + [leaf_median])) if isinstance(leaves, ScannedLevel)
+            else np.empty(0, dtype=np.intp))
+    reads = LeafReads(keys=keys, masses=np.empty(len(keys)), prefix=np.empty(len(keys)))
+    growth, p_max = _split_level(leaves, masses, prod, None, None, None, reads, d)
+    yield reads, growth, p_max, leaf_median
+
+
+def _check_binary(lv: ImageLevel, parent_mass: np.ndarray):
+    if lv.count != 2 * len(parent_mass):
+        raise ValueError(f"level {lv.depth} is not binary")
 
 
 def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarray,
-                 masses: np.ndarray, prod, diams_out, d: float) -> tuple:
+                 masses, prod, diams_out, reads, d: float) -> tuple:
     """Fill one level's ``masses``, path products and diameters, block by block.
 
-    Returns the level's max growth and max p_i.  With ``prod`` and
-    ``diams_out`` None (the leaf level) those live for their block only.
+    Returns the level's max growth and max p_i.  At the leaf level
+    ``masses``, ``prod`` and ``diams_out`` are None and live for their block
+    only: the block's masses become their prefix sum in place, carried on
+    from the last block, which gives the bits of one ``np.cumsum`` over the
+    level, and ``reads`` keeps the masses and prefix sums at its keys.
     Parent node j is in the parent level's sibling pair j // 2.
     """
     p_top = growth_top = -np.inf
+    carry, k0 = 0.0, 0
     for j0 in range(0, len(parent_mass), PAIR_BLOCK):
         j1 = min(j0 + PAIR_BLOCK, len(parent_mass))
-        lefts, rights = lv.lefts[2 * j0:2 * j1], lv.rights[2 * j0:2 * j1]
+        lefts, rights = lv.ends(slice(2 * j0, 2 * j1))
         diams = np.subtract(rights, lefts,
                             out=None if diams_out is None else diams_out[2 * j0:2 * j1])
         if np.any(diams <= 0):
@@ -139,34 +193,42 @@ def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarra
         denom = wl + wr
         pm = parent_mass[j0:j1]
         # Sterbenz two-step: the larger child lands in [parent/2, parent], so
-        # the final complement is exact and siblings sum to the parent bitwise
-        small0 = pm * np.minimum(wl, wr) / denom
-        big = pm - small0
-        small = pm - big
-        left_is_small = wl <= wr
-        mass = masses[2 * j0:2 * j1]
-        mass[0::2] = np.where(left_is_small, small, big)
-        mass[1::2] = np.where(left_is_small, big, small)
+        # the smaller one is its exact complement, the complement of either
+        # child is exact, and siblings sum to the parent bitwise
+        big = pm - pm * np.minimum(wl, wr) / denom
+        mass = np.empty(2 * (j1 - j0)) if masses is None else masses[2 * j0:2 * j1]
+        mass[0::2] = np.where(wl <= wr, pm - big, big)
+        mass[1::2] = pm - mass[0::2]
         p = (dl + gap + dr) ** d / denom
-        path = np.multiply(parent_prod[np.arange(j0, j1) // 2], p,
-                           out=None if prod is None else prod[j0:j1])
+        odd = j0 % 2  # an odd PAIR_BLOCK starts a block inside a parent pair
+        parent_path = np.repeat(parent_prod[j0 // 2:(j1 + 1) // 2], 2)[odd:odd + j1 - j0]
+        path = np.multiply(parent_path, p, out=None if prod is None else prod[j0:j1])
         # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
         ratio = mass / w
         if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
             raise AssertionError("path-product bound violated beyond tolerance")
         p_top = np.maximum(p_top, np.max(p))
         growth_top = np.maximum(growth_top, np.max(ratio))
+        if reads is not None:
+            k1 = k0 + int(np.searchsorted(reads.keys[k0:], 2 * j1))
+            at = reads.keys[k0:k1] - 2 * j0
+            reads.masses[k0:k1] = mass[at]
+            mass[0] += carry
+            carry = np.cumsum(mass, out=mass)[-1]
+            reads.prefix[k0:k1] = mass[at]
+            k0 = k1
     return float(growth_top), float(p_top)
 
 
 def build_recursive_measure(tree, d: float) -> RecursiveMeasure:
     """Assign masses by the diam^d proportional split, tracking p_i maxima.
 
-    Keeps the leaf masses and, per level, the growth, p_max and median diameter.
+    Keeps, per level, the growth, p_max and median diameter, and the leaf
+    masses and prefix sums where a ScannedLevel leaf level reads them.
     """
-    # the level loop reuses its buffers, so only the last masses it yields hold
+    # the level loop reuses its buffers, and the last level it yields is LeafReads
     masses, growth, p_max, median_diams = zip(*_levels(tree, d))
-    return RecursiveMeasure(d=d, masses=[masses[-1]], level_growth=np.array(growth),
+    return RecursiveMeasure(d=d, leaves=masses[-1], level_growth=np.array(growth),
                             p_max=np.array(p_max[1:]), median_diams=np.array(median_diams))
 
 
@@ -192,11 +254,12 @@ class CertificateReport:
     p_max: np.ndarray         # max p_i per depth >= 1 of the certified measure
 
 
-def _ball_centers(lefts: np.ndarray, rights: np.ndarray, max_windows: int) -> np.ndarray:
+def _ball_centers(lefts, rights, max_windows: int) -> np.ndarray:
     """Every k-th entry of [lefts, rights, midpoints], k = 3n // max_windows + 1.
 
     All 3n entries are kept when 3n <= max_windows.  Only the kept entries
-    are formed, so the result equals striding the concatenation bit for bit.
+    are formed, so the result equals striding the concatenation bit for bit,
+    and the ends may be MappedEnds.
     """
     n = len(lefts)
     step = 3 * n // max_windows + 1 if 3 * n > max_windows else 1
@@ -212,58 +275,89 @@ def _stability(values: np.ndarray, factor: float) -> bool:
     return bool(np.max(vals) / np.min(vals) <= factor)
 
 
+class _Keyed:
+    """Values stored at sorted keys, indexed by arrays of those keys."""
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self.keys, self.values = keys, values
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.values[np.searchsorted(self.keys, idx)]
+
+
+class _Scans:
+    """The certificate's windows on the domain leaves and balls on the image leaves.
+
+    The windows of every scanned depth are located together on
+    construction, the balls by ``locate`` when the measure reaches the
+    leaves, before any leaf mass exists; both read only the ends that their
+    sorted searches probe.
+    """
+
+    def __init__(self, system: CantorSystem, image: ImageLevel, qsmap: QsMap, top: np.ndarray):
+        leaves = system.level(system.max_depth)
+        leaf_l, leaf_r = leaves.lefts, MappedEnds(QsMap.identity(), leaves, right=True)
+        self.image, self.top = image, top
+        grids = []
+        for n in top:
+            scale = float(np.exp(system.level(n).log_length))
+            step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
+            xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
+            grids.append((xs, xs + scale))
+        self.cuts = np.cumsum([len(xs) for xs, _ in grids])[:-1]
+        x0, x1 = (np.concatenate(ends) for ends in zip(*grids))
+        # boundary leaves count proportionally to their overlap with the
+        # window, else the finest scanned scale overstates the constant
+        self.windows = win = locate_windows(leaf_l, leaf_r, x0, x1)
+        sel = win.hit
+        # the map is elementwise, so a mapped leaf end has the image tree's bits
+        lo = np.maximum(image.lefts[win.j0[sel]], qsmap.apply(np.maximum(x0[sel], leaf_l[0])))
+        hi = np.minimum(image.rights[win.j1[sel]], qsmap.apply(np.minimum(x1[sel], leaf_r[-1])))
+        self.spans = np.zeros(len(x0))
+        self.spans[sel] = np.maximum(hi - lo, 0.0)
+
+    def locate(self, median_diams: np.ndarray) -> np.ndarray:
+        """Locate one ball per center and scanned depth, of radius its median; return all reads."""
+        self.radii = [float(r) for r in median_diams[self.top]]
+        centers = _ball_centers(self.image.lefts, self.image.rights, MAX_WINDOWS)
+        self.balls = locate_windows(self.image.lefts, self.image.rights,
+                                    np.concatenate([centers - r for r in self.radii]),
+                                    np.concatenate([centers + r for r in self.radii]))
+        return np.unique(np.concatenate([self.windows.reads, self.balls.reads]))
+
+    def constants(self, reads: LeafReads, d: float) -> tuple:
+        """Per scanned depth, the worst window and ball ratios (NaN where none is hit)."""
+        prefix, masses = _Keyed(reads.keys, reads.prefix), _Keyed(reads.keys, reads.masses)
+        interval_c = np.full(len(self.top), np.nan)
+        ball_c = np.full(len(self.top), np.nan)
+        per_depth = (np.split(a, self.cuts) for a in
+                     (self.windows.masses(prefix, masses), self.windows.hit, self.spans))
+        for ti, (mu, hit, span) in enumerate(zip(*per_depth)):
+            good = hit & (span > 0)
+            if np.any(good):
+                interval_c[ti] = float(np.max(mu[good] / span[good] ** d))
+        # ball scan on the image side at the matching image scale
+        shape = (len(self.radii), -1)
+        ball_mu = self.balls.masses(prefix, masses).reshape(shape)
+        for ti, (mu, hit, r) in enumerate(zip(ball_mu, self.balls.hit.reshape(shape), self.radii)):
+            if np.any(hit):
+                ball_c[ti] = float(np.max(mu[hit])) / r ** d
+        return interval_c, ball_c
+
+
 def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateReport:
     """Check mu <= C diam^d on nodes, windows and balls of the image."""
     depth = system.max_depth
     tree = build_image_tree(system, qsmap)
-    measure = build_recursive_measure(tree, d)
-    (leaf_mass,) = measure.masses
-    level_growth, p_max = measure.level_growth, measure.p_max
     top = np.arange((depth + 1) // 2, depth + 1)
-    radii = [float(r) for r in measure.median_diams[top]]
-    img_l, img_r = tree[depth].lefts, tree[depth].rights
-    del measure, tree
+    scans = _Scans(system, tree[depth], qsmap, top)
+    scanned = ScannedLevel(**vars(tree[depth]), locate=scans.locate)
+    measure = build_recursive_measure(tree[:depth] + [scanned], d)
+    level_growth, p_max = measure.level_growth, measure.p_max
 
     growth_ok = _stability(level_growth[top], STABILITY_FACTOR)
     c_growth = float(np.max(level_growth[top]))
-
-    # every ball and window is located before any is summed: the image right
-    # ends go before the domain right ends are formed, and the leaf masses
-    # then become their prefix sum in place
-    centers = _ball_centers(img_l, img_r, MAX_WINDOWS)
-    balls = [locate_windows(img_l, img_r, leaf_mass, centers - r, centers + r) for r in radii]
-    del img_r
-    leaves = system.level(depth)
-    leaf_l, leaf_r = leaves.lefts, leaves.rights
-    windows = []
-    for n in top:
-        scale = float(np.exp(system.level(n).log_length))
-        step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
-        xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
-        x1 = xs + scale
-        # boundary leaves count proportionally to their overlap with the
-        # window, else the finest scanned scale overstates the constant
-        win = locate_windows(leaf_l, leaf_r, leaf_mass, xs, x1)
-        sel = win.hit
-        # the map is elementwise, so a mapped leaf end has the image tree's bits
-        lo = np.maximum(img_l[win.j0[sel]], qsmap.apply(np.maximum(xs[sel], leaf_l[0])))
-        hi = np.minimum(qsmap.apply(leaf_r[win.j1[sel]]),
-                        qsmap.apply(np.minimum(x1[sel], leaf_r[-1])))
-        windows.append((win, np.maximum(hi - lo, 0.0)))
-    del leaf_r
-    prefix = np.cumsum(leaf_mass, out=leaf_mass)
-    del leaf_mass
-
-    interval_c = np.full(len(top), np.nan)
-    ball_c = np.full(len(top), np.nan)
-    for ti, ((win, span), ball, r) in enumerate(zip(windows, balls, radii)):
-        if np.any(win.hit):
-            good = span > 0
-            ratios = win.masses(prefix)[win.hit][good] / span[good] ** d
-            interval_c[ti] = float(np.max(ratios)) if len(ratios) else np.nan
-        # ball scan on the image side at the matching image scale
-        if np.any(ball.hit):
-            ball_c[ti] = float(np.max(ball.masses(prefix)[ball.hit])) / r ** d
+    interval_c, ball_c = scans.constants(measure.leaves, d)
 
     interval_ok = _stability(interval_c, STABILITY_FACTOR * 2.0)
     ball_ok = _stability(ball_c, STABILITY_FACTOR * 2.0)

@@ -32,7 +32,13 @@ from confdim.modulus import (
 )
 from confdim.qsmaps import EtaModulus, QsMap, distortion_check, distortion_gap_check
 import confdim.qsmass as qsmass
-from confdim.qsmass import build_image_tree, build_recursive_measure, certificate
+from confdim.qsmass import (
+    LeafReads,
+    ScannedLevel,
+    build_image_tree,
+    build_recursive_measure,
+    certificate,
+)
 
 POWER2_C = 2.0 + math.sqrt(5.0) + 1e-9  # calibrated gauge constant for a = 2
 
@@ -96,8 +102,12 @@ def test_criterion_3_measure_machinery():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = build_image_tree(system, QsMap.power(1.5))
     # every level's masses as the measure's own level loop builds them; the loop
-    # reuses its buffers two levels on, so each level is copied
-    masses = [m.copy() for m, *_ in qsmass._levels(tree, 0.9)]
+    # reuses its buffers two levels on, so each upper level is copied, and the
+    # streamed leaf level is read at every leaf
+    leaves = tree[-1]
+    scanned = tree[:-1] + [ScannedLevel(**vars(leaves), locate=lambda _: np.arange(leaves.count))]
+    masses = [m.masses if isinstance(m, LeafReads) else m.copy()
+              for m, *_ in qsmass._levels(scanned, 0.9)]
     conserved = len(masses) == 15 and all(
         np.array_equal(masses[n][0::2] + masses[n][1::2], masses[n - 1])
         for n in range(1, 15)

@@ -186,12 +186,12 @@ def _intervals_and_windows(draw, atoms):
 @settings(max_examples=300, deadline=None)
 @given(case=_intervals_and_windows(atoms=False))
 def test_sorted_window_masses_equal_the_certificate_formula_bitwise(case):
-    """The window rule (locate, then sum over the prefix sum made in place)."""
+    """The window rule (locate before any mass is read, then sum over the prefix sum)."""
     lefts, rights, masses, x0, x1 = case
     csum = np.concatenate([[0.0], np.cumsum(masses)])
     want, w0, w1 = _certificate_window_masses(lefts, rights, masses, csum, x0, x1)
-    win = locate_windows(lefts, rights, masses, x0, x1)
-    mu, j0, j1 = win.masses(np.cumsum(masses, out=masses)), win.j0, win.j1
+    win = locate_windows(lefts, rights, x0, x1)
+    mu, j0, j1 = win.masses(np.cumsum(masses), masses), win.j0, win.j1
     hit = j1 >= j0
     assert np.array_equal(j0, w0) and np.array_equal(j1, w1)
     # a window that only touches interval ends has mass exactly 0; the
@@ -226,17 +226,17 @@ _TOUCHING_RIGHTS = _TOUCHING_LEFTS + np.exp(np.log(
 def test_sorted_window_masses_of_a_touching_window_are_exactly_zero():
     lefts, rights = _TOUCHING_LEFTS, _TOUCHING_RIGHTS
     lengths = rights - lefts
-    win = locate_windows(lefts, rights, lengths, [15 / 64], [1 / 4])
-    mu, j0, j1 = win.masses(np.cumsum(lengths)), win.j0, win.j1
+    win = locate_windows(lefts, rights, [15 / 64], [1 / 4])
+    mu, j0, j1 = win.masses(np.cumsum(lengths), lengths), win.j0, win.j1
     assert j0[0] == j1[0] == 1
     assert mu[0] == 0.0
 
 
 def test_sorted_window_masses_of_empty_inputs():
     none = np.array([])
-    win = locate_windows(none, none, none, none, none)
-    assert win.masses(none).shape == win.j0.shape == win.j1.shape == (0,)
-    mu = locate_windows(none, none, none, [0.0, 1.0], [0.5, 2.0]).masses(none)
+    win = locate_windows(none, none, none, none)
+    assert win.masses(none, none).shape == win.j0.shape == win.j1.shape == (0,)
+    mu = locate_windows(none, none, [0.0, 1.0], [0.5, 2.0]).masses(none, none)
     assert np.array_equal(mu, [0.0, 0.0])
 
 

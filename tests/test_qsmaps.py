@@ -6,8 +6,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import confdim.qsmaps as qsmaps
 from confdim.cantor import GapSequence, build_system
+from confdim.dimension import sorted_search
 from confdim.qsmaps import (
     EtaModulus,
+    MappedEnds,
     QsMap,
     distortion_check,
     distortion_gap_check,
@@ -195,24 +197,60 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_pushed_systems)
-@example(c="harmonic", spec=("power", 2.0), depth=12)
-@example(c=0.3, spec=("dyadic", 2.0, 0), depth=12)
-def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth):
-    # the tree maps only the leaves' left ends and views them on upper levels,
-    # so the map must give the same bits on a strided view as on a copy; right
-    # ends are mapped in blocks, so the map must also give them as on the whole level
+@given(**_pushed_systems, block=st.sampled_from([1, 3, 2 ** 16]))
+@example(c="harmonic", spec=("power", 2.0), depth=12, block=3)
+@example(c=0.3, spec=("dyadic", 2.0, 0), depth=12, block=3)
+def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth, block):
+    # the tree maps every level's ends as they are read, so the map must give
+    # the same bits on a strided view as on a copy, and on any block of a
+    # level as on the whole level
     system = _system(c, depth)
     f = _map(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qsmaps, "PUSH_BLOCK", 3)
-        tree = build_image_tree(system, f)
-    assert tree[-1].rights.tobytes() == f.apply(system.levels[-1].rights).tobytes()
+    tree = build_image_tree(system, f)
     for img, lv in zip(tree, system.levels, strict=True):
         want = push_intervals(f, lv)
-        assert (img.depth, img.branching) == (want.depth, want.branching)
-        assert img.lefts.tobytes() == want.lefts.tobytes()
+        assert (img.depth, img.branching, img.count) == (want.depth, want.branching, want.count)
+        blocks = [img.ends(slice(i, i + block)) for i in range(0, img.count, block)]
+        assert np.concatenate([l for l, _ in blocks]).tobytes() == want.lefts.tobytes()
+        assert np.concatenate([r for _, r in blocks]).tobytes() == want.rights.tobytes()
+        assert img.lefts[:].tobytes() == want.lefts.tobytes()
         assert img.rights[:].tobytes() == want.rights.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsmaps, "PUSH_BLOCK", 3)
+        leaves = push_intervals(f, system.levels[-1])
+    assert leaves.rights.tobytes() == f.apply(system.levels[-1].rights).tobytes()
+
+
+def _queries(ends: np.ndarray, rng) -> np.ndarray:
+    """Every end, the midpoints between neighbours, one ulp either side, and points outside."""
+    between = (ends[:-1] + ends[1:]) / 2.0
+    outside = [-np.inf, ends[0] - 1.0, ends[-1] + 1.0, np.inf]
+    xs = np.concatenate([ends, between, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                         outside])
+    return rng.permutation(xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_pushed_systems, image=st.booleans(), right=st.booleans(),
+       side=st.sampled_from(["left", "right"]), up=st.integers(0, 12), seed=st.integers(0, 99))
+@example(c="harmonic", spec=("power", 2.0), depth=12, image=True, right=True, side="left",
+         up=0, seed=0)
+@example(c=0.3, spec=("dyadic", 2.0, 0), depth=10, image=True, right=False, side="right",
+         up=3, seed=1)
+def test_sorted_search_on_mapped_ends_equals_searchsorted(c, spec, depth, image, right, side,
+                                                          up, seed):
+    """Domain ends (the identity map) or image ends of one level, searched unstored."""
+    system = _system(c, depth)
+    lv = system.level(max(depth - up, 0))
+    ends = MappedEnds(_map(spec) if image else QsMap.identity(), lv, right)
+    full = ends[:]
+    assume(np.all(np.diff(full) >= 0))  # the search's contract: sorted ends
+    xs = _queries(full, np.random.default_rng(seed))
+    got = sorted_search(ends, xs, side)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.searchsorted(full, xs, side=side))
+    # an array goes to np.searchsorted itself
+    assert np.array_equal(sorted_search(full, xs, side), got)
 
 
 def test_random_triples_reproducible():

@@ -10,6 +10,8 @@ import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
 from confdim.qsmaps import ImageLevel, QsMap
 from confdim.qsmass import (
+    LeafReads,
+    ScannedLevel,
     _ball_centers,
     build_image_tree,
     build_recursive_measure,
@@ -17,18 +19,28 @@ from confdim.qsmass import (
 )
 
 
+def _read_leaves(tree, keys=None):
+    """The tree with a leaf level at which the measure keeps the masses and
+    prefix sums at the sorted leaf indices ``keys``, by default every leaf."""
+    leaves = tree[-1]
+    keys = np.arange(leaves.count) if keys is None else keys
+    return tree[:-1] + [ScannedLevel(**vars(leaves), locate=lambda _: keys)]
+
+
 def _measure(gaps, qsmap, d, depth):
     system = build_system(gaps, max_depth=depth)
     tree = build_image_tree(system, qsmap)
-    return build_recursive_measure(tree, d), tree
+    return build_recursive_measure(_read_leaves(tree), d), tree
 
 
 def _level_masses(tree, d):
     """Every level's masses, root first, as the measure's own level loop builds them.
 
-    The loop reuses its buffers two levels on, so each level is copied.
+    The loop reuses its buffers two levels on, so each upper level is copied;
+    the leaf level is streamed, and read at every leaf.
     """
-    return [masses.copy() for masses, *_ in qsmass._levels(tree, d)]
+    return [masses.masses if isinstance(masses, LeafReads) else masses.copy()
+            for masses, *_ in qsmass._levels(_read_leaves(tree), d)]
 
 
 def test_rejects_uniform_kind():
@@ -38,23 +50,19 @@ def test_rejects_uniform_kind():
         build_image_tree(system, QsMap.identity())
 
 
-def test_image_tree_maps_the_leaf_left_ends_once(monkeypatch):
+def test_image_tree_maps_the_leaf_left_ends_once():
     system = build_system(GapSequence.harmonic(18), max_depth=18)
-    pushed = []
-    push = qsmass.push_intervals
-    monkeypatch.setattr(qsmass, "push_intervals",
-                        lambda f, lv: pushed.append(lv.depth) or push(f, lv))
     tracemalloc.start()
     try:
         tree = build_image_tree(system, QsMap.power(2.0))
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pushed == [18]
-    leaves = tree[-1]
-    assert all(np.shares_memory(lv.lefts, leaves.lefts) for lv in tree)
-    # the leaves' image left and right ends; upper right ends are mapped on reading
-    assert kept <= 2.05 * leaves.lefts.nbytes
+    # every level maps the ends it is read at from its own domain level, whose
+    # left ends view the system's one leaf array: the tree stores no end
+    for lv, domain in zip(tree, system.levels, strict=True):
+        assert lv.lefts.level is domain and lv.rights.level is domain
+    assert kept <= 0.05 * system.levels[-1].lefts.nbytes
 
 
 def test_identity_symmetric_masses_halve():
@@ -189,7 +197,7 @@ def _blocked_measure(tree, d, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsmass, "PAIR_BLOCK", block)
         try:
-            return _level_masses(tree, d), build_recursive_measure(tree, d)
+            return _level_masses(tree, d), build_recursive_measure(_read_leaves(tree), d)
         except AssertionError:
             return None
 
@@ -235,7 +243,39 @@ def test_block_build_equals_the_whole_level_build_bitwise(c, power, rho, weight_
         levels, m = got
         assert _bits(levels) == _bits(masses)
         assert _bits(m.masses) == _bits(masses[-1:])
+        assert _bits([m.leaves.prefix]) == _bits([np.cumsum(masses[-1])])
         assert _bits([m.level_growth, m.p_max]) == _bits([growth, p_max])
+
+
+@pytest.mark.parametrize("block", _BLOCKS + [2 ** 15])
+def test_streamed_leaf_prefix_sums_equal_one_cumsum_bitwise(block, monkeypatch):
+    """The leaf level's masses become their prefix sum one block at a time,
+    carried over from block to block; the reads at any leaves, all of them or
+    a few, are the bits of one np.cumsum over the whole-level masses."""
+    tree = build_image_tree(build_system(GapSequence.harmonic(10), max_depth=10),
+                            QsMap.power(1.7))
+    masses = _whole_level_measure(tree, 0.9)[0][-1]
+    want = np.cumsum(masses)
+    monkeypatch.setattr(qsmass, "PAIR_BLOCK", block)
+    every = build_recursive_measure(_read_leaves(tree), 0.9).leaves
+    assert _bits([every.keys, every.masses, every.prefix]) == _bits(
+        [np.arange(len(masses)), masses, want])
+    few = np.unique(np.random.default_rng(block).integers(0, len(masses), 40))
+    some = build_recursive_measure(_read_leaves(tree, few), 0.9).leaves
+    assert _bits([some.masses, some.prefix]) == _bits([masses[few], want[few]])
+
+
+def test_leaf_reads_are_located_with_every_level_median_before_the_leaf_pass():
+    tree = build_image_tree(build_system(GapSequence.harmonic(12), max_depth=12),
+                            QsMap.power(2.0))
+    seen = []
+    leaves = tree[-1]
+    scanned = tree[:-1] + [ScannedLevel(**vars(leaves), locate=lambda medians: seen.append(
+        medians) or np.empty(0, dtype=np.intp))]
+    m = build_recursive_measure(scanned, 0.9)
+    want = np.array([np.median(lv.diams) for lv in tree])
+    assert _bits(seen) == _bits([m.median_diams]) == _bits([want])
+    assert m.masses[0].shape == m.leaves.prefix.shape == (0,)
 
 
 @pytest.mark.parametrize("block", _BLOCKS)
@@ -261,8 +301,8 @@ def _warm_up():
 def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     # at depth 16 the deepest level spans 32 blocks of 2^10 pairs
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
-    tree = build_image_tree(build_system(GapSequence.harmonic(16), max_depth=16),
-                            QsMap.power(2.0))
+    system = build_system(GapSequence.harmonic(16), max_depth=16)
+    tree = build_image_tree(system, QsMap.power(2.0))
     _warm_up()
     tracemalloc.start()
     try:
@@ -270,18 +310,20 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # a plain leaf level is read nowhere, so no leaf mass is kept
     (kept,) = m.masses
-    leaf_bytes = tree[-1].lefts.nbytes
-    assert kept.nbytes == leaf_bytes
-    # two live levels of masses (the leaves and their parents: 1.5 leaf arrays),
-    # their path products (one per sibling pair: 0.375) and one block's
-    # temporaries (about 0.27 at this depth and block; measured peak 2.15)
-    assert peak <= 2.4 * leaf_bytes
+    assert kept.shape == (0,) and m.level_growth.shape == m.median_diams.shape == (17,)
+    leaf_bytes = system.levels[-1].lefts.nbytes
+    # the leaf median's scratch buffer (1) is freed first; the peak is the
+    # last upper level: its masses and diameters (0.5 each), its parents'
+    # masses (0.25), two levels of path products (0.375) and one block's
+    # temporaries (about 0.3 at this depth and block); measured 1.93
+    assert peak <= 2.1 * leaf_bytes
 
 
 def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
-    system = build_system(GapSequence.harmonic(16), max_depth=16)
+    system = build_system(GapSequence.harmonic(20), max_depth=20)
     leaf_bytes = system.levels[-1].lefts.nbytes
     _warm_up()
     tracemalloc.start()
@@ -290,10 +332,11 @@ def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the peak is the leaf pass: the image leaves (2), two levels of masses (1.5),
-    # their path products (0.375) and one block's temporaries (about 0.27 here);
-    # measured 4.15, and the scans hold less.  The domain leaves are the system's.
-    assert peak <= 4.5 * leaf_bytes
+    # the domain leaves are the system's, and the only leaf-sized array: the
+    # peak is the measure's last upper level (1.625 leaf arrays) and one
+    # block's temporaries; measured 1.67.  At depth 16 the scans' fixed
+    # arrays dominate (2.61 there).
+    assert peak <= 2.0 * leaf_bytes
 
 
 def test_certificate_passes_for_harmonic_identity():
