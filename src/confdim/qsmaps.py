@@ -87,8 +87,6 @@ def _dyadic_profile(ratios: list) -> np.ndarray:
     ys = np.array([0.0, 1.0])
     for level in ratios:
         w = np.asarray(level, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("dyadic ratios must be positive")
         share = w / (1.0 + w)
         mids = ys[:-1] + share * np.diff(ys)
         out = np.empty(2 * len(ys) - 1)
@@ -105,7 +103,6 @@ class QsMap:
                  eta: Optional[EtaModulus] = None):
         self.kind = kind
         self.a = a
-        self.ratios = ratios
         self.eta = eta
         if kind == "dyadic_weight":
             self._ys = _dyadic_profile(ratios)
@@ -125,25 +122,21 @@ class QsMap:
         return cls("power", a=a, eta=eta)
 
     @classmethod
-    def dyadic_weight(cls, ratios=None, rho: float = 2.0, depth: int = 8,
-                      seed: int = 0, eta: Optional[EtaModulus] = None) -> "QsMap":
+    def dyadic_weight(cls, rho: float = 2.0, depth: int = 8, seed: int = 0,
+                      eta: Optional[EtaModulus] = None) -> "QsMap":
         """Dyadic mass-splitting map on [0,1].
 
-        With explicit ``ratios`` (one array of 2^k values per level k) those
-        are used directly; otherwise deterministic ratios in [1/rho, rho] are
-        drawn from ``seed``, for a profile of 2 ** depth + 1 points with
-        2 ** depth <= MEMORY_CAP.
+        Deterministic ratios in [1/rho, rho] are drawn from ``seed``, one
+        array of 2^k values per level k < depth, for a profile of
+        2 ** depth + 1 points with 2 ** depth <= MEMORY_CAP.
         """
-        if ratios is None:
-            if rho < 1:
-                raise ValueError("rho must be >= 1")
-            if depth >= MEMORY_CAP.bit_length():  # 2 ** depth > MEMORY_CAP
-                raise ValueError(f"depth {depth}: 2 ** depth profile intervals > cap {MEMORY_CAP}")
-            rng = np.random.default_rng(seed)
-            ratios = [
-                np.exp(rng.uniform(-math.log(rho), math.log(rho), size=2 ** k))
-                for k in range(depth)
-            ]
+        if rho < 1:
+            raise ValueError("rho must be >= 1")
+        if depth >= MEMORY_CAP.bit_length():  # 2 ** depth > MEMORY_CAP
+            raise ValueError(f"depth {depth}: 2 ** depth profile intervals > cap {MEMORY_CAP}")
+        rng = np.random.default_rng(seed)
+        ratios = [np.exp(rng.uniform(-math.log(rho), math.log(rho), size=2 ** k))
+                  for k in range(depth)]
         return cls("dyadic_weight", ratios=ratios, eta=eta)
 
     @property
@@ -172,9 +165,6 @@ class QsMap:
         else:
             out = np.interp(x, self._xs, self._ys)
         return float(out) if out.ndim == 0 else out
-
-    def __call__(self, x):
-        return self.apply(x)
 
 
 # absolute slack on both sides of the distortion bounds
@@ -322,23 +312,15 @@ class MappedEnds:
         return self.qsmap.apply(x), self.qsmap.apply(x + np.exp(self.level.log_length))
 
 
-# intervals per block when push_intervals maps right ends: the temporaries
-# stay cache-sized, and none spans a whole deep level
-PUSH_BLOCK = 2 ** 16
-
-
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
     """Image diameters and gaps of a level; valid since maps are increasing.
 
     The image keeps the level's ``branching``: the tree is the same.  The
-    right ends are mapped PUSH_BLOCK at a time into one array.
+    whole level is mapped into two arrays.
     """
-    mapped, rights = MappedEnds(qsmap, level, right=True), np.empty(level.count)
-    for i in range(0, level.count, PUSH_BLOCK):
-        rights[i:i + PUSH_BLOCK] = mapped[i:i + PUSH_BLOCK]
     return ImageLevel(
         depth=level.depth,
         lefts=qsmap.apply(level.lefts),
-        rights=rights,
+        rights=qsmap.apply(level.rights),
         branching=level.branching,
     )

@@ -66,20 +66,6 @@ def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
 
 
 @dataclass
-class ScannedLevel(ImageLevel):
-    """A tree's leaf level with the reads that a scan makes of its masses.
-
-    The leaf masses are never stored whole.  When the measure reaches this
-    level, before any of its masses exist, it calls ``locate`` with every
-    level's median image diameter, root first; ``locate`` returns the sorted,
-    unique leaf indices at which the measure keeps the masses and their
-    inclusive prefix sum.
-    """
-
-    locate: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
 class LeafReads:
     """The leaf masses and their inclusive prefix sum at the sorted leaf indices ``keys``."""
 
@@ -90,11 +76,9 @@ class LeafReads:
 
 @dataclass
 class RecursiveMeasure:
-    d: float
-    leaves: LeafReads         # the leaf reads of a ScannedLevel (none for another leaf level)
+    leaves: LeafReads         # the leaf reads that ``locate`` asked for
     level_growth: np.ndarray  # per level, max mu/diam^d over its nodes
     p_max: np.ndarray         # per level >= 1, max p_i over its sibling pairs
-    median_diams: np.ndarray  # per level, the median image diameter of its nodes
 
     @property
     def masses(self) -> list:
@@ -112,15 +96,16 @@ def _median_diam(lv: ImageLevel) -> float:
     return float(np.median(diams, overwrite_input=True))
 
 
-def _levels(tree, d: float):
-    """The measure's level loop, root first: yields (masses, growth, p_max, median_diam).
+def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
+    """The measure's level loop, root first: yields (masses, growth, p_max).
 
-    ``growth`` is max mu/diam^d over the level's nodes, ``p_max`` the max p_i
-    over its sibling pairs (None at the root) and ``median_diam`` the median
-    image diameter.  ``tree`` is a list of ImageLevels by depth.  An upper
-    level yields its masses, views of two buffers that alternate by level,
-    so they hold until the level after the next one is built.  The leaf
-    level yields LeafReads in place of masses.
+    ``growth`` is max mu/diam^d over the level's nodes and ``p_max`` the max
+    p_i over its sibling pairs (None at the root).  ``tree`` is a list of
+    ImageLevels by depth.  An upper level yields its masses, views of two
+    buffers that alternate by level, so they hold until the level after the
+    next one is built.  Before any leaf mass exists, ``locate`` gets every
+    level's median image diameter, root first, and returns the sorted, unique
+    leaf indices at which the leaf level yields LeafReads in place of masses.
     """
     if not (0.0 < d < 1.0):
         raise ValueError("d must be in (0, 1)")
@@ -141,7 +126,7 @@ def _levels(tree, d: float):
     prod = np.array([1.0])  # prod of p_i along the root-to-node path, one per sibling pair
     diams = tree[0].diams
     medians = [float(np.median(diams))]
-    yield masses, float(np.max(masses / diams ** d)), None, medians[0]
+    yield masses, float(np.max(masses / diams ** d)), None
     for n in range(1, depth):
         lv = tree[n]
         _check_binary(lv, masses)
@@ -151,14 +136,13 @@ def _levels(tree, d: float):
         growth, p_max = _split_level(lv, masses, prod, child, child_prod, diams, None, d)
         medians.append(float(np.median(diams, overwrite_input=True)))
         masses, prod = child, child_prod
-        yield masses, growth, p_max, medians[-1]
+        yield masses, growth, p_max
     del diams_buf, diams
     _check_binary(leaves, masses)
-    keys = (leaves.locate(np.array(medians + [leaf_median])) if isinstance(leaves, ScannedLevel)
-            else np.empty(0, dtype=np.intp))
+    keys = locate(np.array(medians + [leaf_median]))
     reads = LeafReads(keys=keys, masses=np.empty(len(keys)), prefix=np.empty(len(keys)))
     growth, p_max = _split_level(leaves, masses, prod, None, None, None, reads, d)
-    yield reads, growth, p_max, leaf_median
+    yield reads, growth, p_max
 
 
 def _check_binary(lv: ImageLevel, parent_mass: np.ndarray):
@@ -195,7 +179,8 @@ def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarra
         # Sterbenz two-step: the larger child lands in [parent/2, parent], so
         # the smaller one is its exact complement, the complement of either
         # child is exact, and siblings sum to the parent bitwise
-        big = pm - pm * np.minimum(wl, wr) / denom
+        small = np.minimum(wl, wr)
+        big = pm - pm * small / denom
         mass = np.empty(2 * (j1 - j0)) if masses is None else masses[2 * j0:2 * j1]
         mass[0::2] = np.where(wl <= wr, pm - big, big)
         mass[1::2] = pm - mass[0::2]
@@ -203,6 +188,10 @@ def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarra
         odd = j0 % 2  # an odd PAIR_BLOCK starts a block inside a parent pair
         parent_path = np.repeat(parent_prod[j0 // 2:(j1 + 1) // 2], 2)[odd:odd + j1 - j0]
         path = np.multiply(parent_path, p, out=None if prod is None else prod[j0:j1])
+        # the split rounds the small child's mass by up to eps * denom / small
+        # of itself, an error its subtree inherits: the path carries that bound
+        factor = np.divide(denom, small, out=small)
+        path *= np.add(1.0, np.multiply(factor, np.finfo(float).eps, out=factor), out=factor)
         # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
         ratio = mass / w
         if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
@@ -220,16 +209,17 @@ def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarra
     return float(growth_top), float(p_top)
 
 
-def build_recursive_measure(tree, d: float) -> RecursiveMeasure:
+def build_recursive_measure(tree, d: float,
+                            locate: Callable[[np.ndarray], np.ndarray]) -> RecursiveMeasure:
     """Assign masses by the diam^d proportional split, tracking p_i maxima.
 
-    Keeps, per level, the growth, p_max and median diameter, and the leaf
-    masses and prefix sums where a ScannedLevel leaf level reads them.
+    Keeps, per level, the growth and p_max, and the leaf masses and prefix
+    sums at the leaves that ``locate`` returns (see ``_levels``).
     """
     # the level loop reuses its buffers, and the last level it yields is LeafReads
-    masses, growth, p_max, median_diams = zip(*_levels(tree, d))
-    return RecursiveMeasure(d=d, leaves=masses[-1], level_growth=np.array(growth),
-                            p_max=np.array(p_max[1:]), median_diams=np.array(median_diams))
+    masses, growth, p_max = zip(*_levels(tree, d, locate))
+    return RecursiveMeasure(leaves=masses[-1], level_growth=np.array(growth),
+                            p_max=np.array(p_max[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +341,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     tree = build_image_tree(system, qsmap)
     top = np.arange((depth + 1) // 2, depth + 1)
     scans = _Scans(system, tree[depth], qsmap, top)
-    scanned = ScannedLevel(**vars(tree[depth]), locate=scans.locate)
-    measure = build_recursive_measure(tree[:depth] + [scanned], d)
+    measure = build_recursive_measure(tree, d, scans.locate)
     level_growth, p_max = measure.level_growth, measure.p_max
 
     growth_ok = _stability(level_growth[top], STABILITY_FACTOR)

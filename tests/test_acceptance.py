@@ -34,7 +34,6 @@ from confdim.qsmaps import EtaModulus, QsMap, distortion_check, distortion_gap_c
 import confdim.qsmass as qsmass
 from confdim.qsmass import (
     LeafReads,
-    ScannedLevel,
     build_image_tree,
     build_recursive_measure,
     certificate,
@@ -104,10 +103,8 @@ def test_criterion_3_measure_machinery():
     # every level's masses as the measure's own level loop builds them; the loop
     # reuses its buffers two levels on, so each upper level is copied, and the
     # streamed leaf level is read at every leaf
-    leaves = tree[-1]
-    scanned = tree[:-1] + [ScannedLevel(**vars(leaves), locate=lambda _: np.arange(leaves.count))]
     masses = [m.masses if isinstance(m, LeafReads) else m.copy()
-              for m, *_ in qsmass._levels(scanned, 0.9)]
+              for m, *_ in qsmass._levels(tree, 0.9, lambda _: np.arange(tree[-1].count))]
     conserved = len(masses) == 15 and all(
         np.array_equal(masses[n][0::2] + masses[n][1::2], masses[n - 1])
         for n in range(1, 15)
@@ -124,7 +121,7 @@ def test_criterion_3_measure_machinery():
         bounded &= bool(np.all(masses[n] / lv.diams ** 0.9 <= prod * (1 + 1e-9)))
     small = build_system(GapSequence.constant(0.01, 8), max_depth=8)
     stree = build_image_tree(small, QsMap.identity())
-    p_max = build_recursive_measure(stree, 0.9).p_max
+    p_max = build_recursive_measure(stree, 0.9, lambda _: np.empty(0, dtype=np.intp)).p_max
     oracle = 1.0 / (2.0 * 0.495 ** 0.9)
     pi_ok = bool(np.all(np.abs(p_max - oracle) <= 1e-4))
     ok = conserved and bounded and pi_ok

@@ -175,7 +175,7 @@ def test_mass_pi_factors_match_an_independent_build(tmp_path):
     got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = qsmass.build_image_tree(system, QsMap.power(2.0))
-    p_max = qsmass.build_recursive_measure(tree, 0.9).p_max
+    p_max = qsmass.build_recursive_measure(tree, 0.9, lambda _: np.empty(0, dtype=np.intp)).p_max
     assert np.array_equal(got[:, 0], p_max)
     assert np.array_equal(got[:, 1], np.cumprod(p_max))
 
@@ -226,7 +226,7 @@ def test_over_the_build_cap_exits_5(tmp_path, capsys, command, cfg):
 
 
 def test_path_product_violation_exits_5(tmp_path, capsys, monkeypatch):
-    def violated(tree, d):
+    def violated(tree, d, locate):
         raise AssertionError("path-product bound violated beyond tolerance")
 
     monkeypatch.setattr(qsmass, "build_recursive_measure", violated)

@@ -215,10 +215,6 @@ def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth, bl
         assert np.concatenate([r for _, r in blocks]).tobytes() == want.rights.tobytes()
         assert img.lefts[:].tobytes() == want.lefts.tobytes()
         assert img.rights[:].tobytes() == want.rights.tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qsmaps, "PUSH_BLOCK", 3)
-        leaves = push_intervals(f, system.levels[-1])
-    assert leaves.rights.tobytes() == f.apply(system.levels[-1].rights).tobytes()
 
 
 def _queries(ends: np.ndarray, rng) -> np.ndarray:
