@@ -9,21 +9,21 @@ control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
 
-The pipeline stores no leaf-sized array but the system's domain left ends.
-The image tree maps nothing up front: every level's image ends are mapped
-block by block, from one read of its domain left ends, as the measure
-reaches the level.  The measure is built level by level in blocks of
-PAIR_BLOCK sibling pairs, so its temporaries stay cache-sized, and each
-node's bits are those of a whole-level pass.  Two upper levels of masses
-live at a time, in two buffers that alternate by level, and siblings share
-one path product.  Each level records its median image diameter, the
-certificate's ball radius at that depth: the leaves' from one scratch buffer
-freed before the level buffers exist, an upper level's from a level-sized
-diameter buffer.  The leaf level is never stored: its masses, path products
-and prefix sum live one block at a time.  The certificate locates every
-window before the measure and every ball when the measure reaches the
-leaves, by sorted searches that map only the ends they probe, and the leaf
-pass keeps the masses and prefix sums at the located leaves only.
+The pipeline stores two leaf-sized arrays: the system's domain left ends and
+the measure's one buffer.  The image tree maps nothing up front: every
+level's image ends are mapped block by block, from one read of its domain
+left ends, as the measure reaches the level.  The measure is built level by
+level in blocks of PAIR_BLOCK sibling pairs, so its temporaries stay
+cache-sized, and each node's bits are those of a whole-level pass.  Every
+upper level is written in place over its parent in the one buffer, and
+siblings share one path product.  Each level records its median image
+diameter, the certificate's ball radius at that depth; the two deepest are
+taken up front, from the same buffer.  The leaf level is never stored: its
+masses, path products and prefix sum live one block at a time.  The
+certificate locates every window before the measure and every ball when the
+measure reaches the leaves, by sorted searches that map only the ends they
+probe, and the leaf pass keeps the masses and prefix sums at the located
+leaves only.
 """
 
 from __future__ import annotations
@@ -86,14 +86,13 @@ class RecursiveMeasure:
         return [self.leaves.masses]
 
 
-def _median_diam(lv: ImageLevel) -> float:
-    """The median image diameter of a level, from one scratch buffer filled block by block."""
-    diams = np.empty(lv.count)
+def _median_diam(lv: ImageLevel, out: np.ndarray) -> float:
+    """The median image diameter of a level, from ``out``, one slot per node, filled block by block."""
     block = 2 * PAIR_BLOCK
     for i in range(0, lv.count, block):
         lefts, rights = lv.ends(slice(i, i + block))
-        np.subtract(rights, lefts, out=diams[i:i + block])
-    return float(np.median(diams, overwrite_input=True))
+        np.subtract(rights, lefts, out=out[i:i + block])
+    return float(np.median(out, overwrite_input=True))
 
 
 def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
@@ -101,9 +100,9 @@ def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
 
     ``growth`` is max mu/diam^d over the level's nodes and ``p_max`` the max
     p_i over its sibling pairs (None at the root).  ``tree`` is a list of
-    ImageLevels by depth.  An upper level yields its masses, views of two
-    buffers that alternate by level, so they hold until the level after the
-    next one is built.  Before any leaf mass exists, ``locate`` gets every
+    ImageLevels by depth.  An upper level yields its masses as a view of the
+    one buffer that every level is built in, so they hold until the next
+    level is built.  Before any leaf mass exists, ``locate`` gets every
     level's median image diameter, root first, and returns the sorted, unique
     leaf indices at which the leaf level yields LeafReads in place of masses.
     """
@@ -111,94 +110,81 @@ def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
         raise ValueError("d must be in (0, 1)")
     if len(tree) < 2:
         raise ValueError("tree depth must be >= 1")
+    for n, lv in enumerate(tree[1:], start=1):
+        if lv.count != 2 ** n:
+            raise ValueError(f"level {lv.depth} is not binary")
     depth = len(tree) - 1
     leaves = tree[depth]
-    # the leaf median's scratch buffer is freed before the level buffers
-    # exist; nothing level-sized is allocated or freed level by level after
-    # it, so the heap does not fragment: alternate levels share two mass
-    # buffers and two path-product buffers, and every upper level's
-    # diameters go in one buffer, kept for its median
-    leaf_median = _median_diam(leaves)
-    mass_bufs = (np.empty(leaves.count // 2), np.empty(leaves.count // 4))
-    prod_bufs = (np.empty(leaves.count // 4), np.empty(leaves.count // 8))
-    diams_buf = np.empty(leaves.count // 2)
-    masses = np.array([1.0])
-    prod = np.array([1.0])  # prod of p_i along the root-to-node path, one per sibling pair
-    diams = tree[0].diams
-    medians = [float(np.median(diams))]
-    yield masses, float(np.max(masses / diams ** d)), None
+    # one leaf-sized buffer serves the whole measure, so nothing level-sized
+    # is allocated or freed level by level and the heap does not fragment.
+    # It takes the leaf diameters, then level depth-1's, for their medians up
+    # front; then its first half holds every upper level's masses and its
+    # third quarter their per-pair path products, each level written in place
+    # over its parent's, and a level n < depth-1 puts its diameters, for its
+    # median, in the free slice after its masses
+    buf = np.empty(leaves.count)
+    leaf_median = _median_diam(leaves, buf)
+    last_median = _median_diam(tree[depth - 1], buf[:leaves.count // 2])
+    masses, prods = buf[:leaves.count // 2], buf[leaves.count // 2:]
+    masses[0] = prods[0] = 1.0  # the root, and the path product above it
+    root_diams = tree[0].diams
+    medians = [float(np.median(root_diams))]
+    yield masses[:1], float(np.max(masses[:1] / root_diams ** d)), None
     for n in range(1, depth):
         lv = tree[n]
-        _check_binary(lv, masses)
-        child = mass_bufs[(depth - 1 - n) % 2][:lv.count]
-        child_prod = prod_bufs[(depth - 1 - n) % 2][:lv.count // 2]
-        diams = diams_buf[:lv.count]
-        growth, p_max = _split_level(lv, masses, prod, child, child_prod, diams, None, d)
-        medians.append(float(np.median(diams, overwrite_input=True)))
-        masses, prod = child, child_prod
-        yield masses, growth, p_max
-    del diams_buf, diams
-    _check_binary(leaves, masses)
-    keys = locate(np.array(medians + [leaf_median]))
+        # level depth-1's diameters would overlap the path products
+        diams = buf[lv.count:2 * lv.count] if n < depth - 1 else None
+        growth, p_max = _split_level(lv, masses, prods, diams, None, d)
+        if diams is not None:
+            medians.append(float(np.median(diams, overwrite_input=True)))
+        yield masses[:lv.count], growth, p_max
+    # at depth 1 the root is level depth-1, whose median is taken up front
+    keys = locate(np.array(medians[:depth - 1] + [last_median, leaf_median]))
     reads = LeafReads(keys=keys, masses=np.empty(len(keys)), prefix=np.empty(len(keys)))
-    growth, p_max = _split_level(leaves, masses, prod, None, None, None, reads, d)
+    growth, p_max = _split_level(leaves, masses, prods, None, reads, d)
     yield reads, growth, p_max
 
 
-def _check_binary(lv: ImageLevel, parent_mass: np.ndarray):
-    if lv.count != 2 * len(parent_mass):
-        raise ValueError(f"level {lv.depth} is not binary")
+def _split_level(lv: ImageLevel, masses: np.ndarray, prods: np.ndarray,
+                 diams_out, reads, d: float) -> tuple:
+    """Split a level's parent masses between its sibling pairs, block by block.
 
-
-def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarray,
-                 masses, prod, diams_out, reads, d: float) -> tuple:
-    """Fill one level's ``masses``, path products and diameters, block by block.
-
-    Returns the level's max growth and max p_i.  At the leaf level
-    ``masses``, ``prod`` and ``diams_out`` are None and live for their block
-    only: the block's masses become their prefix sum in place, carried on
-    from the last block, which gives the bits of one ``np.cumsum`` over the
-    level, and ``reads`` keeps the masses and prefix sums at its keys.
-    Parent node j is in the parent level's sibling pair j // 2.
+    ``masses`` and ``prods`` begin with the parent level's masses and per-pair
+    path products; returns the level's max growth and max p_i.  An upper
+    level (``reads`` None) writes its own over them in place, and its
+    diameters to ``diams_out`` unless that is None.  Its blocks run last
+    first, so each overwrites only parents that a later block has split, and
+    block 0, whose children overlap its own parents, splits a copy of them;
+    the fault of the lowest-indexed faulting block is raised after the level,
+    as a first-to-last pass would raise it.  The leaf level runs first to last
+    and raises at its first fault: its masses and path products live for
+    their block only, the block's masses become their prefix sum in place,
+    carried on from the last block, which gives the bits of one ``np.cumsum``
+    over the level, and ``reads`` keeps the masses and prefix sums at its
+    keys.  Parent node j is in the parent level's sibling pair j // 2.
     """
+    leaf = reads is not None
+    pairs = lv.count // 2
     p_top = growth_top = -np.inf
-    carry, k0 = 0.0, 0
-    for j0 in range(0, len(parent_mass), PAIR_BLOCK):
-        j1 = min(j0 + PAIR_BLOCK, len(parent_mass))
-        lefts, rights = lv.ends(slice(2 * j0, 2 * j1))
-        diams = np.subtract(rights, lefts,
-                            out=None if diams_out is None else diams_out[2 * j0:2 * j1])
-        if np.any(diams <= 0):
-            raise ValueError(f"zero-diameter node at depth {lv.depth}")
-        dl, dr = diams[0::2], diams[1::2]
-        gap = lefts[1::2] - rights[0::2]
-        w = diams ** d
-        wl, wr = w[0::2], w[1::2]
-        denom = wl + wr
-        pm = parent_mass[j0:j1]
-        # Sterbenz two-step: the larger child lands in [parent/2, parent], so
-        # the smaller one is its exact complement, the complement of either
-        # child is exact, and siblings sum to the parent bitwise
-        small = np.minimum(wl, wr)
-        big = pm - pm * small / denom
-        mass = np.empty(2 * (j1 - j0)) if masses is None else masses[2 * j0:2 * j1]
-        mass[0::2] = np.where(wl <= wr, pm - big, big)
-        mass[1::2] = pm - mass[0::2]
-        p = (dl + gap + dr) ** d / denom
+    carry, k0, fault = 0.0, 0, None
+    starts = range(0, pairs, PAIR_BLOCK)
+    for j0 in starts if leaf else reversed(starts):
+        j1 = min(j0 + PAIR_BLOCK, pairs)
+        nodes = slice(2 * j0, 2 * j1)
         odd = j0 % 2  # an odd PAIR_BLOCK starts a block inside a parent pair
-        parent_path = np.repeat(parent_prod[j0 // 2:(j1 + 1) // 2], 2)[odd:odd + j1 - j0]
-        path = np.multiply(parent_path, p, out=None if prod is None else prod[j0:j1])
-        # the split rounds the small child's mass by up to eps * denom / small
-        # of itself, an error its subtree inherits: the path carries that bound
-        factor = np.divide(denom, small, out=small)
-        path *= np.add(1.0, np.multiply(factor, np.finfo(float).eps, out=factor), out=factor)
-        # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
-        ratio = mass / w
-        if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
-            raise AssertionError("path-product bound violated beyond tolerance")
-        p_top = np.maximum(p_top, np.max(p))
-        growth_top = np.maximum(growth_top, np.max(ratio))
-        if reads is not None:
+        parent_path = np.repeat(prods[j0 // 2:(j1 + 1) // 2], 2)[odd:odd + j1 - j0]
+        mass = np.empty(2 * (j1 - j0)) if leaf else masses[nodes]
+        try:
+            growth, p = _split_block(lv, nodes, masses[j0:j1] if j0 else masses[:j1].copy(),
+                                     parent_path, mass, None if leaf else prods[j0:j1],
+                                     None if diams_out is None else diams_out[nodes], d)
+        except (ValueError, AssertionError) as err:  # a zero-diameter node or a violated bound
+            if leaf:
+                raise
+            fault = err
+            continue
+        p_top, growth_top = np.maximum(p_top, p), np.maximum(growth_top, growth)
+        if leaf:
             k1 = k0 + int(np.searchsorted(reads.keys[k0:], 2 * j1))
             at = reads.keys[k0:k1] - 2 * j0
             reads.masses[k0:k1] = mass[at]
@@ -206,7 +192,50 @@ def _split_level(lv: ImageLevel, parent_mass: np.ndarray, parent_prod: np.ndarra
             carry = np.cumsum(mass, out=mass)[-1]
             reads.prefix[k0:k1] = mass[at]
             k0 = k1
+    if fault is not None:
+        raise fault
     return float(growth_top), float(p_top)
+
+
+def _split_block(lv: ImageLevel, nodes: slice, pm: np.ndarray, parent_path: np.ndarray,
+                 mass: np.ndarray, path, diams, d: float) -> tuple:
+    """Split the parent masses ``pm`` between the sibling pairs of ``lv``'s ``nodes``.
+
+    Writes the nodes' masses to ``mass``; the pairs' path products, from
+    their parents' ``parent_path``, go to ``path`` and the nodes' diameters
+    to ``diams`` unless those are None.  Returns the block's max growth and
+    max p_i.  A zero-diameter node raises before any arithmetic.  The
+    block's temporaries are freed on return, before the next block maps its
+    ends.
+    """
+    lefts, rights = lv.ends(nodes)
+    diams = np.subtract(rights, lefts, out=diams)
+    if np.any(diams <= 0):
+        raise ValueError(f"zero-diameter node at depth {lv.depth}")
+    dl, dr = diams[0::2], diams[1::2]
+    gap = lefts[1::2] - rights[0::2]
+    del lefts, rights  # the block's other temporaries take their place
+    w = diams ** d
+    wl, wr = w[0::2], w[1::2]
+    denom = wl + wr
+    # Sterbenz two-step: the larger child lands in [parent/2, parent], so
+    # the smaller one is its exact complement, the complement of either
+    # child is exact, and siblings sum to the parent bitwise
+    small = np.minimum(wl, wr)
+    big = pm - pm * small / denom
+    mass[0::2] = np.where(wl <= wr, pm - big, big)
+    mass[1::2] = pm - mass[0::2]
+    p = (dl + gap + dr) ** d / denom
+    path = np.multiply(parent_path, p, out=path)
+    # the split rounds the small child's mass by up to eps * denom / small
+    # of itself, an error its subtree inherits: the path carries that bound
+    factor = np.divide(denom, small, out=small)
+    path *= np.add(1.0, np.multiply(factor, np.finfo(float).eps, out=factor), out=factor)
+    # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
+    ratio = np.divide(mass, w, out=w)
+    if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
+        raise AssertionError("path-product bound violated beyond tolerance")
+    return np.max(ratio), np.max(p)
 
 
 def build_recursive_measure(tree, d: float,

@@ -101,8 +101,8 @@ def test_criterion_3_measure_machinery():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = build_image_tree(system, QsMap.power(1.5))
     # every level's masses as the measure's own level loop builds them; the loop
-    # reuses its buffers two levels on, so each upper level is copied, and the
-    # streamed leaf level is read at every leaf
+    # builds each level in place over its parent, so each upper level is copied,
+    # and the streamed leaf level is read at every leaf
     masses = [m.masses if isinstance(m, LeafReads) else m.copy()
               for m, *_ in qsmass._levels(tree, 0.9, lambda _: np.arange(tree[-1].count))]
     conserved = len(masses) == 15 and all(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ def _measure(gaps, qsmap, d, depth):
 def _level_masses(tree, d):
     """Every level's masses, root first, as the measure's own level loop builds them.
 
-    The loop reuses its buffers two levels on, so each upper level is copied;
-    the leaf level is streamed, and read at every leaf.
+    The loop builds each level in place over its parent, so each upper level
+    is copied; the leaf level is streamed, and read at every leaf.
     """
     return [masses.masses if isinstance(masses, LeafReads) else masses.copy()
             for masses, *_ in qsmass._levels(tree, d, _every_leaf(tree))]
@@ -321,11 +322,11 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     (kept,) = m.masses
     assert kept.shape == (0,) and m.level_growth.shape == (17,)
     leaf_bytes = system.levels[-1].lefts.nbytes
-    # the leaf median's scratch buffer (1) is freed first; the peak is the
-    # last upper level: its masses and diameters (0.5 each), its parents'
-    # masses (0.25), two levels of path products (0.375) and one block's
-    # temporaries (about 0.3 at this depth and block); measured 1.93
-    assert peak <= 2.1 * leaf_bytes
+    # one leaf-sized buffer holds the diameters for the two deepest medians,
+    # then every upper level's masses and path products in place: the peak
+    # is that buffer (1) and one leaf block's temporaries (about 0.27 at this
+    # depth and block); measured 1.27
+    assert peak <= 1.35 * leaf_bytes
 
 
 def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
@@ -339,11 +340,10 @@ def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the domain leaves are the system's, and the only leaf-sized array: the
-    # peak is the measure's last upper level (1.625 leaf arrays) and one
-    # block's temporaries; measured 1.67.  At depth 16 the scans' fixed
-    # arrays dominate (2.61 there).
-    assert peak <= 2.0 * leaf_bytes
+    # the domain leaves are the system's: the peak is the measure's one
+    # leaf-sized buffer and the scans' fixed arrays; measured 1.11.  At
+    # depth 16 those fixed arrays dominate (2.41 there).
+    assert peak <= 1.2 * leaf_bytes
 
 
 def test_certificate_passes_for_harmonic_identity():
@@ -396,6 +396,23 @@ def test_a_shallower_path_product_fault_comes_before_deeper_zero_diameters():
             with pytest.raises(ValueError, match=r"^zero-diameter node at depth 10$"):
                 _blocked_measure(clean, 0.9, block)
             assert _blocked_measure(tree, 0.9, block) is None
+
+
+def test_an_earlier_zero_diameter_comes_before_a_later_violation_in_one_level():
+    # an upper level's blocks run last first, but the level raises the fault of its
+    # lowest-indexed faulting block: node 5 of level 9 has width 0 and comes before the
+    # violation on nodes 154-155 (356-357 mirrored), at every block size, mirrored and not.
+    # The zero-width block is split no further, so no RuntimeWarning is issued
+    for mirror in (False, True):
+        tree = _violating_tree(True)
+        if mirror:
+            tree = _mirrored(tree)
+        tree[9].rights[5] = tree[9].lefts[5]
+        for block in _BLOCKS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match=r"^zero-diameter node at depth 9$"):
+                    _blocked_measure(tree, 0.9, block)
 
 
 _GOLDEN_MAPS = {"identity": QsMap.identity(), "x^2": QsMap.power(2.0),
