@@ -161,6 +161,20 @@ def _system(cfg: dict) -> cantor.CantorSystem:
     return cantor.build_system(gaps, max_depth=depth)
 
 
+def _resolved(system: cantor.CantorSystem, key: str, maps) -> cantor.CantorSystem:
+    """``system``, unless one of ``maps`` is the identity and a leaf rounds to a point.
+
+    Only the identity's image leaves are known here: they are the domain leaves.
+    """
+    leaves = system.level(system.max_depth)
+    if any(qsmap.kind == "identity" for qsmap in maps):
+        for x in np.split(leaves.lefts, range(qsmass.PAIR_BLOCK, leaves.count, qsmass.PAIR_BLOCK)):
+            if np.any(x + np.exp(leaves.log_length) <= x):
+                raise ConfigError(f"field {key!r}: under the identity map, a leaf at depth "
+                                  f"{leaves.depth} is below double resolution")
+    return system
+
+
 def _eta(spec) -> qsmaps.EtaModulus:
     """An eta spec: "identity" (or null), {"C", "K"} or {"ts", "etas"}."""
     if spec is None or spec == "identity":
@@ -292,6 +306,31 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
     return ["boxcounts.csv", "summary.json"]
 
 
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)``'s formula, so its bits, on its unit draws ``u``."""
+    return low + (high - low) * u
+
+
+def _distortion_samples(rng, lo: float, hi: float, n: int) -> tuple:
+    """n diameter rows (A, B), B holding A, and n gap rows (X1, X2).
+
+    A row is 14 unit draws in the per-pair order (B, A, the gap's center and
+    width, X1, X2); a row whose B or A is too narrow is redrawn whole after the block.
+    """
+    w = hi - lo
+    u, bad = np.empty((n, 14)), np.ones(n, dtype=bool)
+    while np.any(bad):
+        u[bad] = rng.random((int(np.sum(bad)), 14))
+        b = np.sort(_uniform(lo, hi, u[:, :4]), axis=1)
+        a = np.sort(_uniform(b[:, :1], b[:, 3:], u[:, 4:6]), axis=1)
+        bad = (b[:, 3] - b[:, 0] < 1e-9 * w) | (a[:, 1] - a[:, 0] < 1e-12 * w)
+    mid = _uniform(lo + 0.2 * w, hi - 0.2 * w, u[:, 6:7])
+    g = _uniform(1e-4, 0.15, u[:, 7:8]) * w
+    x1 = np.sort(_uniform(lo, mid - g / 2, u[:, 8:11]), axis=1)
+    x2 = np.sort(_uniform(mid + g / 2, hi, u[:, 11:]), axis=1)
+    return a, np.concatenate([a, b], axis=1), x1, x2
+
+
 def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
     with _reading():
         qsmap = _field(cfg, "map", lambda spec: _qs_map(spec, seed))
@@ -306,25 +345,10 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
             [-1.0, 1.0])
         n = _field(cfg, "n_pairs", _COUNT, 10000)
 
-    triple_violation = qsmaps.qs_ratio_check(
-        qsmap, qsmaps.random_triples(lo, hi, n, seed=seed), eta)
-    rng = np.random.default_rng(seed)
-    diam_viol = gap_viol = 0
-    for _ in range(n):
-        b = np.sort(rng.uniform(lo, hi, 4))
-        while b[-1] - b[0] < 1e-9 * (hi - lo):
-            b = np.sort(rng.uniform(lo, hi, 4))
-        a = np.sort(rng.uniform(b[0], b[-1], 2))
-        while a[1] - a[0] < 1e-12 * (hi - lo):
-            a = np.sort(rng.uniform(b[0], b[-1], 2))
-        if not qsmaps.distortion_check(qsmap, a, np.concatenate([a, b]), eta).ok:
-            diam_viol += 1
-        mid = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
-        g = rng.uniform(1e-4, 0.15) * (hi - lo)
-        x1 = np.sort(rng.uniform(lo, mid - g / 2, 3))
-        x2 = np.sort(rng.uniform(mid + g / 2, hi, 3))
-        if not qsmaps.distortion_gap_check(qsmap, x1, x2, eta).ok:
-            gap_viol += 1
+    triple_violation = qsmaps.qs_ratio_check(qsmap, qsmaps.random_triples(lo, hi, n, seed), eta)
+    a, b, x1, x2 = _distortion_samples(np.random.default_rng(seed), lo, hi, n)
+    diam_viol = n - int(np.sum(qsmaps.distortion_check(qsmap, a, b, eta).ok))
+    gap_viol = n - int(np.sum(qsmaps.distortion_gap_check(qsmap, x1, x2, eta).ok))
     summary = {"triple_max_violation_ratio": triple_violation,
                "diameter_bound_violations": diam_viol, "gap_bound_violations": gap_viol,
                "pairs_tested": n}
@@ -343,6 +367,7 @@ def cmd_mass(cfg: dict, outdir: Path, seed: int) -> list:
                               "(binary) system of depth >= 1")
         qsmap = _field(cfg, "map", lambda spec: _qs_map(spec, seed))
         d = _field(cfg, "d", _FRACTION)
+        _resolved(system, "system", [qsmap])
     report = qsmass.certificate(system, qsmap, d)
     p_max = report.p_max
     rows = list(zip(range(1, len(p_max) + 1), p_max.tolist(), np.cumprod(p_max).tolist()))
@@ -406,10 +431,11 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
         d_sweep = _field(cfg, "d_sweep", _list_of(_FRACTION), [0.8, 0.9, 0.95])
         maps = _field(cfg, "maps", _list_of(lambda spec: _qs_map(spec, seed)))
         labels = [spec.get("label", f"{spec['kind']}_{i}") for i, spec in enumerate(cfg["maps"])]
+        _resolved(system, "c", maps)
         if control is not None:
-            csys = cantor.build_system(_field(
+            csys = _resolved(cantor.build_system(_field(
                 control, "c", lambda c: cantor.GapSequence.constant(_number(c), depth), 1 / 3),
-                max_depth=depth)
+                max_depth=depth), "control", [qsmaps.QsMap.identity()])
 
     length_rows = [(n, cantor.truncated_length(system, n)) for n in range(depth + 1)]
     _write_csv(outdir / "lengths.csv", ["depth", "truncated_length"], length_rows)
@@ -418,11 +444,9 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
     mreport = cantor.minimality_criterion(gaps, M=M, tail_window=tail_window)
 
     cert_rows = []
-    all_pass = True
     for label, qsmap in zip(labels, maps):
         for d in d_sweep:
             rep = qsmass.certificate(system, qsmap, d)
-            all_pass &= rep.passed
             cert_rows.append((label, d, int(rep.passed), rep.C_growth,
                               int(rep.growth_ok), int(rep.interval_ok), int(rep.ball_ok)))
     _write_csv(outdir / "certificates.csv",
@@ -433,8 +457,7 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
     if control is not None:
         for d in d_sweep:
             rep = qsmass.certificate(csys, qsmaps.QsMap.identity(), d)
-            growth = rep.level_growth
-            rate = float(np.min(growth[1:] / growth[:-1]))
+            rate = float(np.min(rep.level_growth[1:] / rep.level_growth[:-1]))
             control_rows.append((d, int(rep.passed), rep.C_growth, rate))
         _write_csv(outdir / "control.csv",
                    ["d", "passed", "C_growth", "min_level_ratio"], control_rows)
@@ -445,7 +468,7 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
         "minkowski_tail": mink_rows[-1][1],
         "minimality": {k: getattr(mreport, k) for k in (
             "product_limit_estimate", "ratio_ok", "satisfied_at_finite_scale")},
-        "all_certificates_pass": bool(all_pass),
+        "all_certificates_pass": all(row[2] for row in cert_rows),
         "control_all_fail": bool(all(row[1] == 0 for row in control_rows))
         if control_rows else None,
     })
@@ -515,15 +538,12 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
                ["eps", "upper_slope", "lower_slope", "upper_ok", "lower_ok"],
                [(r["eps"], r["upper_slope"], r["lower_slope"],
                  int(r["upper_ok"]), int(r["lower_ok"])) for r in scan])
-    if not all(r["ok"] for r in scan):
-        bad = [r for r in scan if not r["ok"]][0]
-        raise ScanError(
-            f"natural-measure growth scan failed at eps={bad['eps']}: "
-            f"slopes ({bad['upper_slope']:.3f}, {bad['lower_slope']:.3f})"
-        )
+    bad = [r for r in scan if not r["ok"]]
+    if bad:
+        raise ScanError(f"natural-measure growth scan failed at eps={bad[0]['eps']}: "
+                        f"slopes ({bad[0]['upper_slope']:.3f}, {bad[0]['lower_slope']:.3f})")
 
     rows = []
-    all_ok = True
     for d in d_sweep:
         for width in (cell, cell / refine):
             sysd = modulus.product_system(leaves, measure, Y, width, p=1.0 + d)
@@ -531,14 +551,13 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
             _check_solve(res, f" at d={d}")
             bound = modulus.holder_lower_bound(sysd, d)
             ok = res.value >= bound - 1e-3
-            all_ok &= ok
             rows.append((d, width, res.value, bound, res.kkt_residual, int(ok)))
     _write_csv(outdir / "products.csv",
                ["d", "cell_width", "value", "holder_bound", "kkt_residual", "bound_ok"],
                rows)
     _write_summary(outdir / "summary.json", {
         "growth_scan": scan,
-        "all_bounds_hold": bool(all_ok),
+        "all_bounds_hold": all(row[-1] for row in rows),
         "d_sweep": d_sweep,
     })
     return ["growth_scan.csv", "products.csv", "summary.json"]

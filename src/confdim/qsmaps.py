@@ -180,18 +180,11 @@ def random_triples(lo: float, hi: float, n: int, seed: int = 0) -> np.ndarray:
     return pts
 
 
-def qs_ratio_check(
-    qsmap: QsMap,
-    triples: np.ndarray,
-    eta: Optional[EtaModulus] = None,
-) -> float:
+def qs_ratio_check(qsmap: QsMap, triples: np.ndarray, eta: EtaModulus) -> float:
     """Max over the triples of |f(x)-f(y)| / |f(y)-f(z)| / eta(|x-y| / |y-z|).
 
     A value <= 1 means no sampled triple contradicts eta.
     """
-    eta = eta or qsmap.eta
-    if eta is None:
-        raise ValueError("no claimed eta on the map and none supplied")
     triples = np.asarray(triples, dtype=float)
     x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
     if np.any(x == y) or np.any(y == z):
@@ -204,53 +197,47 @@ def qs_ratio_check(
 
 @dataclass
 class DistortionReport:
-    lower: float
-    ratio: float
-    upper: float
-    ok: bool
+    lower: np.ndarray
+    ratio: np.ndarray
+    upper: np.ndarray
+    ok: np.ndarray
 
 
-def distortion_check(
-    qsmap: QsMap, A, B, eta: Optional[EtaModulus] = None
-) -> DistortionReport:
-    """Two-sided diameter distortion bound for finite A inside B."""
-    eta = eta or qsmap.eta
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    diam_a = float(np.max(A) - np.min(A))
-    diam_b = float(np.max(B) - np.min(B))
-    if diam_a <= 0:
+def _diam(x: np.ndarray) -> np.ndarray:
+    return np.max(x, axis=-1) - np.min(x, axis=-1)
+
+
+def _gap_and_diam(P: np.ndarray, Q: np.ndarray) -> tuple:
+    return (np.min(np.abs(P[..., :, None] - Q[..., None, :]), axis=(-2, -1)),
+            _diam(np.concatenate([P, Q], axis=-1)))
+
+
+def _report(ratio, small, big, eta: EtaModulus) -> DistortionReport:
+    """``1 / (2 eta(big / small)) <= ratio <= eta(2 small / big)``, up to DISTORTION_SLACK."""
+    lower, upper = 1.0 / (2.0 * eta(big / small)), eta(2.0 * small / big)
+    ok = (lower - DISTORTION_SLACK <= ratio) & (ratio <= upper + DISTORTION_SLACK)
+    return DistortionReport(lower=lower, ratio=ratio, upper=upper, ok=ok)
+
+
+def distortion_check(qsmap: QsMap, A, B, eta: EtaModulus) -> DistortionReport:
+    """Two-sided diameter distortion bound for finite A inside B.
+
+    A pair's points lie along the last axis: ``(n, k)`` arrays are n pairs,
+    and the report holds one value per pair (scalars for 1-D arrays).
+    """
+    diam_a, diam_b = _diam(np.asarray(A, dtype=float)), _diam(np.asarray(B, dtype=float))
+    if np.any(diam_a <= 0):
         raise ValueError("diam A must be positive")
-    fa = qsmap.apply(A)
-    fb = qsmap.apply(B)
-    ratio = float((np.max(fa) - np.min(fa)) / (np.max(fb) - np.min(fb)))
-    lower = 1.0 / (2.0 * eta(diam_b / diam_a))
-    upper = float(eta(2.0 * diam_a / diam_b))
-    ok = (lower - DISTORTION_SLACK <= ratio) and (ratio <= upper + DISTORTION_SLACK)
-    return DistortionReport(lower=lower, ratio=ratio, upper=upper, ok=ok)
+    return _report(_diam(qsmap.apply(A)) / _diam(qsmap.apply(B)), diam_a, diam_b, eta)
 
 
-def distortion_gap_check(
-    qsmap: QsMap, X1, X2, eta: Optional[EtaModulus] = None
-) -> DistortionReport:
-    """Gap-to-diameter distortion bound for separated compact pieces X1, X2."""
-    eta = eta or qsmap.eta
-    X1 = np.asarray(X1, dtype=float)
-    X2 = np.asarray(X2, dtype=float)
-    X = np.concatenate([X1, X2])
-    diam_x = float(np.max(X) - np.min(X))
-    dist = float(np.min(np.abs(X1[:, None] - X2[None, :])))
-    if dist <= 0:
+def distortion_gap_check(qsmap: QsMap, X1, X2, eta: EtaModulus) -> DistortionReport:
+    """Gap-to-diameter distortion bound for separated compact pieces X1, X2, pairs as above."""
+    dist, diam_x = _gap_and_diam(np.asarray(X1, dtype=float), np.asarray(X2, dtype=float))
+    if np.any(dist <= 0):
         raise ValueError("X1 and X2 must be separated")
-    f1, f2 = qsmap.apply(X1), qsmap.apply(X2)
-    fX = np.concatenate([f1, f2])
-    img_dist = float(np.min(np.abs(f1[:, None] - f2[None, :])))
-    img_diam = float(np.max(fX) - np.min(fX))
-    ratio = img_dist / img_diam
-    lower = 1.0 / (2.0 * eta(diam_x / dist))
-    upper = float(eta(2.0 * dist / diam_x))
-    ok = (lower - DISTORTION_SLACK <= ratio) and (ratio <= upper + DISTORTION_SLACK)
-    return DistortionReport(lower=lower, ratio=ratio, upper=upper, ok=ok)
+    img_dist, img_diam = _gap_and_diam(qsmap.apply(X1), qsmap.apply(X2))
+    return _report(img_dist / img_diam, dist, diam_x, eta)
 
 
 @dataclass

@@ -40,9 +40,10 @@ from confdim.qsmaps import ImageLevel, MappedEnds, QsMap
 
 _REL_TOL = 1e-9
 
-# certificate settings: constants are stable when their max/min stays below
-# STABILITY_FACTOR (twice that for the window and ball scans); scans use at
-# most MAX_WINDOWS ball centers and a window step of at least 1/MAX_WINDOWS
+# certificate settings: constants are stable when their max stays within
+# STABILITY_FACTOR of the coarsest (twice that for the window and ball
+# scans), so a decaying constant passes; scans use at most MAX_WINDOWS ball
+# centers and a window step of at least 1/MAX_WINDOWS
 STABILITY_FACTOR = 2.0
 MAX_WINDOWS = 512
 
@@ -259,8 +260,8 @@ def build_recursive_measure(tree, d: float,
 class CertificateReport:
     """Finite-scale growth certificate at exponent d.
 
-    Constants are 'stable' when their max/min over the top half of the
-    built depths stays below STABILITY_FACTOR.
+    Constants are 'stable' when their max over the top half of the built
+    depths stays within STABILITY_FACTOR of the first finite positive one.
     """
 
     passed: bool
@@ -288,10 +289,9 @@ def _ball_centers(lefts, rights, max_windows: int) -> np.ndarray:
 
 
 def _stability(values: np.ndarray, factor: float) -> bool:
+    """The finite positive constants, coarsest first, stay within ``factor`` of the first."""
     vals = values[np.isfinite(values) & (values > 0)]
-    if len(vals) == 0:
-        return False
-    return bool(np.max(vals) / np.min(vals) <= factor)
+    return len(vals) > 0 and bool(np.max(vals) / vals[0] <= factor)
 
 
 class _Keyed:
@@ -382,13 +382,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     finite_balls = ball_c[np.isfinite(ball_c)]
     worst_ball = float(np.max(finite_balls)) if len(finite_balls) else math.inf
 
-    return CertificateReport(
-        passed=bool(growth_ok and interval_ok and ball_ok),
-        C_growth=c_growth,
-        level_growth=level_growth,
-        worst_ball_ratio=worst_ball,
-        growth_ok=growth_ok,
-        interval_ok=interval_ok,
-        ball_ok=ball_ok,
-        p_max=p_max,
-    )
+    return CertificateReport(passed=bool(growth_ok and interval_ok and ball_ok), C_growth=c_growth,
+                             level_growth=level_growth, worst_ball_ratio=worst_ball,
+                             growth_ok=growth_ok, interval_ok=interval_ok, ball_ok=ball_ok,
+                             p_max=p_max)

@@ -19,6 +19,7 @@ import confdim
 import confdim.cantor as cantor
 import confdim.cli as cli
 import confdim.modulus as modulus
+import confdim.qsmaps as qsmaps
 import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
 from confdim.dimension import mass_distribution_lower_bound, natural_measure
@@ -150,6 +151,85 @@ def test_distort_on_a_narrow_or_empty_interval_returns(tmp_path, interval, code)
         assert summary["pairs_tested"] == 200 and summary["all_bounds_hold"]
     else:
         assert "field 'interval'" in proc.stderr and list(out.iterdir()) == []
+
+
+def _per_pair_draws(seed, lo, hi, n):
+    """The oracle: `distort`'s samples drawn one pair at a time, each redraw at once."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        b = np.sort(rng.uniform(lo, hi, 4))
+        while b[-1] - b[0] < 1e-9 * (hi - lo):
+            b = np.sort(rng.uniform(lo, hi, 4))
+        a = np.sort(rng.uniform(b[0], b[-1], 2))
+        while a[1] - a[0] < 1e-12 * (hi - lo):
+            a = np.sort(rng.uniform(b[0], b[-1], 2))
+        mid = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+        g = rng.uniform(1e-4, 0.15) * (hi - lo)
+        x1 = np.sort(rng.uniform(lo, mid - g / 2, 3))
+        x2 = np.sort(rng.uniform(mid + g / 2, hi, 3))
+        rows.append((a, np.concatenate([a, b]), x1, x2))
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1.0), (-5.0, 3.0), (0.0, 1e-10),
+                                   (0.3, 0.30000001)])
+@pytest.mark.parametrize("seed", [0, 4, 17])
+def test_distort_draws_equal_the_per_pair_loop_bitwise(lo, hi, seed):
+    want = _per_pair_draws(seed, lo, hi, 1000)
+    got = cli._distortion_samples(np.random.default_rng(seed), lo, hi, 1000)
+    for w, g in zip(want, got, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+_ETAS = {"power2": qsmaps.EtaModulus.power(4.2360679777, 2.0),
+         "tight": qsmaps.EtaModulus.power(1.5, 1.2),
+         "tabulated": qsmaps.EtaModulus.tabulated([0.1, 1.0, 10.0], [0.1, 1.0, 10.0])}
+
+
+@pytest.mark.parametrize("eta", sorted(_ETAS))
+@pytest.mark.parametrize("f", [QsMap.identity(), QsMap.power(2.0), QsMap.power(3.0),
+                               QsMap.dyadic_weight(rho=3.0, seed=2)],
+                         ids=["identity", "x^2", "x^3", "dyadic"])
+def test_array_distortion_checks_equal_one_pair_calls_row_by_row(f, eta):
+    eta = _ETAS[eta]
+    a, b, x1, x2 = cli._distortion_samples(np.random.default_rng(3), 0.0, 1.0, 300)
+    rows = qsmaps.distortion_check(f, a, b, eta), qsmaps.distortion_gap_check(f, x1, x2, eta)
+    for i in range(300):
+        ones = (qsmaps.distortion_check(f, a[i], b[i], eta),
+                qsmaps.distortion_gap_check(f, x1[i], x2[i], eta))
+        for row, one in zip(rows, ones):
+            got = (row.lower[i], row.ratio[i], row.upper[i], row.ok[i])
+            assert got == (one.lower, one.ratio, one.upper, one.ok)
+
+
+class _Blocks:
+    """A stand-in generator whose ``random`` returns the given blocks in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, shape):
+        block = self.blocks.pop(0)
+        assert block.shape == shape
+        return block.copy()
+
+
+def test_distort_redraws_a_degenerate_row_whole_after_the_block():
+    draws = np.random.default_rng(0).random((7, 14))
+    block, first, second = draws[:4], draws[4:6], draws[6:]
+    block[1, :4] = 0.5       # B of row 1 is one point
+    block[2, 4:6] = 0.25     # A of row 2 is one point
+    first[0, 4:6] = 0.75     # and row 1's first redraw is degenerate again
+    got = cli._distortion_samples(_Blocks(block, first, second), 0.0, 1.0, 4)
+    want = block.copy()
+    want[1], want[2] = second[0], first[1]
+    assert all(g.tobytes() == w.tobytes() for g, w in
+               zip(got, cli._distortion_samples(_Blocks(want), 0.0, 1.0, 4), strict=True))
+    a, b, x1, x2 = got
+    eta = qsmaps.EtaModulus.power(4.2360679777, 2.0)
+    assert np.all(qsmaps.distortion_check(QsMap.power(2.0), a, b, eta).ok)
+    assert np.all(qsmaps.distortion_gap_check(QsMap.power(2.0), x1, x2, eta).ok)
 
 
 def test_mass_reports_certificate(tmp_path):
@@ -412,10 +492,18 @@ FUGLEDE2 = {"kind": "fuglede", "mu": [1, 1], "members": [[1, 1]], "p": 2}
     ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS,
                              "incidence": [[1]]}}, "incidence"),
     ("modulus", {"problem": {**FUGLEDE2, "p": 1}}, "p"),
+    # leaves below double resolution are points under the identity map
+    ("mass", {"system": {"c": {"const": 0.999}, "depth": 5}, "map": {"kind": "identity"},
+              "d": 0.9}, "system"),
+    ("theorem-a", {**THEOREM_A6, "depth": 5, "c": {"const": 0.999}}, "c"),
+    ("theorem-a", {"depth": 14, "maps": [{"kind": "power", "a": 2}], "d_sweep": [0.9],
+                   "control": {"c": 0.9}}, "control"),
 ], ids=["cell-width-above-gap", "tail-window-0", "d-sweep-1", "maps-object",
         "minkowski-point-too-long", "mass-bound-without-scales", "d-string",
         "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval", "depth-3.7",
-        "negative-mu", "no-sets", "member-cell-count", "incidence-one-column", "p-1"])
+        "negative-mu", "no-sets", "member-cell-count", "incidence-one-column", "p-1",
+        "mass-identity-point-leaves", "theorem-a-identity-point-leaves",
+        "theorem-a-control-point-leaves"])
 def test_config_faults_found_mid_run_exit_2_naming_the_field_before_any_work(
         tmp_path, capsys, command, cfg, field):
     code, out = run(tmp_path, command, cfg)
@@ -424,6 +512,26 @@ def test_config_faults_found_mid_run_exit_2_naming_the_field_before_any_work(
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"field '{field}'" in err
     assert list(out.iterdir()) == []
+
+
+def test_the_identity_leaf_check_passes_harmonic_sets_a_block_at_a_time():
+    with_identity = [QsMap.power(2.0), QsMap.identity()]
+    for depth in (14, 22):
+        system = build_system(GapSequence.harmonic(depth), max_depth=depth)
+        tracemalloc.start()
+        try:
+            assert cli._resolved(system, "system", with_identity) is system
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few block temporaries, never an array of the 2^22 leaves
+        assert peak < 4 * 8 * qsmass.PAIR_BLOCK
+    for c, depth in ((0.999, 5), (0.9, 14)):
+        points = build_system(GapSequence.constant(c, depth), max_depth=depth)
+        with pytest.raises(cli.ConfigError, match=f"field 'x': .* depth {depth} is below"):
+            cli._resolved(points, "x", with_identity)
+        # other maps meet such leaves in the measure, after the reading step
+        assert cli._resolved(points, "x", [QsMap.power(2.0)]) is points
 
 
 @pytest.mark.parametrize("error", [ValueError, TypeError, KeyError])

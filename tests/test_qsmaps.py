@@ -108,7 +108,8 @@ def test_unbounded_domain_check_reads_no_value():
 
 
 def test_identity_satisfies_identity_eta():
-    assert qs_ratio_check(QsMap.identity(), random_triples(-1, 1, 2000, seed=0)) <= 1.0 + 1e-12
+    assert qs_ratio_check(QsMap.identity(), random_triples(-1, 1, 2000, seed=0),
+                          EtaModulus.identity()) <= 1.0 + 1e-12
 
 
 def test_power2_extremal_triple_defeats_constant_four():
@@ -116,31 +117,31 @@ def test_power2_extremal_triple_defeats_constant_four():
     # golden-ratio triple with t = 1; the distortion ratio is 2 + sqrt(5) > 4
     u = (math.sqrt(5.0) - 1.0) / 2.0
     triple = np.array([[-u - 1.0, -u, -u + 1.0]])
-    assert qs_ratio_check(f, triple, eta=EtaModulus.power(4.0, 2.0)) > 1.0
-    assert qs_ratio_check(f, triple, eta=EtaModulus.power(POWER2_C + 1e-9, 2.0)) <= 1.0
+    assert qs_ratio_check(f, triple, EtaModulus.power(4.0, 2.0)) > 1.0
+    assert qs_ratio_check(f, triple, EtaModulus.power(POWER2_C + 1e-9, 2.0)) <= 1.0
 
 
 def test_power2_calibrated_eta_passes_random_triples():
-    f = QsMap.power(2.0, eta=EtaModulus.power(POWER2_C + 1e-9, 2.0))
-    assert qs_ratio_check(f, random_triples(-1, 1, 20000, seed=11)) <= 1.0
+    eta = EtaModulus.power(POWER2_C + 1e-9, 2.0)
+    assert qs_ratio_check(QsMap.power(2.0), random_triples(-1, 1, 20000, seed=11), eta) <= 1.0
 
 
 def test_distortion_check_identity_exact():
-    rep = distortion_check(QsMap.identity(), [0.1, 0.2], [0.0, 1.0])
+    rep = distortion_check(QsMap.identity(), [0.1, 0.2], [0.0, 1.0], EtaModulus.identity())
     assert rep.ratio == pytest.approx(0.1)
     assert rep.lower <= rep.ratio <= rep.upper
     assert rep.ok
 
 
 def test_distortion_gap_check_identity():
-    rep = distortion_gap_check(QsMap.identity(), [0.0, 0.2], [0.6, 1.0])
+    rep = distortion_gap_check(QsMap.identity(), [0.0, 0.2], [0.6, 1.0], EtaModulus.identity())
     assert rep.ratio == pytest.approx(0.4)
     assert rep.ok
 
 
 def test_distortion_check_requires_nondegenerate_a():
     with pytest.raises(ValueError):
-        distortion_check(QsMap.identity(), [0.3, 0.3], [0.0, 1.0])
+        distortion_check(QsMap.identity(), [0.3, 0.3], [0.0, 1.0], EtaModulus.identity())
 
 
 def _map(spec):

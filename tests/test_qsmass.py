@@ -361,6 +361,36 @@ def test_certificate_fails_for_constant_third():
     assert np.all(growth[1:] / growth[:-1] >= 1.3)
 
 
+# the maps of the README theorem-a config
+_README_MAPS = {"identity": QsMap.identity(), "x^2": QsMap.power(2.0),
+                "dyadic": QsMap.dyadic_weight(rho=2.0)}
+
+
+@pytest.mark.parametrize("f", sorted(_README_MAPS))
+def test_harmonic_certificates_pass_on_a_downward_closed_set_of_d(f):
+    # a constant that decays with depth is the best case for mu <= C diam^d,
+    # so a pass at d must be a pass at every smaller d
+    system = build_system(GapSequence.harmonic(14), max_depth=14)
+    ds = np.round(np.arange(0.05, 1.0, 0.05), 2)
+    passed = [certificate(system, _README_MAPS[f], float(d)).passed for d in ds]
+    assert all(p for p, d in zip(passed, ds) if 0.3 <= d <= 0.7)
+    assert passed == sorted(passed, reverse=True)
+
+
+@pytest.mark.parametrize("depth", [12, 14, 16])
+@pytest.mark.parametrize("c", [0.1, 0.2, 1 / 3, 0.5, 0.6, 0.7])
+def test_constant_gap_certificates_pass_up_to_the_closed_form_threshold(c, depth):
+    # level n's growth is r^n, r = 2^(d/s - 1), s = ln 2 / ln(2 / (1 - c)):
+    # it passes while r^(depth // 2) <= 2, i.e. d <= s (1 + 1 / (depth // 2))
+    s = math.log(2.0) / math.log(2.0 / (1.0 - c))
+    threshold = s * (1.0 + 1.0 / (depth // 2))
+    system = build_system(GapSequence.constant(c, depth), max_depth=depth)
+    ds = [d for d in (0.05, threshold - 0.2, threshold - 0.02, threshold + 0.02,
+                      threshold + 0.2, 0.95) if 0.0 < d < 1.0 and abs(d - threshold) > 0.01]
+    for d in ds:
+        assert certificate(system, QsMap.identity(), d).passed == (d <= threshold), d
+
+
 def test_certificate_rejects_zero_diameter_images():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     collapse = QsMap.power(200.0)  # the leftmost leaf image underflows to width 0
@@ -431,25 +461,25 @@ _GOLDEN_MAPS = {"identity": QsMap.identity(), "x^2": QsMap.power(2.0),
 GOLDEN_REPORTS = {
     "X86_V4": {
         ("harmonic", 16, "identity", 0.5): (
-            False, False, False, False, "0x1.800000000000dp-3", "0x1.4de8634c06804p-2",
+            True, True, True, True, "0x1.800000000000dp-3", "0x1.4de8634c06804p-2",
             "861a3598726f5648", "faae61c876aeb782"),
         ("harmonic", 16, "identity", 0.9): (
             True, True, True, True, "0x1.18374e9af19b5p+2", "0x1.ff1f6df56bf9bp+2",
             "99131fcb38364478", "09ecd0466cdc8d09"),
         ("harmonic", 16, "x^2", 0.5): (
-            False, False, False, True, "0x1.2f4871daa642fp-2", "0x1.22b136102e817p+0",
+            True, True, True, True, "0x1.2f4871daa642fp-2", "0x1.22b136102e817p+0",
             "9b6a9013e2f216b1", "fe16bd79668657e6"),
         ("harmonic", 16, "x^2", 0.9): (
             True, True, True, True, "0x1.60502c5bb5f9ap+2", "0x1.149bcd2520f67p+3",
             "7f30305f5322b569", "5e97c057e5f84b54"),
         ("harmonic", 16, "x^0.5", 0.5): (
-            False, False, False, False, "0x1.65b944603fb70p-3", "0x1.43555c9fbeca2p-2",
+            True, True, True, True, "0x1.65b944603fb70p-3", "0x1.43555c9fbeca2p-2",
             "8d22a15c6c9a4d64", "ceb92922546490e6"),
         ("harmonic", 16, "x^0.5", 0.9): (
             True, True, True, True, "0x1.cb954eaf88e18p+1", "0x1.93fd8f9cf3b03p+2",
             "4a942e26c4907df0", "1178ba1602aa26a1"),
         ("harmonic", 16, "dyadic", 0.5): (
-            False, False, False, False, "0x1.fdff777e81b84p-3", "0x1.073aa153eb371p-1",
+            True, True, True, True, "0x1.fdff777e81b84p-3", "0x1.073aa153eb371p-1",
             "7ae8ed58320a0bcb", "70a20f3a4480ebf7"),
         ("harmonic", 16, "dyadic", 0.9): (
             True, True, True, True, "0x1.a75e3cb098ed7p+2", "0x1.755eb77666383p+3",
@@ -460,25 +490,25 @@ GOLDEN_REPORTS = {
     },
     "baseline(X86_V2)": {
         ("harmonic", 16, "identity", 0.5): (
-            False, False, False, False, "0x1.8000000000018p-3", "0x1.4de8634c06804p-2",
+            True, True, True, True, "0x1.8000000000018p-3", "0x1.4de8634c06804p-2",
             "b64a7742f3f21d2a", "faae61c876aeb782"),
         ("harmonic", 16, "identity", 0.9): (
             True, True, True, True, "0x1.18374e9af19b4p+2", "0x1.ff1f6df56bf9bp+2",
             "bbb91689455defc5", "7fc32c3410240f4e"),
         ("harmonic", 16, "x^2", 0.5): (
-            False, False, False, True, "0x1.2f4871daa642fp-2", "0x1.22b136102e814p+0",
+            True, True, True, True, "0x1.2f4871daa642fp-2", "0x1.22b136102e814p+0",
             "9b6a9013e2f216b1", "cf500f31eb84e217"),
         ("harmonic", 16, "x^2", 0.9): (
             True, True, True, True, "0x1.60502c5bb5f99p+2", "0x1.149bcd2520f16p+3",
             "47c0daf1c2250125", "8d07b238a1876994"),
         ("harmonic", 16, "x^0.5", 0.5): (
-            False, False, False, False, "0x1.65b944603fb70p-3", "0x1.43555c9fbeca2p-2",
+            True, True, True, True, "0x1.65b944603fb70p-3", "0x1.43555c9fbeca2p-2",
             "d8177a64c61336af", "c2ec62105c7afbe8"),
         ("harmonic", 16, "x^0.5", 0.9): (
             True, True, True, True, "0x1.cb954eaf88e18p+1", "0x1.93fd8f9cf3b03p+2",
             "4a942e26c4907df0", "a550cbc265768b4b"),
         ("harmonic", 16, "dyadic", 0.5): (
-            False, False, False, False, "0x1.fdff777e81b84p-3", "0x1.073aa153eb371p-1",
+            True, True, True, True, "0x1.fdff777e81b84p-3", "0x1.073aa153eb371p-1",
             "7ae8ed58320a0bcb", "e64cdfc3545d23c9"),
         ("harmonic", 16, "dyadic", 0.9): (
             True, True, True, True, "0x1.a75e3cb098ed9p+2", "0x1.755eb77666383p+3",
