@@ -6,7 +6,10 @@ generation i; the uniform kind splits every interval into n_i equal children
 separated by gaps of relative size gamma_i.  Every interval of a generation
 has the same length, so a level holds its left ends, one log-length (deep
 generations do not underflow) and one branching number.  A first child starts
-where its parent does, so every level's left ends view the leaves'.
+where its parent does, so every stored level's left ends view the deepest
+stored level's.  Levels of at most STORED_COUNT intervals are stored; the
+left ends of a deeper level are generated on request from the deepest stored
+level's, so no leaf-sized array is held.
 """
 
 from __future__ import annotations
@@ -23,8 +26,12 @@ UNIFORM = "uniform"
 # c_i this close to 1 makes log(1 - c_i) meaningless in doubles
 _MAX_GAP_FRACTION = 1.0 - 1e-12
 
-# the most intervals build_system materializes on one level
+# the most intervals build_system builds on one level
 MEMORY_CAP = 2 ** 24
+
+# the most intervals a stored level holds; the left ends of deeper levels are
+# generated block by block, a block being at most this many
+STORED_COUNT = 2 ** 16
 
 
 class GapSequenceError(ValueError):
@@ -117,14 +124,114 @@ def parent_indices(count: int, branching: int) -> np.ndarray:
     return np.arange(count) // branching
 
 
+@dataclass(frozen=True)
+class _Split:
+    """One generation's split of every parent left end x into its n children's.
+
+    A first child starts at x.  A middle-interval right child starts at
+    (x + parent_len) - child_len; the k-th uniform child at x + k * stride.
+    """
+
+    n: int
+    parent_len: float
+    child_len: float
+    stride: Optional[float]  # None for the middle-interval kind
+
+    def child(self, x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+        """The k-th children's left ends (1 <= k < n) of the parent left ends x, into out."""
+        if self.stride is None:
+            return np.subtract(np.add(x, self.parent_len, out=out), self.child_len, out=out)
+        return np.add(x, k * self.stride, out=out)
+
+
+class LeftEnds:
+    """The left ends of a level below the stored ones, generated when indexed.
+
+    ``lefts[s]``, for an int, a slice or an index array ``s``, holds the bits
+    that a stored level would hold there.  Each end is folded from its
+    ancestor's on the deepest stored level by the splits between the two: a
+    slice splits its ancestors level by level, as build_system builds the
+    stored levels, and an index array folds each end along its own path,
+    read off the index's digits.  ``lefts[:]`` is the whole level.
+    """
+
+    def __init__(self, stored: np.ndarray, splits: tuple):
+        self.stored, self.splits = stored, splits
+        self.count = len(stored) * math.prod(split.n for split in splits)
+        self.shape = (self.count,)
+        self.nbytes = 8 * self.count  # as the stored array would take
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            start, stop, step = s.indices(self.count)
+            if step == 1:
+                size = max(stop - start, 0)
+                return self.fill(start, np.empty(size), np.empty(size // 2 + 2))
+            s = np.arange(start, stop, step)
+        idx = np.asarray(s)
+        if np.any((idx < -self.count) | (idx >= self.count)):
+            raise IndexError(f"index out of range for a level of {self.count} intervals")
+        x = self._at(np.where(idx < 0, idx + self.count, idx).ravel()).reshape(idx.shape)
+        return x[()] if x.ndim == 0 else x
+
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        """The left ends at the nonnegative indices ``idx``, each folded along its path."""
+        digits = []
+        for split in reversed(self.splits):
+            idx, k = np.divmod(idx, split.n)
+            digits.append(k)
+        x = self.stored[idx]
+        child = np.empty_like(x)
+        for split, k in zip(self.splits, reversed(digits)):
+            for j in range(1, split.n):  # each end changes once, at its own digit
+                np.copyto(x, split.child(x, j, out=child), where=k == j)
+        return x
+
+    def fill(self, start: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The left ends start .. start + len(out), written to ``out`` and returned.
+
+        The levels between hold only the ancestors of those ends, in turn in
+        ``scratch`` and ``out``; ``scratch`` needs len(out) // 2 + 2 slots, or
+        as many as ``out``.
+        """
+        if not len(out):
+            return out
+        firsts, sizes = [start], [len(out)]
+        for split in reversed(self.splits):  # the ancestors' index range, level by level up
+            first, last = firsts[-1] // split.n, (firsts[-1] + sizes[-1] - 1) // split.n
+            firsts.append(first)
+            sizes.append(last - first + 1)
+        x = self.stored[firsts[-1]:firsts[-1] + sizes[-1]]
+        for up, split in enumerate(self.splits):
+            below = len(self.splits) - 1 - up  # levels between this one and out's
+            first, size = firsts[below], sizes[below]
+            dst = (scratch if below % 2 else out)[:size]
+            for k in range(split.n):  # the k-th children fill every n-th slot of dst
+                at = (k - first) % split.n
+                parents = x[(first + at) // split.n - first // split.n:][:len(dst[at::split.n])]
+                if k:
+                    split.child(parents, k, out=dst[at::split.n])
+                else:
+                    dst[at::split.n] = parents
+            x = dst
+        if not self.splits:
+            np.copyto(out, x)
+        return out
+
+
 @dataclass
 class IntervalLevel:
     """One generation of closed intervals, sorted left to right.
 
     All intervals share the length exp(log_length), and interval j is a
     child of interval j // branching one generation up (the root has
-    branching 1).  ``rights`` and the read-only per-interval views
-    ``lengths``, ``log_lengths`` and ``parent_index`` are derived.
+    branching 1).  ``lefts`` is an array, or the LeftEnds of a level below
+    the stored ones; ``lefts[:]`` is an array either way.  ``rights`` and the
+    read-only per-interval views ``lengths``, ``log_lengths`` and
+    ``parent_index`` are derived.
     """
 
     depth: int
@@ -146,11 +253,21 @@ class IntervalLevel:
 
     @property
     def rights(self) -> np.ndarray:
-        return self.lefts + np.exp(self.log_length)
+        return self.lefts[:] + np.exp(self.log_length)
 
     @property
     def count(self) -> int:
         return len(self.lefts)
+
+    def lefts_at(self, s: slice, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``lefts[s]`` for a unit-step slice s: a stored level's view, else generated into out.
+
+        ``out`` and ``scratch`` have at least as many slots as ``s`` spans.
+        """
+        if isinstance(self.lefts, np.ndarray):
+            return self.lefts[s]
+        start, stop, _ = s.indices(self.count)
+        return self.lefts.fill(start, out[:stop - start], scratch)
 
     def min_gap(self) -> float:
         """Smallest spacing between consecutive intervals (inf if single)."""
@@ -172,45 +289,41 @@ class CantorSystem:
         return self.levels[n]
 
 
-def _split_level(level: IntervalLevel, leaf: np.ndarray, gaps: GapSequence,
-                 i: int) -> IntervalLevel:
-    """Children of generation i+1 (zero-based i); a first child shares its parent's left end."""
-    n = gaps.branching(i)
-    parent_len = np.exp(level.log_length)
-    child_loglen = level.log_length + gaps.child_log_ratio(i)
-    child_len = np.exp(child_loglen)
-
-    lefts = leaf[::len(leaf) // (level.count * n)]
-    if gaps.kind == MIDDLE_INTERVAL:
-        lefts[1::2] = level.lefts + parent_len - child_len
-    else:
-        stride = child_len + gaps.values[i] * parent_len
-        for k in range(1, n):
-            lefts[k::n] = level.lefts + k * stride
-    return IntervalLevel(depth=level.depth + 1, lefts=lefts, log_length=child_loglen,
-                         branching=n)
+def _split(gaps: GapSequence, i: int, log_length: float) -> _Split:
+    """Generation i+1's split (zero-based i) of parents of length exp(log_length)."""
+    parent_len = np.exp(log_length)
+    child_len = np.exp(log_length + gaps.child_log_ratio(i))
+    stride = child_len + gaps.values[i] * parent_len if gaps.kind == UNIFORM else None
+    return _Split(gaps.branching(i), parent_len, child_len, stride)
 
 
 def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
-    """Levels 0..max_depth, whose ``lefts`` are read-only views of the leaves'.
+    """Levels 0..max_depth: stored levels view one read-only array, deeper ones are LeftEnds.
 
-    Refuses to materialize a level with more than MEMORY_CAP intervals.
+    A level is stored when it holds at most STORED_COUNT intervals.
+    Refuses a level with more than MEMORY_CAP intervals.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if len(gaps) < max_depth:
         raise ValueError(f"need at least {max_depth} gap fractions, have {len(gaps)}")
-    count = 1
+    counts, log_lengths, splits = [1], [0.0], []
     for i in range(max_depth):
-        count *= gaps.branching(i)
-        if count > MEMORY_CAP:
-            raise MemoryError(f"level {i + 1} holds {count} intervals > cap {MEMORY_CAP}")
-    leaf = np.zeros(count)
-    levels = [IntervalLevel(depth=0, lefts=leaf[::count], log_length=0.0, branching=1)]
-    for i in range(max_depth):
-        levels.append(_split_level(levels[-1], leaf, gaps, i))
-    for lv in levels:
-        lv.lefts.flags.writeable = False
+        counts.append(counts[-1] * gaps.branching(i))
+        if counts[-1] > MEMORY_CAP:
+            raise MemoryError(f"level {i + 1} holds {counts[-1]} intervals > cap {MEMORY_CAP}")
+        splits.append(_split(gaps, i, log_lengths[-1]))
+        log_lengths.append(log_lengths[-1] + gaps.child_log_ratio(i))
+    stored = max(n for n, count in enumerate(counts) if count <= STORED_COUNT)
+    # a first child starts where its parent does, so the deepest stored level's
+    # left ends, strided, are every stored level's
+    ends = LeftEnds(np.zeros(1), tuple(splits[:stored]))[:]
+    ends.flags.writeable = False
+    levels = [IntervalLevel(depth=n, log_length=log_lengths[n],
+                            branching=splits[n - 1].n if n else 1,
+                            lefts=ends[::counts[stored] // count] if n <= stored
+                            else LeftEnds(ends, tuple(splits[stored:n])))
+              for n, count in enumerate(counts)]
     return CantorSystem(gaps=gaps, levels=levels)
 
 

@@ -168,7 +168,8 @@ def _resolved(system: cantor.CantorSystem, key: str, maps) -> cantor.CantorSyste
     """
     leaves = system.level(system.max_depth)
     if any(qsmap.kind == "identity" for qsmap in maps):
-        for x in np.split(leaves.lefts, range(qsmass.PAIR_BLOCK, leaves.count, qsmass.PAIR_BLOCK)):
+        for i in range(0, leaves.count, qsmass.PAIR_BLOCK):
+            x = leaves.lefts[i:i + qsmass.PAIR_BLOCK]
             if np.any(x + np.exp(leaves.log_length) <= x):
                 raise ConfigError(f"field {key!r}: under the identity map, a leaf at depth "
                                   f"{leaves.depth} is below double resolution")
@@ -264,7 +265,7 @@ def cmd_generate(cfg: dict, outdir: Path, seed: int) -> list:
     rows = []
     for level in system.levels:
         rows.extend((level.depth, j, left, right) for j, (left, right)
-                    in enumerate(zip(level.lefts.tolist(), level.rights.tolist())))
+                    in enumerate(zip(level.lefts[:].tolist(), level.rights.tolist())))
     _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows)
     _write_summary(outdir / "summary.json", {
         "depth": system.max_depth,
@@ -306,6 +307,10 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
     return ["boxcounts.csv", "summary.json"]
 
 
+# the narrowest gap between a gap row's X1 and X2, as a share of the interval
+_GAP_MIN = 1e-4
+
+
 def _uniform(low, high, u):
     """``Generator.uniform(low, high)``'s formula, so its bits, on its unit draws ``u``."""
     return low + (high - low) * u
@@ -325,7 +330,7 @@ def _distortion_samples(rng, lo: float, hi: float, n: int) -> tuple:
         a = np.sort(_uniform(b[:, :1], b[:, 3:], u[:, 4:6]), axis=1)
         bad = (b[:, 3] - b[:, 0] < 1e-9 * w) | (a[:, 1] - a[:, 0] < 1e-12 * w)
     mid = _uniform(lo + 0.2 * w, hi - 0.2 * w, u[:, 6:7])
-    g = _uniform(1e-4, 0.15, u[:, 7:8]) * w
+    g = _uniform(_GAP_MIN, 0.15, u[:, 7:8]) * w
     x1 = np.sort(_uniform(lo, mid - g / 2, u[:, 8:11]), axis=1)
     x2 = np.sort(_uniform(mid + g / 2, hi, u[:, 11:]), axis=1)
     return a, np.concatenate([a, b], axis=1), x1, x2
@@ -338,10 +343,13 @@ def cmd_distort(cfg: dict, outdir: Path, seed: int) -> list:
         if eta is None:
             raise ConfigError("missing config field 'eta' and the map claims none")
         dlo, dhi = qsmap.domain
+        # the narrowest gap spans 8 float spacings, so X1 and X2 stay apart once rounded
         lo, hi = _field(cfg, "interval", _checked(
             _list_of(_number),
-            lambda v: len(v) == 2 and dlo <= v[0] and v[1] <= dhi and 0.0 < v[1] - v[0] < math.inf,
-            f"[lo, hi] inside the map's domain [{dlo}, {dhi}] with 0 < hi - lo < inf"),
+            lambda v: len(v) == 2 and dlo <= v[0] and v[1] <= dhi and 0.0 < v[1] - v[0] < math.inf
+            and _GAP_MIN * (v[1] - v[0]) >= 8 * np.spacing(max(abs(v[0]), abs(v[1]))),
+            f"[lo, hi] inside the map's domain [{dlo}, {dhi}] with 0 < hi - lo < inf and "
+            f"{_GAP_MIN:g} (hi - lo) at least 8 float spacings at the interval"),
             [-1.0, 1.0])
         n = _field(cfg, "n_pairs", _COUNT, 10000)
 
@@ -480,10 +488,10 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
 
 def _growth_scan(measure: dimension.DiscreteMeasure, leaves, eps_list, slack: float):
     """Two-sided slope test of window masses around points of the set."""
-    centers = (leaves.lefts + leaves.rights) / 2.0
+    centers = (leaves.lefts[:] + leaves.rights) / 2.0
     if len(centers) > 128:
         centers = centers[:: len(centers) // 128 + 1]
-    diam = float(np.max(leaves.rights) - np.min(leaves.lefts))
+    diam = float(np.max(leaves.rights) - np.min(leaves.lefts[:]))
     min_len = float(np.exp(leaves.log_length))
     n_scales = max(3, int(math.log2(diam / min_len)))
     radii = [diam * 2.0 ** (-k) for k in range(1, n_scales + 1)]

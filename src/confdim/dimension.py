@@ -177,12 +177,12 @@ def locate_windows(lefts, rights, x0s, x1s) -> WindowLocation:
 
 def natural_measure(level: IntervalLevel) -> DiscreteMeasure:
     """Equal mass on every interval of a level, total mass 1."""
-    return DiscreteMeasure(level.lefts, level.rights, np.full(level.count, 1.0 / level.count))
+    return DiscreteMeasure(level.lefts[:], level.rights, np.full(level.count, 1.0 / level.count))
 
 
 def _as_intervals(data) -> tuple:
     if isinstance(data, IntervalLevel):
-        return data.lefts, data.rights
+        return data.lefts[:], data.rights
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:  # point sample
         arr = np.sort(arr)

@@ -595,7 +595,7 @@ def dmod_vanishing_witness(
         for i, idx in enumerate(sets)
     )
     value = float(np.sum(v ** q))
-    centers = (X_level.lefts + X_level.rights) / 2.0
+    centers = (X_level.lefts[:] + X_level.rights) / 2.0
     balls = np.column_stack([centers, diams / 2.0])
     return VanishingWitness(
         balls=balls, v=v, value=value, admissible_ok=admissible,

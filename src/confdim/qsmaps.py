@@ -152,18 +152,27 @@ class QsMap:
         if np.any(x < lo) or np.any(x > hi):
             raise ValueError(f"point outside map domain [{lo}, {hi}]")
 
-    def apply(self, x):
+    def apply(self, x, out=None):
+        """The images of the points x, into ``out`` (which may be x) when given."""
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         if self.kind == "identity":
-            out = x
+            if out is None:
+                out = x
+            else:
+                np.copyto(out, x)
         elif self.kind == "power":
-            out = np.abs(x)
+            # Cantor points are never negative: skip the sign array, and the
+            # mask of x < 0 (fmin skips a NaN as that mask would)
+            sign = np.sign(x) if np.fmin.reduce(x, axis=None, initial=0.0) < 0 else None
+            out = np.abs(x, out=out)
             out **= self.a
-            if np.any(x < 0):  # Cantor points never are: skip the sign array
-                out *= np.sign(x)
-        else:
+            if sign is not None:
+                out *= sign
+        elif out is None:
             out = np.interp(x, self._xs, self._ys)
+        else:
+            out[...] = np.interp(x, self._xs, self._ys)
         return float(out) if out.ndim == 0 else out
 
 
@@ -253,10 +262,14 @@ class ImageLevel:
     rights: np.ndarray
     branching: int
 
-    def ends(self, s) -> tuple:
-        """(lefts[s], rights[s]); a mapped level reads its domain left ends once."""
+    def ends(self, s, out=None) -> tuple:
+        """(lefts[s], rights[s]); a mapped level reads its domain left ends once.
+
+        A mapped level writes them to the two arrays ``out`` when given, for
+        a unit-step slice ``s`` (see MappedEnds.both).
+        """
         if isinstance(self.lefts, MappedEnds):
-            return self.lefts.both(s)
+            return self.lefts.both(s, out)
         return self.lefts[s], self.rights[s]
 
     @property
@@ -293,10 +306,21 @@ class MappedEnds:
         x = self.level.lefts[s]
         return self.qsmap.apply(x + np.exp(self.level.log_length) if self.right else x)
 
-    def both(self, s) -> tuple:
-        """The image left and right ends of the intervals ``s``, from one read of their lefts."""
-        x = self.level.lefts[s]
-        return self.qsmap.apply(x), self.qsmap.apply(x + np.exp(self.level.log_length))
+    def both(self, s: slice, out=None) -> tuple:
+        """The image left and right ends of the intervals ``s``, a unit-step slice.
+
+        They go to the heads of the two arrays ``out``, or of two new arrays,
+        from one read of the intervals' left ends, which a generated level
+        forms there too: a reader that walks the level in blocks with the
+        same ``out`` reuses the same memory for every block.
+        """
+        if out is None:
+            size = len(range(*s.indices(len(self))))
+            out = np.empty(size), np.empty(size)
+        lefts, rights = out
+        x = self.level.lefts_at(s, lefts, rights)
+        rights = np.add(x, np.exp(self.level.log_length), out=rights[:len(x)])
+        return self.qsmap.apply(x, out=lefts[:len(x)]), self.qsmap.apply(rights, out=rights)
 
 
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:

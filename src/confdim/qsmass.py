@@ -9,21 +9,22 @@ control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
 
-The pipeline stores two leaf-sized arrays: the system's domain left ends and
-the measure's one buffer.  The image tree maps nothing up front: every
-level's image ends are mapped block by block, from one read of its domain
-left ends, as the measure reaches the level.  The measure is built level by
-level in blocks of PAIR_BLOCK sibling pairs, so its temporaries stay
-cache-sized, and each node's bits are those of a whole-level pass.  Every
+The pipeline stores one leaf-sized array, the measure's buffer: the system
+generates the domain left ends of its deep levels on request.  The image
+tree maps nothing up front: every level's image ends are mapped block by
+block, from one read of its domain left ends, as the measure reaches the
+level.  The measure is built level by level in blocks of PAIR_BLOCK sibling
+pairs, so its temporaries stay cache-sized and live in buffers that every
+block reuses, and each node's bits are those of a whole-level pass.  Every
 upper level is written in place over its parent in the one buffer, and
 siblings share one path product.  Each level records its median image
 diameter, the certificate's ball radius at that depth; the two deepest are
 taken up front, from the same buffer.  The leaf level is never stored: its
 masses, path products and prefix sum live one block at a time.  The
 certificate locates every window before the measure and every ball when the
-measure reaches the leaves, by sorted searches that map only the ends they
-probe, and the leaf pass keeps the masses and prefix sums at the located
-leaves only.
+measure reaches the leaves, both on the image leaves, by sorted searches
+that map only the ends they probe, and the leaf pass keeps the masses and
+prefix sums at the located leaves only.
 """
 
 from __future__ import annotations
@@ -87,11 +88,28 @@ class RecursiveMeasure:
         return [self.leaves.masses]
 
 
-def _median_diam(lv: ImageLevel, out: np.ndarray) -> float:
+class _Blocks:
+    """The temporaries of one block of ``nodes`` nodes, in buffers that every block reuses.
+
+    Arrays of a block's size, allocated and freed block by block, go back
+    to the system between blocks and fault their pages in again.
+    """
+
+    def __init__(self, nodes: int):
+        rows = np.empty((4, nodes))
+        self.ends = rows[0], rows[1]  # image ends; the right ones also generate domain ends
+        self.diams, self.mass = rows[2], rows[3]
+        # a leaf block's path products overwrite their parents' in parent_path
+        self.parent_path, self.parents, self.gap, self.denom, self.small, self.big = np.empty(
+            (6, nodes // 2 + 1))
+        self.flags = np.empty(nodes // 2 + 1, dtype=bool)
+
+
+def _median_diam(lv: ImageLevel, out: np.ndarray, work: _Blocks) -> float:
     """The median image diameter of a level, from ``out``, one slot per node, filled block by block."""
-    block = 2 * PAIR_BLOCK
+    block = len(work.diams)
     for i in range(0, lv.count, block):
-        lefts, rights = lv.ends(slice(i, i + block))
+        lefts, rights = lv.ends(slice(i, i + block), work.ends)
         np.subtract(rights, lefts, out=out[i:i + block])
     return float(np.median(out, overwrite_input=True))
 
@@ -123,9 +141,10 @@ def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
     # third quarter their per-pair path products, each level written in place
     # over its parent's, and a level n < depth-1 puts its diameters, for its
     # median, in the free slice after its masses
+    work = _Blocks(min(2 * PAIR_BLOCK, leaves.count))
     buf = np.empty(leaves.count)
-    leaf_median = _median_diam(leaves, buf)
-    last_median = _median_diam(tree[depth - 1], buf[:leaves.count // 2])
+    leaf_median = _median_diam(leaves, buf, work)
+    last_median = _median_diam(tree[depth - 1], buf[:leaves.count // 2], work)
     masses, prods = buf[:leaves.count // 2], buf[leaves.count // 2:]
     masses[0] = prods[0] = 1.0  # the root, and the path product above it
     root_diams = tree[0].diams
@@ -135,19 +154,19 @@ def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
         lv = tree[n]
         # level depth-1's diameters would overlap the path products
         diams = buf[lv.count:2 * lv.count] if n < depth - 1 else None
-        growth, p_max = _split_level(lv, masses, prods, diams, None, d)
+        growth, p_max = _split_level(lv, masses, prods, diams, None, d, work)
         if diams is not None:
             medians.append(float(np.median(diams, overwrite_input=True)))
         yield masses[:lv.count], growth, p_max
     # at depth 1 the root is level depth-1, whose median is taken up front
     keys = locate(np.array(medians[:depth - 1] + [last_median, leaf_median]))
     reads = LeafReads(keys=keys, masses=np.empty(len(keys)), prefix=np.empty(len(keys)))
-    growth, p_max = _split_level(leaves, masses, prods, None, reads, d)
+    growth, p_max = _split_level(leaves, masses, prods, None, reads, d, work)
     yield reads, growth, p_max
 
 
 def _split_level(lv: ImageLevel, masses: np.ndarray, prods: np.ndarray,
-                 diams_out, reads, d: float) -> tuple:
+                 diams_out, reads, d: float, work: _Blocks) -> tuple:
     """Split a level's parent masses between its sibling pairs, block by block.
 
     ``masses`` and ``prods`` begin with the parent level's masses and per-pair
@@ -163,6 +182,7 @@ def _split_level(lv: ImageLevel, masses: np.ndarray, prods: np.ndarray,
     carried on from the last block, which gives the bits of one ``np.cumsum``
     over the level, and ``reads`` keeps the masses and prefix sums at its
     keys.  Parent node j is in the parent level's sibling pair j // 2.
+    Every block's temporaries live in ``work``.
     """
     leaf = reads is not None
     pairs = lv.count // 2
@@ -173,12 +193,18 @@ def _split_level(lv: ImageLevel, masses: np.ndarray, prods: np.ndarray,
         j1 = min(j0 + PAIR_BLOCK, pairs)
         nodes = slice(2 * j0, 2 * j1)
         odd = j0 % 2  # an odd PAIR_BLOCK starts a block inside a parent pair
-        parent_path = np.repeat(prods[j0 // 2:(j1 + 1) // 2], 2)[odd:odd + j1 - j0]
-        mass = np.empty(2 * (j1 - j0)) if leaf else masses[nodes]
+        # np.repeat(prods[j0 // 2:], 2)[odd:odd + j1 - j0]
+        parent_path = work.parent_path[:j1 - j0]
+        parent_path[0::2] = prods[j0 // 2:][:len(parent_path[0::2])]
+        parent_path[1::2] = prods[j0 // 2 + odd:][:len(parent_path[1::2])]
+        pm = masses[j0:j1] if j0 else work.parents[:j1]
+        if not j0:
+            np.copyto(pm, masses[:j1])
+        mass = work.mass[:2 * (j1 - j0)] if leaf else masses[nodes]
         try:
-            growth, p = _split_block(lv, nodes, masses[j0:j1] if j0 else masses[:j1].copy(),
-                                     parent_path, mass, None if leaf else prods[j0:j1],
-                                     None if diams_out is None else diams_out[nodes], d)
+            growth, p = _split_block(lv, nodes, pm, parent_path, mass,
+                                     parent_path if leaf else prods[j0:j1],
+                                     work.diams if diams_out is None else diams_out[nodes], d, work)
         except (ValueError, AssertionError) as err:  # a zero-diameter node or a violated bound
             if leaf:
                 raise
@@ -199,42 +225,54 @@ def _split_level(lv: ImageLevel, masses: np.ndarray, prods: np.ndarray,
 
 
 def _split_block(lv: ImageLevel, nodes: slice, pm: np.ndarray, parent_path: np.ndarray,
-                 mass: np.ndarray, path, diams, d: float) -> tuple:
+                 mass: np.ndarray, path: np.ndarray, diams: np.ndarray, d: float,
+                 work: _Blocks) -> tuple:
     """Split the parent masses ``pm`` between the sibling pairs of ``lv``'s ``nodes``.
 
-    Writes the nodes' masses to ``mass``; the pairs' path products, from
-    their parents' ``parent_path``, go to ``path`` and the nodes' diameters
-    to ``diams`` unless those are None.  Returns the block's max growth and
-    max p_i.  A zero-diameter node raises before any arithmetic.  The
-    block's temporaries are freed on return, before the next block maps its
-    ends.
+    Writes the nodes' masses to ``mass``, the pairs' path products, from
+    their parents' ``parent_path``, to the head of ``path`` and the nodes'
+    diameters to the head of ``diams``.  Returns the block's max growth and
+    max p_i.  A zero-diameter node raises before any arithmetic.  Every
+    other temporary is a buffer of ``work``.
     """
-    lefts, rights = lv.ends(nodes)
-    diams = np.subtract(rights, lefts, out=diams)
-    if np.any(diams <= 0):
+    n, h = len(mass), len(pm)
+    lefts, rights = lv.ends(nodes, work.ends)
+    diams = np.subtract(rights, lefts, out=diams[:n])
+    if np.min(diams) <= 0:
         raise ValueError(f"zero-diameter node at depth {lv.depth}")
     dl, dr = diams[0::2], diams[1::2]
-    gap = lefts[1::2] - rights[0::2]
-    del lefts, rights  # the block's other temporaries take their place
-    w = diams ** d
+    gap = np.subtract(lefts[1::2], rights[0::2], out=work.gap[:h])
+    # the block's ends are read: their buffer takes the weights diam^d
+    w = work.ends[0][:n]
+    np.copyto(w, diams)
+    w **= d
     wl, wr = w[0::2], w[1::2]
-    denom = wl + wr
+    denom = np.add(wl, wr, out=work.denom[:h])
+    small = np.minimum(wl, wr, out=work.small[:h])
     # Sterbenz two-step: the larger child lands in [parent/2, parent], so
     # the smaller one is its exact complement, the complement of either
     # child is exact, and siblings sum to the parent bitwise
-    small = np.minimum(wl, wr)
-    big = pm - pm * small / denom
-    mass[0::2] = np.where(wl <= wr, pm - big, big)
-    mass[1::2] = pm - mass[0::2]
-    p = (dl + gap + dr) ** d / denom
-    path = np.multiply(parent_path, p, out=path)
+    big = np.multiply(pm, small, out=work.big[:h])
+    big /= denom
+    np.subtract(pm, big, out=big)
+    # the left child is the smaller one where wl <= wr
+    left = mass[0::2]
+    np.copyto(left, big)
+    flags = work.flags[:h]
+    np.subtract(pm, big, out=left, where=np.less_equal(wl, wr, out=flags))
+    np.subtract(pm, left, out=mass[1::2])
+    p = np.add(np.add(dl, gap, out=gap), dr, out=gap)
+    p **= d
+    p /= denom
+    path = np.multiply(parent_path, p, out=path[:h])
     # the split rounds the small child's mass by up to eps * denom / small
     # of itself, an error its subtree inherits: the path carries that bound
     factor = np.divide(denom, small, out=small)
     path *= np.add(1.0, np.multiply(factor, np.finfo(float).eps, out=factor), out=factor)
     # the path-product bound mu(I)/diam^d <= prod p_i must hold exactly
     ratio = np.divide(mass, w, out=w)
-    if np.any(np.maximum(ratio[0::2], ratio[1::2]) > path * (1.0 + _REL_TOL)):
+    worst = np.maximum(ratio[0::2], ratio[1::2], out=denom)
+    if np.any(np.greater(worst, np.multiply(path, 1.0 + _REL_TOL, out=big), out=flags)):
         raise AssertionError("path-product bound violated beyond tolerance")
     return np.max(ratio), np.max(p)
 
@@ -305,7 +343,7 @@ class _Keyed:
 
 
 class _Scans:
-    """The certificate's windows on the domain leaves and balls on the image leaves.
+    """The certificate's windows and balls, both on the image leaves.
 
     The windows of every scanned depth are located together on
     construction, the balls by ``locate`` when the measure reaches the
@@ -315,23 +353,26 @@ class _Scans:
 
     def __init__(self, system: CantorSystem, image: ImageLevel, qsmap: QsMap, top: np.ndarray):
         leaves = system.level(system.max_depth)
-        leaf_l, leaf_r = leaves.lefts, MappedEnds(QsMap.identity(), leaves, right=True)
+        first, last = leaves.lefts[0], leaves.lefts[-1] + np.exp(leaves.log_length)
         self.image, self.top = image, top
         grids = []
         for n in top:
             scale = float(np.exp(system.level(n).log_length))
             step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
-            xs = np.arange(leaf_l[0] - scale / 2.0, leaf_r[-1] + step, step)
+            xs = np.arange(first - scale / 2.0, last + step, step)
             grids.append((xs, xs + scale))
         self.cuts = np.cumsum([len(xs) for xs, _ in grids])[:-1]
-        x0, x1 = (np.concatenate(ends) for ends in zip(*grids))
-        # boundary leaves count proportionally to their overlap with the
-        # window, else the finest scanned scale overstates the constant
-        self.windows = win = locate_windows(leaf_l, leaf_r, x0, x1)
+        # a window is located on the image at its mapped ends, clipped to the
+        # set (and so to the map's domain), so a boundary leaf counts by the
+        # share of its image that the window's span, the diam of the
+        # constant, covers; the map is elementwise, so a mapped leaf end has
+        # the image tree's bits
+        x0, x1 = (qsmap.apply(np.clip(np.concatenate(ends), first, last))
+                  for ends in zip(*grids))
+        self.windows = win = locate_windows(image.lefts, image.rights, x0, x1)
         sel = win.hit
-        # the map is elementwise, so a mapped leaf end has the image tree's bits
-        lo = np.maximum(image.lefts[win.j0[sel]], qsmap.apply(np.maximum(x0[sel], leaf_l[0])))
-        hi = np.minimum(image.rights[win.j1[sel]], qsmap.apply(np.minimum(x1[sel], leaf_r[-1])))
+        lo = np.maximum(image.lefts[win.j0[sel]], x0[sel])
+        hi = np.minimum(image.rights[win.j1[sel]], x1[sel])
         self.spans = np.zeros(len(x0))
         self.spans[sel] = np.maximum(hi - lo, 0.0)
 

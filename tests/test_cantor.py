@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import confdim.cantor as cantor
 from confdim.cantor import (
     MIDDLE_INTERVAL,
+    STORED_COUNT,
     GapSequence,
     GapSequenceError,
+    LeftEnds,
     build_system,
     closed_form_minkowski,
     minimality_criterion,
@@ -125,17 +128,70 @@ def test_levels_match_the_per_interval_construction_bit_for_bit(gaps):
 
 
 def test_build_system_keeps_only_the_left_ends():
-    gaps = GapSequence.harmonic(18)
+    gaps = GapSequence.harmonic(20)
     tracemalloc.start()
     try:
-        system = build_system(gaps, max_depth=18)
+        system = build_system(gaps, max_depth=20)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the upper levels' left ends are views, so only the leaves' are stored
-    leaf = system.level(18).lefts.nbytes
-    assert kept <= 1.05 * leaf
-    assert peak <= 1.55 * leaf
+    # the stored levels' left ends are views of level 16's, the only array;
+    # the four levels below it generate theirs
+    assert [type(lv.lefts) is LeftEnds for lv in system.levels] == [False] * 17 + [True] * 4
+    stored = 8 * STORED_COUNT
+    assert kept <= 1.05 * stored
+    assert peak <= 1.55 * stored
+
+
+def _check_generated_ends(lv, lefts, rng):
+    """``lv``'s left ends, read whole, by slices and at indices, against the array ``lefts``."""
+    n = len(lefts)
+    assert lv.lefts.shape == (n,) and lv.lefts.nbytes == 8 * n
+    assert lv.lefts[:].tobytes() == lefts.tobytes()
+    assert lv.rights.tobytes() == (lefts + np.exp(lv.log_length)).tobytes()
+    cuts = np.sort(rng.integers(0, n + 1, 6))
+    for a, b in [(0, 1), (n - 1, n), (1, n), (n // 3, n // 3 + 7), (5, 5), *zip(cuts, cuts[1:])]:
+        assert lv.lefts[a:b].tobytes() == lefts[a:b].tobytes(), (a, b)
+        size = max(b - a, 0)
+        # the scratch of a block read needs half the block and two slots
+        got = lv.lefts_at(slice(a, b), np.empty(size), np.empty(size // 2 + 2))
+        assert got.tobytes() == lefts[a:b].tobytes(), (a, b)
+    assert lv.lefts[::7].tobytes() == lefts[::7].tobytes()
+    at = rng.integers(0, n, (3, 50))
+    assert lv.lefts[at].tobytes() == lefts[at].tobytes()
+    assert lv.lefts[n - 1] == lv.lefts[-1] == lefts[-1] and lv.lefts[0] == lefts[0]
+    with pytest.raises(IndexError):
+        lv.lefts[n]
+
+
+@pytest.mark.parametrize("gaps", [
+    GapSequence.harmonic(20), GapSequence.constant(0.3, 20),
+    GapSequence(values=tuple(np.random.default_rng(5).uniform(0.0, 0.9, 20))),
+], ids=["harmonic", "constant", "random"])
+def test_generated_left_ends_equal_the_whole_level_build_bit_for_bit(gaps):
+    system = build_system(gaps, max_depth=20)
+    rng = np.random.default_rng(0)
+    for lv, (lefts, *_) in zip(system.levels[17:], list(_per_interval_levels(gaps, 20))[16:]):
+        assert isinstance(lv.lefts, LeftEnds)
+        _check_generated_ends(lv, lefts, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaps=st.one_of(
+    st.integers(1, 10).map(GapSequence.harmonic),
+    st.tuples(st.floats(0.0, 0.95), st.integers(1, 10)).map(
+        lambda cn: GapSequence.constant(*cn)),
+    st.lists(_uniform_generation, min_size=1, max_size=5).map(
+        lambda gens: GapSequence.uniform([g for _, g in gens], [n for n, _ in gens])),
+), stored=st.sampled_from([1, 2, 5, 16]), seed=st.integers(0, 2 ** 16))
+def test_levels_below_any_stored_count_generate_the_whole_level_build(gaps, stored, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cantor, "STORED_COUNT", stored)
+        system = build_system(gaps, max_depth=len(gaps))
+    rng = np.random.default_rng(seed)
+    for lv, (lefts, *_) in zip(system.levels[1:], _per_interval_levels(gaps, len(gaps))):
+        assert isinstance(lv.lefts, LeftEnds) == (len(lefts) > stored)
+        _check_generated_ends(lv, lefts, rng)
 
 
 @pytest.mark.parametrize("gaps", [

@@ -484,6 +484,9 @@ FUGLEDE2 = {"kind": "fuglede", "mu": [1, 1], "members": [[1, 1]], "p": 2}
     ("distort", {"map": {"kind": "identity"}, "n_pairs": -5}, "n_pairs"),
     ("mass", {"system": UNIFORM2, "map": {"kind": "identity"}, "d": 0.5}, "system"),
     ("distort", {"map": {"kind": "dyadic_weight"}, "eta": "identity"}, "interval"),
+    # X1 and X2 shared a point after rounding: exit 5, "must be separated"
+    ("distort", {"map": {"kind": "identity"}, "n_pairs": 200,
+                 "interval": [1.0, 1.0000000000000004]}, "interval"),
     ("generate", {"system": {"c": "harmonic", "depth": 3.7}}, "depth"),
     ("modulus", {"problem": {**FUGLEDE2, "mu": [-1, 1]}}, "mu"),
     ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS, "sets": []}},
@@ -500,7 +503,8 @@ FUGLEDE2 = {"kind": "fuglede", "mu": [1, 1], "members": [[1, 1]], "p": 2}
                    "control": {"c": 0.9}}, "control"),
 ], ids=["cell-width-above-gap", "tail-window-0", "d-sweep-1", "maps-object",
         "minkowski-point-too-long", "mass-bound-without-scales", "d-string",
-        "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval", "depth-3.7",
+        "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval",
+        "interval-a-few-ulps", "depth-3.7",
         "negative-mu", "no-sets", "member-cell-count", "incidence-one-column", "p-1",
         "mass-identity-point-leaves", "theorem-a-identity-point-leaves",
         "theorem-a-control-point-leaves"])

@@ -64,7 +64,7 @@ def test_image_tree_maps_the_leaf_left_ends_once():
     # left ends view the system's one leaf array: the tree stores no end
     for lv, domain in zip(tree, system.levels, strict=True):
         assert lv.lefts.level is domain and lv.rights.level is domain
-    assert kept <= 0.05 * system.levels[-1].lefts.nbytes
+    assert kept <= 0.05 * 8 * system.levels[-1].count
 
 
 def test_identity_symmetric_masses_halve():
@@ -321,7 +321,7 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
         tracemalloc.stop()
     (kept,) = m.masses
     assert kept.shape == (0,) and m.level_growth.shape == (17,)
-    leaf_bytes = system.levels[-1].lefts.nbytes
+    leaf_bytes = 8 * system.levels[-1].count
     # one leaf-sized buffer holds the diameters for the two deepest medians,
     # then every upper level's masses and path products in place: the peak
     # is that buffer (1) and one leaf block's temporaries (about 0.27 at this
@@ -332,7 +332,7 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
 def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
     system = build_system(GapSequence.harmonic(20), max_depth=20)
-    leaf_bytes = system.levels[-1].lefts.nbytes
+    leaf_bytes = 8 * system.levels[-1].count
     _warm_up()
     tracemalloc.start()
     try:
@@ -344,6 +344,22 @@ def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
     # leaf-sized buffer and the scans' fixed arrays; measured 1.11.  At
     # depth 16 those fixed arrays dominate (2.41 there).
     assert peak <= 1.2 * leaf_bytes
+
+
+def test_system_and_certificate_hold_one_leaf_array(monkeypatch):
+    monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
+    _warm_up()
+    tracemalloc.start()
+    try:
+        system = build_system(GapSequence.harmonic(20), max_depth=20)
+        certificate(system, QsMap.power(2.0), 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # levels below 2^16 intervals generate their left ends, so the one leaf
+    # array is the measure's buffer; the rest is the stored level, one block's
+    # buffers and the scans' fixed arrays.  Storing the leaves took 2.1 here
+    assert peak <= 1.3 * 8 * system.levels[-1].count
 
 
 def test_certificate_passes_for_harmonic_identity():
@@ -375,6 +391,19 @@ def test_harmonic_certificates_pass_on_a_downward_closed_set_of_d(f):
     passed = [certificate(system, _README_MAPS[f], float(d)).passed for d in ds]
     assert all(p for p, d in zip(passed, ds) if 0.3 <= d <= 0.7)
     assert passed == sorted(passed, reverse=True)
+
+
+def test_strong_power_maps_pass_wherever_the_identity_passes():
+    # a window's boundary leaves count by their share of its image, whose span
+    # the constant divides by: located on the domain, the leftmost leaf of a
+    # depth-14 window counted half its mass over 1/32 of its image under x^5,
+    # and x^5 and x^7 failed where the identity passed
+    system = build_system(GapSequence.harmonic(14), max_depth=14)
+    ds = np.round(np.arange(0.05, 1.0, 0.05), 2)
+    for d in ds:
+        if certificate(system, QsMap.identity(), float(d)).passed:
+            for a in (5.0, 7.0):
+                assert certificate(system, QsMap.power(a), float(d)).passed, (a, d)
 
 
 @pytest.mark.parametrize("depth", [12, 14, 16])
