@@ -292,7 +292,14 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
         mb = _field(cfg, "mass_bound", _object) if "mass_bound" in cfg else None
         if mb is not None:
             d = _field(mb, "d", _checked(_number, lambda v: 0.0 < v <= 1.0, "0 < value <= 1"))
-            scales = _field(mb, "scales", _checked(_list_of(_POSITIVE), len, "a nonempty list"))
+            # the scan steps windows of width r by r / 4 over the set: about
+            # 4 span / r of them, each with a few temporaries, per scale r
+            span = float(leaves.lefts[-1] - leaves.lefts[0] + np.exp(leaves.log_length))
+            scales = _field(mb, "scales", _checked(
+                _checked(_list_of(_POSITIVE), len, "a nonempty list"),
+                lambda rs: 4.0 * span / min(rs) + 5.0 <= cantor.MEMORY_CAP,
+                f"at most {cantor.MEMORY_CAP} windows per scale, each scale "
+                f">= {4.0 * span / (cantor.MEMORY_CAP - 5.0):.3g}"))
     res = dimension.box_count(leaves, eps)
     _write_csv(outdir / "boxcounts.csv", ["epsilon", "count"],
                list(zip(res.scales.tolist(), res.counts.tolist())))

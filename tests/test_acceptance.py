@@ -101,10 +101,15 @@ def test_criterion_3_measure_machinery():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = build_image_tree(system, QsMap.power(1.5))
     # every level's masses as the measure's own level loop builds them; the loop
-    # builds each level in place over its parent, so each upper level is copied,
-    # and the streamed leaf level is read at every leaf
+    # builds each level above depth-1 in place over its parent, so each is copied,
+    # and the streamed leaf level is read at every leaf.  Level depth-1 is never
+    # stored: it is the leaf level of the measure on the tree cut at that depth
+    def every_leaf(t):
+        return lambda _: np.arange(t[-1].count)
+
     masses = [m.masses if isinstance(m, LeafReads) else m.copy()
-              for m, *_ in qsmass._levels(tree, 0.9, lambda _: np.arange(tree[-1].count))]
+              for m, *_ in qsmass._levels(tree, 0.9, every_leaf(tree)) if m is not None]
+    masses.insert(-1, build_recursive_measure(tree[:-1], 0.9, every_leaf(tree[:-1])).masses[0])
     conserved = len(masses) == 15 and all(
         np.array_equal(masses[n][0::2] + masses[n][1::2], masses[n - 1])
         for n in range(1, 15)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -303,6 +304,24 @@ def test_over_the_build_cap_exits_5(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     # the level, its count and the cap; no advice to stream, which no command can
     assert err == f"resource error: level 25 holds {2 ** 25} intervals > cap {2 ** 24}\n"
+
+
+def test_a_mass_bound_scale_past_the_window_cap_exits_2_before_any_scan(tmp_path, capsys):
+    # the r/4 grid at r = 1e-10 would take 4e10 windows
+    cfg = {"system": {"c": {"const": 0.7}, "depth": 14}, "epsilons": [0.1],
+           "mass_bound": {"d": 0.5, "scales": [0.15 ** 3, 1e-10]}}
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out = run(tmp_path, "dimension", cfg)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: field 'scales': needs at most ")
+    assert list(out.iterdir()) == []
+    assert elapsed < 0.5 and peak < 2 ** 20
 
 
 def test_path_product_violation_exits_5(tmp_path, capsys, monkeypatch):

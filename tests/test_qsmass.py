@@ -38,11 +38,16 @@ def _measure(gaps, qsmap, d, depth):
 def _level_masses(tree, d):
     """Every level's masses, root first, as the measure's own level loop builds them.
 
-    The loop builds each level in place over its parent, so each upper level
-    is copied; the leaf level is streamed, and read at every leaf.
+    The loop builds each level above depth-1 in place over its parent, so
+    each is copied; the leaf level is streamed, and read at every leaf.
+    Level depth-1 is never stored: it is read at every leaf of the measure
+    on the tree cut at that depth, which splits it with the same bits.
     """
-    return [masses.masses if isinstance(masses, LeafReads) else masses.copy()
-            for masses, *_ in qsmass._levels(tree, d, _every_leaf(tree))]
+    levels = [masses.masses if isinstance(masses, LeafReads) else masses.copy()
+              for masses, *_ in qsmass._levels(tree, d, _every_leaf(tree)) if masses is not None]
+    if len(tree) > 2:
+        levels.insert(-1, build_recursive_measure(tree[:-1], d, _every_leaf(tree[:-1])).masses[0])
+    return levels
 
 
 def test_rejects_uniform_kind():
@@ -322,11 +327,11 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     (kept,) = m.masses
     assert kept.shape == (0,) and m.level_growth.shape == (17,)
     leaf_bytes = 8 * system.levels[-1].count
-    # one leaf-sized buffer holds the diameters for the two deepest medians,
-    # then every upper level's masses and path products in place: the peak
-    # is that buffer (1) and one leaf block's temporaries (about 0.27 at this
-    # depth and block); measured 1.27
-    assert peak <= 1.35 * leaf_bytes
+    # a buffer of 3/8 of the leaf count holds every level above depth-1 in
+    # place; the rest is one block's buffers (about 0.27 at this depth and
+    # block) and a median's sample and kept diameters.  Measured 0.76; the
+    # bound leaves about 10%.  One leaf-sized buffer measured 1.27
+    assert peak <= 0.85 * leaf_bytes
 
 
 def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
@@ -340,26 +345,83 @@ def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the domain leaves are the system's: the peak is the measure's one
-    # leaf-sized buffer and the scans' fixed arrays; measured 1.11.  At
-    # depth 16 those fixed arrays dominate (2.41 there).
-    assert peak <= 1.2 * leaf_bytes
+    # the domain leaves are the system's: the peak is the measure's buffer of
+    # 3/8 of a leaf array and the scans' fixed arrays; measured 0.54, and the
+    # bound leaves about 10%.  At depth 16 those fixed arrays dominate
+    assert peak <= 0.6 * leaf_bytes
 
 
-def test_system_and_certificate_hold_one_leaf_array(monkeypatch):
+@pytest.mark.parametrize("f", ["x^2", "identity"])
+def test_system_and_certificate_hold_three_eighths_of_a_leaf_array(monkeypatch, f):
+    # the identity map's leaf diameters take a dozen values, two of which hold
+    # 94% of the leaves: a median pass that kept the diameters at its pivots
+    # kept about the whole level (2.26 leaf arrays here)
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
     _warm_up()
     tracemalloc.start()
     try:
         system = build_system(GapSequence.harmonic(20), max_depth=20)
-        certificate(system, QsMap.power(2.0), 0.9)
+        certificate(system, _README_MAPS[f], 0.9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # levels below 2^16 intervals generate their left ends, so the one leaf
-    # array is the measure's buffer; the rest is the stored level, one block's
-    # buffers and the scans' fixed arrays.  Storing the leaves took 2.1 here
-    assert peak <= 1.3 * 8 * system.levels[-1].count
+    # levels below 2^16 intervals generate their left ends, so the largest
+    # array is the measure's buffer, 3/8 of a leaf array; the rest is the
+    # stored level, one block's buffers, a median's sample and the scans'
+    # fixed arrays.  Measured 0.60 under x^2 and 0.58 under the identity; the
+    # bound leaves about 15%.  One leaf-sized buffer measured 1.20
+    assert peak <= 0.7 * 8 * system.levels[-1].count
+
+
+def _streamed_median(values, block):
+    """The streamed median of a level whose image diameters are ``values``, ``block`` a pass."""
+    lv = ImageLevel(depth=0, lefts=np.zeros(len(values)), rights=values, branching=2)
+    return qsmass._Median(lv, qsmass._Blocks(block)).map().value()
+
+
+def _diameters(kind, n, seed):
+    """n diameters: ties among 2-12 values, all equal, the middle ranks in two tie groups,
+    monotone, or spread."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        values = rng.uniform(1e-6, 1.0, rng.integers(2, 13))
+        return rng.choice(values, n, p=rng.dirichlet(np.full(len(values), 0.3)))
+    if kind == "equal":
+        return np.full(n, rng.uniform(1e-6, 1.0))
+    if kind == "split":  # ranks n/2 - 1 and n/2 take the values a and b
+        a, b = np.sort(rng.uniform(1e-6, 1.0, 2))
+        return rng.permutation(np.where(np.arange(n) < n // 2, a, b))
+    if kind == "monotone":
+        return np.sort(rng.uniform(1e-6, 1.0, n))[::rng.choice([-1, 1])]
+    return rng.uniform(1e-6, 1.0, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["ties", "equal", "split", "monotone", "spread"]),
+       n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([2, 16, 256]), share=st.sampled_from([None, 4, 2 ** 40]))
+@example(kind="split", n=2000, seed=0, block=16, share=None)
+@example(kind="monotone", n=3000, seed=1, block=2, share=2 ** 40)
+def test_streamed_median_equals_np_median_bitwise(kind, n, seed, block, share):
+    """`share` None samples as the measure does; 2^40 samples one diameter, which misses."""
+    values = _diameters(kind, n, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if share is not None:
+            mp.setattr(qsmass, "_SAMPLE_SHARE", share)
+        got = _streamed_median(values, block)
+    assert float(got).hex() == float(np.median(values)).hex()
+
+
+def test_a_missed_median_repeats_its_pass(monkeypatch):
+    # one sampled diameter of a monotone level is the least: the first pass
+    # finds every middle rank above its pivots, and a mapped pass repeats
+    passes = []
+    mapped = qsmass._Median.map
+    monkeypatch.setattr(qsmass._Median, "map", lambda self: passes.append(1) or mapped(self))
+    monkeypatch.setattr(qsmass, "_SAMPLE_SHARE", 2 ** 40)
+    values = np.linspace(1.0, 2.0, 1000)
+    assert float(_streamed_median(values, 8)).hex() == float(np.median(values)).hex()
+    assert len(passes) > 1
 
 
 def test_certificate_passes_for_harmonic_identity():
