@@ -9,32 +9,27 @@ control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
 
-The pipeline stores 3/8 of a leaf-sized array, the measure's buffer: the
-system generates the domain left ends of its deep levels on request.  The
+The pipeline stores no array of a level deeper than 2^16 intervals: the
+system generates the domain left ends of such levels on request, and the
 image tree maps nothing up front: every level's image ends are mapped block
-by block, from one read of its domain left ends, as the measure reaches the
-level.  The measure is built level by level in blocks of PAIR_BLOCK sibling
-pairs, so its temporaries stay cache-sized and live in buffers that every
-block reuses, and each node's bits are those of a whole-level pass.  Every
-level above depth-1 is written in place over its parent in the one buffer,
-and siblings share one path product.  Level depth-1 is never stored: each
-of its blocks is split into two block-sized rows, and its leaf children
-right after it.  The leaf level is never stored either: its masses, path
-products and prefix sum live one block at a time.  Each level records its
-median image diameter, the certificate's ball radius at that depth, exactly
-and streamed: from a sample's pivots and one counting pass over the blocks
-that the split forms, or, for the two deepest levels, a mapped pass up
-front.  The certificate locates every window before the measure and every
-ball when the measure reaches the leaves, both on the image leaves, by
-sorted searches that map only the ends they probe, and the leaf pass keeps
-the masses and prefix sums at the located leaves only.
+by block, from one read of its domain left ends, where they are read.  The
+measure is one depth-first walk over blocks of at most PAIR_BLOCK sibling
+pairs: it splits a block, then that block's child blocks, before the next
+block, so every level runs the same code, each level keeps one block of
+masses and path products, and the leaf blocks come left to right, carrying
+the prefix sum.  Block temporaries live in buffers that every block reuses,
+siblings share one path product, and each node's bits are those of a
+whole-level pass.  The certificate takes each scanned depth's median image
+diameter, its ball radius, exactly and streamed, by mapped passes up front.
+It then locates every window and ball on the image leaves in one sorted
+search that maps only the ends it probes, and the walk keeps the masses and
+prefix sums at the located leaves only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -85,7 +80,7 @@ class LeafReads:
 
 @dataclass
 class RecursiveMeasure:
-    leaves: LeafReads         # the leaf reads that ``locate`` asked for
+    leaves: LeafReads         # the leaf reads at the keys the measure was given
     level_growth: np.ndarray  # per level, max mu/diam^d over its nodes
     p_max: np.ndarray         # per level >= 1, max p_i over its sibling pairs
 
@@ -103,14 +98,12 @@ class _Blocks:
     """
 
     def __init__(self, nodes: int):
-        rows = np.empty((5, nodes))
+        rows = np.empty((4, nodes))
         self.ends = rows[0], rows[1]  # image ends; the right ones also generate domain ends
-        self.diams, self.mass = rows[2], rows[3]
-        # a block of level depth-1, whose leaf children are split from it
-        self.upper_mass = rows[4]
+        self.diams, self.mass = rows[2], rows[3]  # ``mass`` holds a leaf block
         # a leaf block's path products overwrite their parents' in parent_path
-        (self.parent_path, self.parents, self.gap, self.denom, self.small, self.big,
-         self.upper_path) = np.empty((7, nodes // 2 + 1))
+        (self.parent_path, self.gap, self.denom, self.small,
+         self.big) = np.empty((5, nodes // 2 + 1))
         self.flags = np.empty(nodes // 2 + 1, dtype=bool)
 
 
@@ -120,16 +113,16 @@ class _Median:
     A level of at most one block takes np.median of that block.  A larger
     level reads a strided sample of its diameters at index arrays, so only
     the sampled ends are mapped, and takes two pivots lo <= hi from it
-    around the middle ranks.  A pass feeds the level's diameters to
-    ``count`` block by block; it counts those below lo, at lo and at hi and
-    keeps those strictly between, up to a cap, so tied diameters are
-    counted, never kept.  The middle order statistics follow from the counts
-    and the kept diameters, and np.median of the two gives np.median's bits.
-    A middle rank that lies outside [lo, hi], or between them past the cap,
-    narrows an open bracket (a, b) of diameters that holds the ranks still
-    missing, and ``value`` repeats the pass, mapping the level block by
-    block, with pivots inside the bracket: from the sample, else from the
-    diameters the last pass kept, else the bracket's own ends.
+    around the middle ranks.  A pass, ``map``, maps the level block by block
+    and feeds its diameters to ``count``, which counts those below lo, at lo
+    and at hi and keeps those strictly between, up to a cap, so tied
+    diameters are counted, never kept.  The middle order statistics follow
+    from the counts and the kept diameters, and np.median of the two gives
+    np.median's bits.  A middle rank that lies outside [lo, hi], or between
+    them past the cap, narrows an open bracket (a, b) of diameters that
+    holds the ranks still missing, and ``value`` repeats the pass with
+    pivots inside the bracket: from the sample, else from the diameters the
+    last pass kept, else the bracket's own ends.
     """
 
     def __init__(self, lv: ImageLevel, work: _Blocks):
@@ -242,160 +235,68 @@ def _parent_path(prods: np.ndarray, i0: int, n: int, work: _Blocks) -> np.ndarra
     return out
 
 
-def _levels(tree, d: float, locate: Callable[[np.ndarray], np.ndarray]):
-    """The measure's level loop, root first: yields (masses, growth, p_max).
+class _Walk:
+    """The measure's one depth-first walk: ``split`` splits every level, a block at a time.
 
-    ``growth`` is max mu/diam^d over the level's nodes and ``p_max`` the max
-    p_i over its sibling pairs (None at the root).  ``tree`` is a list of
-    ImageLevels by depth.  A level above depth-1 yields its masses as a view
-    of the one buffer that those levels are built in, so they hold until the
-    next level is built; level depth-1, split block by block with the
-    leaves, is never stored and yields None.  Before any leaf mass exists,
-    ``locate`` gets every level's median image diameter, root first, and
-    returns the sorted, unique leaf indices at which the leaf level yields
-    LeafReads in place of masses.
-    """
-    if not (0.0 < d < 1.0):
-        raise ValueError("d must be in (0, 1)")
-    if len(tree) < 2:
-        raise ValueError("tree depth must be >= 1")
-    for n, lv in enumerate(tree[1:], start=1):
-        if lv.count != 2 ** n:
-            raise ValueError(f"level {lv.depth} is not binary")
-    depth = len(tree) - 1
-    leaves = tree[depth]
-    work = _Blocks(min(2 * PAIR_BLOCK, leaves.count))
-    # the last two levels are never stored: their medians take mapped passes up front
-    last_median, leaf_median = (_Median(lv, work).map().value() for lv in tree[-2:])
-    # one buffer of 3/8 of the leaf count serves every level above depth-1,
-    # so nothing level-sized is allocated or freed level by level and the
-    # heap does not fragment: its first 2/3 holds the masses and the rest
-    # their per-pair path products, each level written in place over its
-    # parent's, and each level's median counts the diameters of its blocks
-    head = max(leaves.count // 4, 1)
-    buf = np.empty(head + max(leaves.count // 8, 1))
-    masses, prods = buf[:head], buf[head:]
-    masses[0] = prods[0] = 1.0  # the root, and the path product above it
-    root_diams = tree[0].diams
-    medians = [float(np.median(root_diams))]
-    yield masses[:1], float(np.max(masses[:1] / root_diams ** d)), None
-    for lv in tree[1:depth - 1]:
-        median = _Median(lv, work)
-        growth, p_max = _split_level(lv, masses, prods, median, d, work)
-        medians.append(median.value())
-        yield masses[:lv.count], growth, p_max
-    # at depth 1 the root is level depth-1, whose median is taken up front
-    keys = locate(np.array(medians[:depth - 1] + [last_median, leaf_median]))
-    reads = LeafReads(keys=keys, masses=np.empty(len(keys)), prefix=np.empty(len(keys)))
-    last, leaf = _split_last_levels(tree[depth - 1], leaves, masses, prods, reads, d, work)
-    if depth > 1:
-        yield None, *last
-    yield reads, *leaf
-
-
-def _split_level(lv: ImageLevel, masses: np.ndarray, prods: np.ndarray, median: _Median,
-                 d: float, work: _Blocks) -> tuple:
-    """Split an upper level's parent masses between its sibling pairs, in place, block by block.
-
-    ``masses`` and ``prods`` begin with the parent level's masses and per-pair
-    path products, and the level writes its own over them; returns its max
-    growth and max p_i, and ``median`` counts its diameters.  The blocks run
-    last first, so each overwrites only parents that a later block has
-    split, and block 0, whose children overlap its own parents, splits a
-    copy of them; the fault of the lowest-indexed faulting block is raised
-    after the level, as a first-to-last pass would raise it.  Every block's
-    temporaries live in ``work``.
-    """
-    pairs = lv.count // 2
-    p_top = growth_top = -np.inf
-    fault = None
-    for j0 in reversed(range(0, pairs, PAIR_BLOCK)):
-        j1 = min(j0 + PAIR_BLOCK, pairs)
-        pm = masses[j0:j1] if j0 else work.parents[:j1]
-        if not j0:
-            np.copyto(pm, masses[:j1])
-        try:
-            growth, p = _split_block(lv, slice(2 * j0, 2 * j1), pm,
-                                     _parent_path(prods, j0, j1 - j0, work),
-                                     masses[2 * j0:2 * j1], prods[j0:j1], d, work)
-        except (ValueError, AssertionError) as err:  # a zero-diameter node or a violated bound
-            fault = err
-            continue
-        median.count(work.diams[:2 * (j1 - j0)])
-        p_top, growth_top = np.maximum(p_top, p), np.maximum(growth_top, growth)
-    if fault is not None:
-        raise fault
-    return float(growth_top), float(p_top)
-
-
-class _LeafPass:
-    """The leaf level, split first to last in blocks whose parents the caller holds.
-
-    A block's masses and path products live for that block only.  Its masses
-    become their prefix sum in place, carried on from the last block, which
-    gives the bits of one ``np.cumsum`` over the level, and ``reads`` keeps
-    the masses and prefix sums at its keys.
+    A block of at most PAIR_BLOCK sibling pairs is split, and then the walk
+    descends into its child blocks before it moves on to the next block.
+    Each level above the leaves keeps one block of masses and per-pair path
+    products in its own row, the parents of the child blocks.  Leaf blocks
+    come left to right and live in ``work``: their masses become their
+    prefix sum in place, carried on from the last block, which gives the
+    bits of one ``np.cumsum`` over the level, and ``reads`` keeps the masses
+    and prefix sums at its keys.  A faulting block (a zero-diameter node or
+    a violated bound) is descended no further, and ``fault`` is the first
+    fault of the shallowest faulting level, as a level-by-level pass would
+    raise it.
     """
 
-    def __init__(self, leaves: ImageLevel, reads: LeafReads, d: float, work: _Blocks):
-        self.leaves, self.reads, self.d, self.work = leaves, reads, d, work
+    def __init__(self, tree, d: float, reads: LeafReads):
+        depth = len(tree) - 1
+        self.tree, self.d, self.reads = tree, d, reads
+        self.work = _Blocks(min(2 * PAIR_BLOCK, tree[depth].count))
+        # the root's mass, and the path product above it, are 1
+        self.rows = [(np.ones(1), np.ones(1))] + [
+            (np.empty(min(lv.count, 2 * PAIR_BLOCK)), np.empty(min(lv.count // 2, PAIR_BLOCK)))
+            for lv in tree[1:depth]]
+        self.growth, self.p_max = np.full(depth + 1, -np.inf), np.full(depth + 1, -np.inf)
+        self.growth[0] = np.max(self.rows[0][0] / tree[0].diams ** d)
+        self.fault, self.fault_depth = None, depth + 1
         self.carry, self.k0 = 0.0, 0
-        self.growth = self.p = -np.inf
 
-    def split(self, q0: int, q1: int, pm: np.ndarray, prods: np.ndarray, i0: int):
-        """Split leaf pairs q0 .. q1: their parents' masses are ``pm``, and they are
-        nodes i0 .. of the sibling pairs whose path products are ``prods``."""
-        work, reads, k0 = self.work, self.reads, self.k0
-        parent_path = _parent_path(prods, i0, q1 - q0, work)
-        mass = work.mass[:2 * (q1 - q0)]
-        growth, p = _split_block(self.leaves, slice(2 * q0, 2 * q1), pm, parent_path, mass,
-                                 parent_path, self.d, work)
-        self.growth, self.p = np.maximum(self.growth, growth), np.maximum(self.p, p)
-        k1 = k0 + int(np.searchsorted(reads.keys[k0:], 2 * q1))
-        at = reads.keys[k0:k1] - 2 * q0
+    def split(self, n: int, j0: int, j1: int, i0: int):
+        """Split sibling pairs j0 .. j1 of level n, whose parents are nodes i0 .. of
+        level n - 1's row, then walk their child blocks."""
+        if n >= self.fault_depth:  # a fault found on this level or above comes first
+            return
+        work, (pm, prods), h = self.work, self.rows[n - 1], j1 - j0
+        leaf = n == len(self.rows)
+        mass, path = (work.mass, work.parent_path) if leaf else self.rows[n]
+        try:
+            growth, p = _split_block(self.tree[n], slice(2 * j0, 2 * j1), pm[i0:i0 + h],
+                                     _parent_path(prods, i0, h, work), mass[:2 * h], path,
+                                     self.d, work)
+        except (ValueError, AssertionError) as err:
+            self.fault, self.fault_depth = err, n
+            return
+        self.growth[n] = np.maximum(self.growth[n], growth)
+        self.p_max[n] = np.maximum(self.p_max[n], p)
+        if leaf:
+            self._read(2 * j0, mass[:2 * h])
+            return
+        for q0 in range(2 * j0, 2 * j1, PAIR_BLOCK):
+            self.split(n + 1, q0, min(q0 + PAIR_BLOCK, 2 * j1), q0 - 2 * j0)
+
+    def _read(self, i0: int, mass: np.ndarray):
+        """Read the leaf block i0 .. of masses ``mass``, which become their prefix sum."""
+        reads, k0 = self.reads, self.k0
+        k1 = k0 + int(np.searchsorted(reads.keys[k0:], i0 + len(mass)))
+        at = reads.keys[k0:k1] - i0
         reads.masses[k0:k1] = mass[at]
         mass[0] += self.carry
         self.carry = np.cumsum(mass, out=mass)[-1]
         reads.prefix[k0:k1] = mass[at]
         self.k0 = k1
-
-
-def _split_last_levels(upper: ImageLevel, leaves: ImageLevel, masses: np.ndarray,
-                       prods: np.ndarray, reads: LeafReads, d: float, work: _Blocks) -> tuple:
-    """Split level depth-1 (``upper``) and the leaves in one first-to-last pass.
-
-    Each block of ``upper``'s sibling pairs is split from its parents'
-    ``masses`` and per-pair path products ``prods`` into two rows of
-    ``work``, and its leaf children are split from those rows right after
-    it, so neither level is stored.  A fault of ``upper`` is raised at its
-    first faulting block; a leaf fault waits until every block of ``upper``
-    is split, whose faults come first.  Returns (max growth, max p_i) of
-    ``upper``, None when it is the root, and of the leaves.
-    """
-    leaf = _LeafPass(leaves, reads, d, work)
-    if upper.count == 1:  # depth 1: the root's mass and path product are the parents
-        leaf.split(0, 1, masses[:1], prods, 0)
-        return None, (float(leaf.growth), float(leaf.p))
-    pairs = upper.count // 2
-    p_top = growth_top = -np.inf
-    fault = None
-    for j0 in range(0, pairs, PAIR_BLOCK):
-        j1 = min(j0 + PAIR_BLOCK, pairs)
-        mass, path = work.upper_mass[:2 * (j1 - j0)], work.upper_path[:j1 - j0]
-        growth, p = _split_block(upper, slice(2 * j0, 2 * j1), masses[j0:j1],
-                                 _parent_path(prods, j0, j1 - j0, work), mass, path, d, work)
-        p_top, growth_top = np.maximum(p_top, p), np.maximum(growth_top, growth)
-        if fault is not None:
-            continue
-        try:
-            for q0 in range(2 * j0, 2 * j1, PAIR_BLOCK):
-                q1 = min(q0 + PAIR_BLOCK, 2 * j1)
-                leaf.split(q0, q1, mass[q0 - 2 * j0:q1 - 2 * j0], path, q0 - 2 * j0)
-        except (ValueError, AssertionError) as err:  # a zero-diameter leaf or a violated bound
-            fault = err
-    if fault is not None:
-        raise fault
-    return (float(growth_top), float(p_top)), (float(leaf.growth), float(leaf.p))
 
 
 def _split_block(lv: ImageLevel, nodes: slice, pm: np.ndarray, parent_path: np.ndarray,
@@ -450,17 +351,26 @@ def _split_block(lv: ImageLevel, nodes: slice, pm: np.ndarray, parent_path: np.n
     return np.max(ratio), np.max(p)
 
 
-def build_recursive_measure(tree, d: float,
-                            locate: Callable[[np.ndarray], np.ndarray]) -> RecursiveMeasure:
+def build_recursive_measure(tree, d: float, keys: np.ndarray) -> RecursiveMeasure:
     """Assign masses by the diam^d proportional split, tracking p_i maxima.
 
-    Keeps, per level, the growth and p_max, and the leaf masses and prefix
-    sums at the leaves that ``locate`` returns (see ``_levels``).
+    ``tree`` is a list of ImageLevels by depth.  Keeps, per level, the
+    growth and p_max, and the leaf masses and prefix sums at the sorted,
+    unique leaf indices ``keys`` (see ``_Walk``).
     """
-    # the level loop reuses its buffers, and the last level it yields is LeafReads
-    masses, growth, p_max = zip(*_levels(tree, d, locate))
-    return RecursiveMeasure(leaves=masses[-1], level_growth=np.array(growth),
-                            p_max=np.array(p_max[1:]))
+    if not (0.0 < d < 1.0):
+        raise ValueError("d must be in (0, 1)")
+    if len(tree) < 2:
+        raise ValueError("tree depth must be >= 1")
+    for n, lv in enumerate(tree[1:], start=1):
+        if lv.count != 2 ** n:
+            raise ValueError(f"level {lv.depth} is not binary")
+    reads = LeafReads(keys=keys, masses=np.empty(len(keys)), prefix=np.empty(len(keys)))
+    walk = _Walk(tree, d, reads)
+    walk.split(1, 0, 1, 0)  # the root's one pair of children, and all below
+    if walk.fault is not None:
+        raise walk.fault
+    return RecursiveMeasure(leaves=reads, level_growth=walk.growth, p_max=walk.p_max[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +428,18 @@ class _Keyed:
 class _Scans:
     """The certificate's windows and balls, both on the image leaves.
 
-    The windows of every scanned depth are located together on
-    construction, the balls by ``locate`` when the measure reaches the
-    leaves, before any leaf mass exists; both read only the ends that their
-    sorted searches probe.
+    Every scanned depth's ball radius is its median image diameter, taken
+    by mapped passes up front, so one sorted search locates every window
+    and every ball before any leaf mass exists; it reads only the ends that
+    it probes, and ``keys`` are the leaves whose masses the scans read.
     """
 
-    def __init__(self, system: CantorSystem, image: ImageLevel, qsmap: QsMap, top: np.ndarray):
+    def __init__(self, system: CantorSystem, tree: list, qsmap: QsMap, top: np.ndarray):
+        image = tree[-1]
         leaves = system.level(system.max_depth)
         first, last = leaves.lefts[0], leaves.lefts[-1] + np.exp(leaves.log_length)
-        self.image, self.top = image, top
+        work = _Blocks(min(2 * PAIR_BLOCK, image.count))
+        self.radii = [_Median(tree[n], work).map().value() for n in top]
         grids = []
         for n in top:
             scale = float(np.exp(system.level(n).log_length))
@@ -542,37 +454,36 @@ class _Scans:
         # the image tree's bits
         x0, x1 = (qsmap.apply(np.clip(np.concatenate(ends), first, last))
                   for ends in zip(*grids))
-        self.windows = win = locate_windows(image.lefts, image.rights, x0, x1)
-        sel = win.hit
-        lo = np.maximum(image.lefts[win.j0[sel]], x0[sel])
-        hi = np.minimum(image.rights[win.j1[sel]], x1[sel])
+        # one ball per center and scanned depth follows the windows
+        centers = _ball_centers(image.lefts, image.rights, MAX_WINDOWS)
+        self.located = loc = locate_windows(
+            image.lefts, image.rights, np.concatenate([x0] + [centers - r for r in self.radii]),
+            np.concatenate([x1] + [centers + r for r in self.radii]))
         self.spans = np.zeros(len(x0))
+        sel = loc.hit[:len(x0)]
+        lo = np.maximum(image.lefts[loc.j0[:len(x0)][sel]], x0[sel])
+        hi = np.minimum(image.rights[loc.j1[:len(x0)][sel]], x1[sel])
         self.spans[sel] = np.maximum(hi - lo, 0.0)
-
-    def locate(self, median_diams: np.ndarray) -> np.ndarray:
-        """Locate one ball per center and scanned depth, of radius its median; return all reads."""
-        self.radii = [float(r) for r in median_diams[self.top]]
-        centers = _ball_centers(self.image.lefts, self.image.rights, MAX_WINDOWS)
-        self.balls = locate_windows(self.image.lefts, self.image.rights,
-                                    np.concatenate([centers - r for r in self.radii]),
-                                    np.concatenate([centers + r for r in self.radii]))
-        return np.unique(np.concatenate([self.windows.reads, self.balls.reads]))
+        self.keys = np.unique(loc.reads)
 
     def constants(self, reads: LeafReads, d: float) -> tuple:
         """Per scanned depth, the worst window and ball ratios (NaN where none is hit)."""
         prefix, masses = _Keyed(reads.keys, reads.prefix), _Keyed(reads.keys, reads.masses)
-        interval_c = np.full(len(self.top), np.nan)
-        ball_c = np.full(len(self.top), np.nan)
+        interval_c = np.full(len(self.radii), np.nan)
+        ball_c = np.full(len(self.radii), np.nan)
+        windows = len(self.spans)
+        located_mu, located_hit = self.located.masses(prefix, masses), self.located.hit
         per_depth = (np.split(a, self.cuts) for a in
-                     (self.windows.masses(prefix, masses), self.windows.hit, self.spans))
+                     (located_mu[:windows], located_hit[:windows], self.spans))
         for ti, (mu, hit, span) in enumerate(zip(*per_depth)):
             good = hit & (span > 0)
             if np.any(good):
                 interval_c[ti] = float(np.max(mu[good] / span[good] ** d))
         # ball scan on the image side at the matching image scale
         shape = (len(self.radii), -1)
-        ball_mu = self.balls.masses(prefix, masses).reshape(shape)
-        for ti, (mu, hit, r) in enumerate(zip(ball_mu, self.balls.hit.reshape(shape), self.radii)):
+        per_radius = zip(located_mu[windows:].reshape(shape),
+                         located_hit[windows:].reshape(shape), self.radii)
+        for ti, (mu, hit, r) in enumerate(per_radius):
             if np.any(hit):
                 ball_c[ti] = float(np.max(mu[hit])) / r ** d
         return interval_c, ball_c
@@ -583,8 +494,8 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     depth = system.max_depth
     tree = build_image_tree(system, qsmap)
     top = np.arange((depth + 1) // 2, depth + 1)
-    scans = _Scans(system, tree[depth], qsmap, top)
-    measure = build_recursive_measure(tree, d, scans.locate)
+    scans = _Scans(system, tree, qsmap, top)
+    measure = build_recursive_measure(tree, d, scans.keys)
     level_growth, p_max = measure.level_growth, measure.p_max
 
     growth_ok = _stability(level_growth[top], STABILITY_FACTOR)

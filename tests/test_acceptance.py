@@ -31,9 +31,7 @@ from confdim.modulus import (
     vitali_disjointify,
 )
 from confdim.qsmaps import EtaModulus, QsMap, distortion_check, distortion_gap_check
-import confdim.qsmass as qsmass
 from confdim.qsmass import (
-    LeafReads,
     build_image_tree,
     build_recursive_measure,
     certificate,
@@ -100,16 +98,11 @@ def test_criterion_2_theorem_a_pipeline():
 def test_criterion_3_measure_machinery():
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = build_image_tree(system, QsMap.power(1.5))
-    # every level's masses as the measure's own level loop builds them; the loop
-    # builds each level above depth-1 in place over its parent, so each is copied,
-    # and the streamed leaf level is read at every leaf.  Level depth-1 is never
-    # stored: it is the leaf level of the measure on the tree cut at that depth
-    def every_leaf(t):
-        return lambda _: np.arange(t[-1].count)
-
-    masses = [m.masses if isinstance(m, LeafReads) else m.copy()
-              for m, *_ in qsmass._levels(tree, 0.9, every_leaf(tree)) if m is not None]
-    masses.insert(-1, build_recursive_measure(tree[:-1], 0.9, every_leaf(tree[:-1])).masses[0])
+    # every level's masses with the measure's own bits: the measure stores no
+    # level whole, so level n is read at every leaf of the measure on the tree
+    # cut at depth n, which splits it with the same bits
+    masses = [np.ones(1)] + [build_recursive_measure(tree[:n + 1], 0.9, np.arange(2 ** n))
+                             .masses[0] for n in range(1, 15)]
     conserved = len(masses) == 15 and all(
         np.array_equal(masses[n][0::2] + masses[n][1::2], masses[n - 1])
         for n in range(1, 15)
@@ -126,7 +119,7 @@ def test_criterion_3_measure_machinery():
         bounded &= bool(np.all(masses[n] / lv.diams ** 0.9 <= prod * (1 + 1e-9)))
     small = build_system(GapSequence.constant(0.01, 8), max_depth=8)
     stree = build_image_tree(small, QsMap.identity())
-    p_max = build_recursive_measure(stree, 0.9, lambda _: np.empty(0, dtype=np.intp)).p_max
+    p_max = build_recursive_measure(stree, 0.9, np.empty(0, dtype=np.intp)).p_max
     oracle = 1.0 / (2.0 * 0.495 ** 0.9)
     pi_ok = bool(np.all(np.abs(p_max - oracle) <= 1e-4))
     ok = conserved and bounded and pi_ok

@@ -256,7 +256,7 @@ def test_mass_pi_factors_match_an_independent_build(tmp_path):
     got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
     system = build_system(GapSequence.harmonic(14), max_depth=14)
     tree = qsmass.build_image_tree(system, QsMap.power(2.0))
-    p_max = qsmass.build_recursive_measure(tree, 0.9, lambda _: np.empty(0, dtype=np.intp)).p_max
+    p_max = qsmass.build_recursive_measure(tree, 0.9, np.empty(0, dtype=np.intp)).p_max
     assert np.array_equal(got[:, 0], p_max)
     assert np.array_equal(got[:, 1], np.cumprod(p_max))
 
@@ -325,7 +325,7 @@ def test_a_mass_bound_scale_past_the_window_cap_exits_2_before_any_scan(tmp_path
 
 
 def test_path_product_violation_exits_5(tmp_path, capsys, monkeypatch):
-    def violated(tree, d, locate):
+    def violated(tree, d, keys):
         raise AssertionError("path-product bound violated beyond tolerance")
 
     monkeypatch.setattr(qsmass, "build_recursive_measure", violated)

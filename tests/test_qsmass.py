@@ -11,7 +11,6 @@ import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
 from confdim.qsmaps import ImageLevel, QsMap
 from confdim.qsmass import (
-    LeafReads,
     _ball_centers,
     build_image_tree,
     build_recursive_measure,
@@ -20,13 +19,12 @@ from confdim.qsmass import (
 
 
 def _every_leaf(tree):
-    """A ``locate`` at which the measure keeps the masses and prefix sums of every leaf."""
-    return lambda _: np.arange(tree[-1].count)
+    """The keys at which the measure keeps the masses and prefix sums of every leaf."""
+    return np.arange(tree[-1].count)
 
 
-def _no_leaf(_):
-    """A ``locate`` at which the measure keeps no leaf mass."""
-    return np.empty(0, dtype=np.intp)
+# the keys at which the measure keeps no leaf mass
+_NO_LEAF = np.empty(0, dtype=np.intp)
 
 
 def _measure(gaps, qsmap, d, depth):
@@ -36,18 +34,13 @@ def _measure(gaps, qsmap, d, depth):
 
 
 def _level_masses(tree, d):
-    """Every level's masses, root first, as the measure's own level loop builds them.
+    """Every level's masses, root first, with the measure's own bits.
 
-    The loop builds each level above depth-1 in place over its parent, so
-    each is copied; the leaf level is streamed, and read at every leaf.
-    Level depth-1 is never stored: it is read at every leaf of the measure
-    on the tree cut at that depth, which splits it with the same bits.
+    The measure stores no level whole: level n is read at every leaf of the
+    measure on the tree cut at depth n, which splits it with the same bits.
     """
-    levels = [masses.masses if isinstance(masses, LeafReads) else masses.copy()
-              for masses, *_ in qsmass._levels(tree, d, _every_leaf(tree)) if masses is not None]
-    if len(tree) > 2:
-        levels.insert(-1, build_recursive_measure(tree[:-1], d, _every_leaf(tree[:-1])).masses[0])
-    return levels
+    return [np.ones(1)] + [build_recursive_measure(tree[:n + 1], d, _every_leaf(tree[:n + 1]))
+                           .masses[0] for n in range(1, len(tree))]
 
 
 def test_rejects_uniform_kind():
@@ -204,12 +197,14 @@ def _bits(arrays):
 
 
 def _blocked_measure(tree, d, block):
-    """At PAIR_BLOCK = block, every level's masses from the measure's level loop and
-    build_recursive_measure's result, or None when the path-product check fires."""
+    """At PAIR_BLOCK = block, every level's masses and build_recursive_measure's
+    result, or None when the path-product check fires.  The whole tree's measure
+    is built first, so its own fault order decides what is raised."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsmass, "PAIR_BLOCK", block)
         try:
-            return _level_masses(tree, d), build_recursive_measure(tree, d, _every_leaf(tree))
+            m = build_recursive_measure(tree, d, _every_leaf(tree))
+            return _level_masses(tree, d), m
         except AssertionError:
             return None
 
@@ -274,19 +269,24 @@ def test_streamed_leaf_prefix_sums_equal_one_cumsum_bitwise(block, monkeypatch):
     assert _bits([every.keys, every.masses, every.prefix]) == _bits(
         [np.arange(len(masses)), masses, want])
     few = np.unique(np.random.default_rng(block).integers(0, len(masses), 40))
-    some = build_recursive_measure(tree, 0.9, lambda _: few).leaves
+    some = build_recursive_measure(tree, 0.9, few).leaves
     assert _bits([some.masses, some.prefix]) == _bits([masses[few], want[few]])
 
 
-def test_leaf_reads_are_located_with_every_level_median_before_the_leaf_pass():
-    tree = build_image_tree(build_system(GapSequence.harmonic(12), max_depth=12),
-                            QsMap.power(2.0))
-    seen = []
-    m = build_recursive_measure(tree, 0.9,
-                                lambda medians: seen.append(medians) or _no_leaf(medians))
-    want = np.array([np.median(lv.diams) for lv in tree])
-    assert _bits(seen) == _bits([want])
-    assert m.masses[0].shape == m.leaves.prefix.shape == (0,)
+def test_each_scanned_depth_has_its_median_image_diameter_for_ball_radius():
+    """At 2^4 pairs a block, the medians of depths 6-12 are streamed; at 2^15, each
+    depth is one block."""
+    system, f = build_system(GapSequence.harmonic(12), max_depth=12), QsMap.power(2.0)
+    tree = build_image_tree(system, f)
+    want = [np.median(tree[n].diams) for n in range(6, 13)]
+    located = qsmass._Scans
+    for block in (2 ** 4, 2 ** 15):
+        scans = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qsmass, "PAIR_BLOCK", block)
+            mp.setattr(qsmass, "_Scans", lambda *args: scans.append(located(*args)) or scans[-1])
+            certificate(system, f, 0.9)
+        assert _bits([np.array(scans[0].radii)]) == _bits([np.array(want)])
 
 
 @pytest.mark.parametrize("block", _BLOCKS)
@@ -320,18 +320,17 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     _warm_up()
     tracemalloc.start()
     try:
-        m = build_recursive_measure(tree, 0.9, _no_leaf)
+        m = build_recursive_measure(tree, 0.9, _NO_LEAF)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     (kept,) = m.masses
     assert kept.shape == (0,) and m.level_growth.shape == (17,)
     leaf_bytes = 8 * system.levels[-1].count
-    # a buffer of 3/8 of the leaf count holds every level above depth-1 in
-    # place; the rest is one block's buffers (about 0.27 at this depth and
-    # block) and a median's sample and kept diameters.  Measured 0.76; the
-    # bound leaves about 10%.  One leaf-sized buffer measured 1.27
-    assert peak <= 0.85 * leaf_bytes
+    # each level above the leaves keeps one block of masses and path products
+    # in its own row (0.29 at this depth and block) and the walk one block's
+    # buffers (0.21).  Measured 0.53; the bound leaves about 15%
+    assert peak <= 0.6 * leaf_bytes
 
 
 def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
@@ -345,10 +344,10 @@ def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the domain leaves are the system's: the peak is the measure's buffer of
-    # 3/8 of a leaf array and the scans' fixed arrays; measured 0.54, and the
-    # bound leaves about 10%.  At depth 16 those fixed arrays dominate
-    assert peak <= 0.6 * leaf_bytes
+    # the domain leaves are the system's: the peak is the leaf median's pass,
+    # whose kept diameters and their concatenation take 0.2 of a leaf array.
+    # Measured 0.21, and the bound leaves about 15%
+    assert peak <= 0.24 * leaf_bytes
 
 
 @pytest.mark.parametrize("f", ["x^2", "identity"])
@@ -366,11 +365,10 @@ def test_system_and_certificate_hold_three_eighths_of_a_leaf_array(monkeypatch, 
     finally:
         tracemalloc.stop()
     # levels below 2^16 intervals generate their left ends, so the largest
-    # array is the measure's buffer, 3/8 of a leaf array; the rest is the
-    # stored level, one block's buffers, a median's sample and the scans'
-    # fixed arrays.  Measured 0.60 under x^2 and 0.58 under the identity; the
-    # bound leaves about 15%.  One leaf-sized buffer measured 1.20
-    assert peak <= 0.7 * 8 * system.levels[-1].count
+    # arrays are the leaf median's kept diameters; the rest is the stored
+    # level, one block's buffers and the scans' fixed arrays.  Measured 0.275
+    # under both maps; the bound leaves about 15%
+    assert peak <= 0.32 * 8 * system.levels[-1].count
 
 
 def _streamed_median(values, block):
