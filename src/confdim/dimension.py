@@ -243,6 +243,17 @@ MASS_BOUND_SLOPE_TOL = 0.02
 SCAN_CHUNK = 2 ** 14
 
 
+def _arange_chunks(start, stop, step, chunk: int):
+    """``np.arange(start, stop, step)`` in slices of ``chunk``, bit for bit: numpy stores
+    start and start + step, then fills element i as start + i * ((start + step) - start)."""
+    n, delta = math.ceil((stop - start) / step), (start + step) - start
+    for k in range(0, n, chunk):
+        x = start + np.arange(k, min(k + chunk, n)) * delta
+        if k == 0:
+            x[:2] = (start, start + step)[:len(x)]
+        yield x
+
+
 @dataclass
 class MassBoundReport:
     """Finite-scale certificate 'dim_H >= d with constant C at tested scales'."""
@@ -261,7 +272,7 @@ def mass_distribution_lower_bound(
 ) -> MassBoundReport:
     """Scan windows [x, x+r] on an r/4 grid and bound mu(U) / r^d.
 
-    The grid is scanned SCAN_CHUNK windows at a time, keeping a running max.
+    The grid is formed and scanned SCAN_CHUNK windows at a time, keeping a running max.
     Passes when the per-scale constant does not diverge as r shrinks
     (log-log slope >= -MASS_BOUND_SLOPE_TOL).  The window grid makes the
     result a lower bound on the true constant.
@@ -279,10 +290,8 @@ def mass_distribution_lower_bound(
 
     per_scale = np.empty(len(scales))
     for i, r in enumerate(scales):
-        xs = np.arange(lo - r, hi + r / 4.0, r / 4.0)
         top = 0.0
-        for k in range(0, len(xs), SCAN_CHUNK):
-            x = xs[k:k + SCAN_CHUNK]
+        for x in _arange_chunks(lo - r, hi + r / 4.0, r / 4.0, SCAN_CHUNK):
             top = np.maximum(top, np.max(measure.window_masses(x, x + r), initial=0.0))
         per_scale[i] = top / r ** d
 

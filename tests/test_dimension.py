@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import confdim.dimension as dimension
 from confdim.cantor import GapSequence, build_system
@@ -307,10 +307,25 @@ def test_mass_bound_scan_of_2_20_windows_holds_its_grid_and_one_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the grid takes 8 bytes a window, one chunk's temporaries about 1 MB,
-    # where one call over the whole grid takes about 56 bytes a window.
-    # Measured 8.88 MB; the bound leaves about 15%
-    assert peak <= 10.2 * 2 ** 20
+    # one chunk of the grid and its temporaries, about 1 MB; the whole grid
+    # would add 8 bytes a window.  Measured 1.00 MB; the bound leaves about 15%
+    assert peak <= 1.15 * 2 ** 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-10.0, 10.0), step=st.floats(1e-6, 1.0), n=st.integers(1, 40),
+       tail=st.floats(0.01, 1.0), chunk=st.sampled_from([1, 2, 3, 7, 8]))
+@example(start=0.1, step=0.3, n=1, tail=0.5, chunk=8)
+@example(start=0.1, step=0.3, n=2, tail=0.5, chunk=8)
+@example(start=0.1, step=0.3, n=2, tail=0.5, chunk=1)
+@example(start=-0.0, step=0.25, n=16, tail=1.0, chunk=8)
+def test_arange_chunks_equal_np_arange_bitwise(start, step, n, tail, chunk):
+    stop = start + (n - 1 + tail) * step
+    want = np.arange(start, stop, step)
+    got = list(dimension._arange_chunks(start, stop, step, chunk))
+    assert [len(x) for x in got] == [min(chunk, len(want) - k)
+                                     for k in range(0, len(want), chunk)]
+    assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 def test_natural_measure_uniform_on_level():
