@@ -223,7 +223,11 @@ def _solve_power_program(w: np.ndarray, A: np.ndarray, p: float) -> SolveResult:
         return x, Ax, float(np.sum(w * x ** p) + y @ (1.0 - Ax))
 
     live = C.needed  # implied rows keep a zero multiplier
-    y = live.astype(float)
+    # y_i = p min_j w_j / A_ij over row i's nonzeros: alone, row i would put
+    # x <= 1 on its cells, so x = (A^T y / (p w))^q cannot overflow near p = 1
+    y = np.zeros(m)
+    y[C.row_ids] = p * np.minimum.reduceat(w[C.row_cols] / C.row_vals, C.row_starts)
+    y[~live] = 0.0
     x, Ax, g = evaluate(y)
     step = 1.0
     it = 0

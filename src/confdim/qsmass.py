@@ -19,11 +19,16 @@ block, so every level runs the same code, each level keeps one block of
 masses and path products, and the leaf blocks come left to right, carrying
 the prefix sum.  Block temporaries live in buffers that every block reuses,
 siblings share one path product, and each node's bits are those of a
-whole-level pass.  The certificate takes each scanned depth's median image
-diameter, its ball radius, exactly and streamed, by mapped passes up front.
-It then locates every window and ball on the image leaves in one sorted
-search that maps only the ends it probes, and the walk keeps the masses and
-prefix sums at the located leaves only.
+whole-level pass.  The certificate's ball radius at scanned depth n is
+
+    r_n = median(image diameters of level n)    for n <= m,
+    r_n = r_m * exp(log l_n - log l_m)          for n > m,
+
+m the deepest level of at most STORED_COUNT intervals and l_n the length of
+a level-n domain interval, so no generated level is read for it.  The
+certificate then locates every window and ball on the image leaves in one
+sorted search that maps only the ends it probes, and the walk keeps the
+masses and prefix sums at the located leaves only.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confdim.cantor import MIDDLE_INTERVAL, CantorSystem
+from confdim.cantor import MIDDLE_INTERVAL, STORED_COUNT, CantorSystem
 from confdim.dimension import locate_windows
 from confdim.qsmaps import ImageLevel, MappedEnds, QsMap
 
@@ -49,11 +54,6 @@ MAX_WINDOWS = 512
 # sibling pairs per block of build_recursive_measure: a block's temporaries
 # stay in cache, and none spans a whole deep level
 PAIR_BLOCK = 2 ** 15
-
-# a level's median reads at most one image diameter in _SAMPLE_SHARE for its
-# pivots
-_SAMPLE_SHARE = 64
-
 
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
     """The image of every level of a binary system, as ImageLevels by depth.
@@ -105,126 +105,6 @@ class _Blocks:
         (self.parent_path, self.gap, self.denom, self.small,
          self.big) = np.empty((5, nodes // 2 + 1))
         self.flags = np.empty(nodes // 2 + 1, dtype=bool)
-
-
-class _Median:
-    """np.median of one level's image diameters, bit for bit, from passes that store no level.
-
-    A level of at most one block takes np.median of that block.  A larger
-    level reads a strided sample of its diameters at index arrays, so only
-    the sampled ends are mapped, and takes two pivots lo <= hi from it
-    around the middle ranks.  A pass, ``map``, maps the level block by block
-    and feeds its diameters to ``count``, which counts those below lo, at lo
-    and at hi and keeps those strictly between, up to a cap, so tied
-    diameters are counted, never kept.  The middle order statistics follow
-    from the counts and the kept diameters, and np.median of the two gives
-    np.median's bits.  A middle rank that lies outside [lo, hi], or between
-    them past the cap, narrows an open bracket (a, b) of diameters that
-    holds the ranks still missing, and ``value`` repeats the pass with
-    pivots inside the bracket: from the sample, else from the diameters the
-    last pass kept, else the bracket's own ends.
-    """
-
-    def __init__(self, lv: ImageLevel, work: _Blocks):
-        n = lv.count
-        self.lv, self.work, self.median = lv, work, None
-        self.one_block = n <= len(work.diams)  # a pass's one block is the level
-        if self.one_block:
-            return
-        # at most one block of samples, so their temporaries stay block-sized.
-        # Sample i is node i q + i % q: the samples spread evenly over the
-        # level and meet every residue of the node index modulo q
-        size = max(min(n // _SAMPLE_SHARE, len(work.diams)), 1)
-        i, q = np.arange(size), n // size
-        at = i * q + i % q
-        self.sample = lv.rights[at] - lv.lefts[at]
-        self.cap = max(n // 8, len(work.diams))  # the most diameters a pass keeps
-        self.ranks = sorted({(n - 1) // 2, n // 2})
-        self.found, self.missing = {}, list(self.ranks)
-        # `base` diameters lie at or below a, `inner` strictly between a and b
-        self.a, self.b, self.base, self.inner = -math.inf, math.inf, 0, n
-        self.kept = np.empty(0)
-        self._pivots()
-
-    def _pivots(self):
-        """The next pass's pivots, inside the bracket, and its counts set to zero."""
-        self.lo, self.hi = self.a, self.b
-        for pool in (self.sample, self.kept):
-            inside = pool[(pool > self.a) & (pool < self.b)]
-            if len(inside):
-                # the pool stands for the bracket's diameters: a margin of twice
-                # the sampling error of a rank keeps the missing ones between
-                s, margin = len(inside), 2 * math.isqrt(len(inside)) + 1
-                first, last = ((k - self.base) * s // self.inner
-                               for k in (self.missing[0], self.missing[-1]))
-                i0, i1 = max(first - margin, 0), min(last + margin, s - 1)
-                inside.partition([i0, i1])
-                self.lo, self.hi = inside[i0], inside[i1]
-                break
-        self.below = self.at_lo = self.at_hi = self.between = 0
-        self.band = []
-
-    def count(self, diams: np.ndarray):
-        """Count one block of the level's diameters, a scratch array, into the pass."""
-        if self.one_block:
-            self.median = float(np.median(diams, overwrite_input=True))
-            return
-        lo, hi = self.lo, self.hi
-        self.below += np.count_nonzero(diams < lo)
-        self.at_lo += np.count_nonzero(diams == lo)
-        if hi > lo:
-            self.at_hi += np.count_nonzero(diams == hi)
-            band = diams[(diams > lo) & (diams < hi)]
-            if self.between < self.cap:
-                self.band.append(band[:self.cap - self.between])
-            self.between += len(band)
-
-    def map(self) -> "_Median":
-        """One pass over the level, its ends mapped block by block into ``work``."""
-        block = len(self.work.diams)
-        for i in range(0, self.lv.count, block):
-            lefts, rights = self.lv.ends(slice(i, i + block), self.work.ends)
-            self.count(np.subtract(rights, lefts, out=self.work.diams[:len(lefts)]))
-        return self
-
-    def value(self) -> float:
-        """The median, once a pass has counted the whole level."""
-        while self.median is None:
-            self._settle()
-            if self.median is None:
-                self._pivots()
-                self.map()
-        return self.median
-
-    def _settle(self):
-        """Take the missing ranks that the pass pins; narrow the bracket to the others."""
-        e0 = self.below
-        e1 = e0 + self.at_lo
-        e2 = e1 + self.between
-        e3 = e2 + self.at_hi
-        band = np.concatenate(self.band) if self.band else np.empty(0)
-        whole = len(band) == self.between
-        at = [k - e1 for k in self.missing if e1 <= k < e2]
-        if whole and at:
-            band.partition(at)
-        regions = []  # 0 below lo, 1 strictly between, 2 above hi
-        for k in list(self.missing):
-            if e0 <= k < e1 or e2 <= k < e3:
-                self.found[k] = self.lo if k < e1 else self.hi
-            elif e1 <= k < e2 and whole:
-                self.found[k] = band[k - e1]
-            else:
-                regions.append(0 if k < e0 else 1 if k < e2 else 2)
-                continue
-            self.missing.remove(k)
-        if not self.missing:
-            self.median = float(np.median([self.found[k] for k in self.ranks]))
-            return
-        r0, r1 = min(regions), max(regions)
-        ends = (self.a, self.lo, self.hi, self.b)
-        base = (self.base, e1, e3)[r0]
-        self.inner = (e0, e2, self.base + self.inner)[r1] - base
-        self.a, self.b, self.base, self.kept = ends[r0], ends[r1 + 1], base, band
 
 
 def _parent_path(prods: np.ndarray, i0: int, n: int, work: _Blocks) -> np.ndarray:
@@ -428,18 +308,28 @@ class _Keyed:
 class _Scans:
     """The certificate's windows and balls, both on the image leaves.
 
-    Every scanned depth's ball radius is its median image diameter, taken
-    by mapped passes up front, so one sorted search locates every window
-    and every ball before any leaf mass exists; it reads only the ends that
-    it probes, and ``keys`` are the leaves whose masses the scans read.
+    The ball radius of scanned depth n is its median image diameter up to
+    depth m, the deepest level of at most STORED_COUNT intervals, and the
+    domain's scale ladder from there on:
+
+        r_n = median(tree[n].diams)                     for n <= m
+        r_n = r_m * exp(log_length_n - log_length_m)    for n > m
+
+    No level deeper than m is read for a radius, so one sorted search
+    locates every window and every ball before any leaf mass exists; it
+    reads only the ends that it probes, and ``keys`` are the leaves whose
+    masses the scans read.
     """
 
     def __init__(self, system: CantorSystem, tree: list, qsmap: QsMap, top: np.ndarray):
         image = tree[-1]
         leaves = system.level(system.max_depth)
         first, last = leaves.lefts[0], leaves.lefts[-1] + np.exp(leaves.log_length)
-        work = _Blocks(min(2 * PAIR_BLOCK, image.count))
-        self.radii = [_Median(tree[n], work).map().value() for n in top]
+        stored = max(n for n, lv in enumerate(tree) if lv.count <= STORED_COUNT)
+        rungs = [min(n, stored) for n in top]
+        medians = {m: float(np.median(tree[m].diams)) for m in set(rungs)}
+        self.radii = [medians[m] * math.exp(system.level(n).log_length - system.level(m).log_length)
+                      for n, m in zip(top, rungs)]
         grids = []
         for n in top:
             scale = float(np.exp(system.level(n).log_length))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import confdim.qsmass as qsmass
-from confdim.cantor import GapSequence, build_system
+from confdim.cantor import STORED_COUNT, GapSequence, build_system
 from confdim.qsmaps import ImageLevel, QsMap
 from confdim.qsmass import (
     _ball_centers,
@@ -273,20 +273,22 @@ def test_streamed_leaf_prefix_sums_equal_one_cumsum_bitwise(block, monkeypatch):
     assert _bits([some.masses, some.prefix]) == _bits([masses[few], want[few]])
 
 
-def test_each_scanned_depth_has_its_median_image_diameter_for_ball_radius():
-    """At 2^4 pairs a block, the medians of depths 6-12 are streamed; at 2^15, each
-    depth is one block."""
-    system, f = build_system(GapSequence.harmonic(12), max_depth=12), QsMap.power(2.0)
+def test_ball_radii_are_stored_medians_then_the_scale_ladder():
+    """Depth 16 is the deepest level of at most STORED_COUNT intervals: the radii
+    of scanned depths 9-16 are their median image diameters, and those of 17-18
+    step down from depth 16's by the domain lengths, at any PAIR_BLOCK."""
+    system, f = build_system(GapSequence.harmonic(18), max_depth=18), QsMap.power(2.0)
     tree = build_image_tree(system, f)
-    want = [np.median(tree[n].diams) for n in range(6, 13)]
-    located = qsmass._Scans
+    assert tree[16].count == STORED_COUNT < tree[17].count
+    medians = [float(np.median(tree[n].diams)) for n in range(9, 17)]
+    logs = [system.level(n).log_length for n in range(19)]
+    want = medians + [medians[-1] * math.exp(logs[n] - logs[16]) for n in (17, 18)]
+    top = np.arange(9, 19)  # the certificate's scanned depths at depth 18
     for block in (2 ** 4, 2 ** 15):
-        scans = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qsmass, "PAIR_BLOCK", block)
-            mp.setattr(qsmass, "_Scans", lambda *args: scans.append(located(*args)) or scans[-1])
-            certificate(system, f, 0.9)
-        assert _bits([np.array(scans[0].radii)]) == _bits([np.array(want)])
+            radii = qsmass._Scans(system, tree, f, top).radii
+        assert _bits([np.array(radii)]) == _bits([np.array(want)])
 
 
 @pytest.mark.parametrize("block", _BLOCKS)
@@ -333,7 +335,7 @@ def test_measure_peak_stays_near_its_kept_masses(monkeypatch):
     assert peak <= 0.6 * leaf_bytes
 
 
-def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
+def test_certificate_peak_stays_under_a_quarter_of_a_leaf_array(monkeypatch):
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
     system = build_system(GapSequence.harmonic(20), max_depth=20)
     leaf_bytes = 8 * system.levels[-1].count
@@ -344,17 +346,16 @@ def test_certificate_peak_stays_within_eight_leaf_arrays(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the domain leaves are the system's: the peak is the leaf median's pass,
-    # whose kept diameters and their concatenation take 0.2 of a leaf array.
-    # Measured 0.21, and the bound leaves about 15%
-    assert peak <= 0.24 * leaf_bytes
+    # the domain leaves are the system's: the peak is locate_windows' sorted
+    # searches, just above the depth-16 radius median's three level arrays
+    # (0.19).  Measured 0.199, and the bound leaves about 15%
+    assert peak <= 0.23 * leaf_bytes
 
 
 @pytest.mark.parametrize("f", ["x^2", "identity"])
-def test_system_and_certificate_hold_three_eighths_of_a_leaf_array(monkeypatch, f):
+def test_system_and_certificate_peak_stays_under_three_tenths_of_a_leaf_array(monkeypatch, f):
     # the identity map's leaf diameters take a dozen values, two of which hold
-    # 94% of the leaves: a median pass that kept the diameters at its pivots
-    # kept about the whole level (2.26 leaf arrays here)
+    # 94% of the leaves; no array of the certificate depends on them
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 10)
     _warm_up()
     tracemalloc.start()
@@ -364,62 +365,11 @@ def test_system_and_certificate_hold_three_eighths_of_a_leaf_array(monkeypatch, 
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # levels below 2^16 intervals generate their left ends, so the largest
-    # arrays are the leaf median's kept diameters; the rest is the stored
-    # level, one block's buffers and the scans' fixed arrays.  Measured 0.275
-    # under both maps; the bound leaves about 15%
-    assert peak <= 0.32 * 8 * system.levels[-1].count
-
-
-def _streamed_median(values, block):
-    """The streamed median of a level whose image diameters are ``values``, ``block`` a pass."""
-    lv = ImageLevel(depth=0, lefts=np.zeros(len(values)), rights=values, branching=2)
-    return qsmass._Median(lv, qsmass._Blocks(block)).map().value()
-
-
-def _diameters(kind, n, seed):
-    """n diameters: ties among 2-12 values, all equal, the middle ranks in two tie groups,
-    monotone, or spread."""
-    rng = np.random.default_rng(seed)
-    if kind == "ties":
-        values = rng.uniform(1e-6, 1.0, rng.integers(2, 13))
-        return rng.choice(values, n, p=rng.dirichlet(np.full(len(values), 0.3)))
-    if kind == "equal":
-        return np.full(n, rng.uniform(1e-6, 1.0))
-    if kind == "split":  # ranks n/2 - 1 and n/2 take the values a and b
-        a, b = np.sort(rng.uniform(1e-6, 1.0, 2))
-        return rng.permutation(np.where(np.arange(n) < n // 2, a, b))
-    if kind == "monotone":
-        return np.sort(rng.uniform(1e-6, 1.0, n))[::rng.choice([-1, 1])]
-    return rng.uniform(1e-6, 1.0, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["ties", "equal", "split", "monotone", "spread"]),
-       n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
-       block=st.sampled_from([2, 16, 256]), share=st.sampled_from([None, 4, 2 ** 40]))
-@example(kind="split", n=2000, seed=0, block=16, share=None)
-@example(kind="monotone", n=3000, seed=1, block=2, share=2 ** 40)
-def test_streamed_median_equals_np_median_bitwise(kind, n, seed, block, share):
-    """`share` None samples as the measure does; 2^40 samples one diameter, which misses."""
-    values = _diameters(kind, n, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        if share is not None:
-            mp.setattr(qsmass, "_SAMPLE_SHARE", share)
-        got = _streamed_median(values, block)
-    assert float(got).hex() == float(np.median(values)).hex()
-
-
-def test_a_missed_median_repeats_its_pass(monkeypatch):
-    # one sampled diameter of a monotone level is the least: the first pass
-    # finds every middle rank above its pivots, and a mapped pass repeats
-    passes = []
-    mapped = qsmass._Median.map
-    monkeypatch.setattr(qsmass._Median, "map", lambda self: passes.append(1) or mapped(self))
-    monkeypatch.setattr(qsmass, "_SAMPLE_SHARE", 2 ** 40)
-    values = np.linspace(1.0, 2.0, 1000)
-    assert float(_streamed_median(values, 8)).hex() == float(np.median(values)).hex()
-    assert len(passes) > 1
+    # levels of more than 2^16 intervals generate their left ends, so the peak is
+    # locate_windows' sorted searches on top of the stored level, one block's
+    # buffers and the scans' fixed arrays.  Measured 0.262 under both maps;
+    # the bound leaves about 15%
+    assert peak <= 0.30 * 8 * system.levels[-1].count
 
 
 def test_certificate_passes_for_harmonic_identity():
