@@ -119,11 +119,6 @@ class GapSequence:
         return max(ratios)
 
 
-def parent_indices(count: int, branching: int) -> np.ndarray:
-    """Parent of every interval of a level: interval j descends from j // branching."""
-    return np.arange(count) // branching
-
-
 @dataclass(frozen=True)
 class _Split:
     """One generation's split of every parent left end x into its n children's.
@@ -249,7 +244,8 @@ class IntervalLevel:
 
     @property
     def parent_index(self) -> np.ndarray:
-        return parent_indices(self.count, self.branching)
+        """Parent of every interval: interval j descends from j // branching."""
+        return np.arange(self.count) // self.branching
 
     @property
     def rights(self) -> np.ndarray:

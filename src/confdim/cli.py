@@ -124,6 +124,9 @@ _VECTOR = _checked(_array, lambda a: a.ndim == 1, "a list of numbers")
 _MEASURE = _checked(_VECTOR, lambda a: np.all(a >= 0) and np.sum(a) > 0,
                     "nonnegative numbers with a positive sum")
 _PAIRS = _checked(_array, lambda a: a.ndim == 2 and a.shape[1] == 2, "a list of pairs")
+# a name that goes into a CSV field unquoted
+_LABEL = _checked(_typed(str, "a string", lambda v: v), lambda v: not set(v) & set(',"\r\n'),
+                  "a string without a comma, a double quote, CR or LF")
 _SET = _checked(_array, lambda s: s.ndim == 1 or s.ndim == 2 and s.shape[1] == 2,
                 "a list of points or of [lo, hi] intervals")
 
@@ -281,7 +284,7 @@ def _epsilons(spec) -> list:
         base = _field(spec, "base", _POSITIVE)
         ks = range(_field(spec, "k_min", _integer, 1), _field(spec, "k_max", _integer) + 1)
         spec = [base ** -k for k in ks]
-    return _list_of(_POSITIVE)(spec)
+    return _checked(_list_of(_POSITIVE), len, "a nonempty list")(spec)
 
 
 def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
@@ -445,7 +448,8 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
         tail_window = min(len(gaps), _field(cfg, "tail_window", _COUNT, 1000))
         d_sweep = _field(cfg, "d_sweep", _list_of(_FRACTION), [0.8, 0.9, 0.95])
         maps = _field(cfg, "maps", _list_of(lambda spec: _qs_map(spec, seed)))
-        labels = [spec.get("label", f"{spec['kind']}_{i}") for i, spec in enumerate(cfg["maps"])]
+        labels = [_field(spec, "label", _LABEL, f"{spec['kind']}_{i}")
+                  for i, spec in enumerate(cfg["maps"])]
         _resolved(system, "c", maps)
         if control is not None:
             csys = _resolved(cantor.build_system(_field(

@@ -85,7 +85,7 @@ def sorted_search(ends, xs, side: str) -> np.ndarray:
     """``np.searchsorted(ends, xs, side)`` over sorted ends that need not be stored.
 
     An array goes to ``np.searchsorted``.  Anything else needs ``len`` and
-    must map an index array to the ends there, as MappedEnds does: a
+    must map an index array to the ends there, as an ImageLevel's do: a
     vectorized binary search then forms O(len(xs) log len(ends)) ends and
     returns what ``np.searchsorted`` returns on the materialized ends.
     """
@@ -110,8 +110,8 @@ class WindowLocation:
 
     Intervals j0 (the first with right >= x0) .. j1 (the last with left <= x1)
     meet a window, and ``hit`` marks the windows with j1 >= j0.  The
-    interval ends are kept as given, arrays or MappedEnds, for the second
-    step, which is the first to read them at j0 and j1.
+    interval ends are kept as given, arrays or an ImageLevel's, for the
+    second step, which is the first to read them at j0 and j1.
     """
 
     lefts: np.ndarray
@@ -164,7 +164,7 @@ def locate_windows(lefts, rights, x0s, x1s) -> WindowLocation:
     scan of `modulus_comparison`.  Both ends must be sorted, and every
     interval must have positive length by the second step; intervals may
     touch or overlap by rounding.  The ends go through `sorted_search`, so
-    they may be MappedEnds, and no mass is read here: a caller may locate
+    they may be an ImageLevel's, and no mass is read here: a caller may locate
     its windows before the masses exist.
     """
     x0s = np.asarray(x0s, dtype=float)

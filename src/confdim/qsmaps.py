@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from confdim.cantor import MEMORY_CAP, IntervalLevel, parent_indices
+from confdim.cantor import MEMORY_CAP, IntervalLevel
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,14 @@ class QsMap:
             raise ValueError(f"point outside map domain [{lo}, {hi}]")
 
     def apply(self, x, out=None):
-        """The images of the points x, into ``out`` (which may be x) when given."""
+        """The images of the points x, into ``out`` (which may be x) when given.
+
+        A point maps as a one-point array, so it gets the bits it gets in
+        any array: numpy's scalar power can round otherwise than its array loop.
+        """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return float(self.apply(x.reshape(1))[0])
         self._check_domain(x)
         if self.kind == "identity":
             if out is None:
@@ -173,7 +179,7 @@ class QsMap:
             out = np.interp(x, self._xs, self._ys)
         else:
             out[...] = np.interp(x, self._xs, self._ys)
-        return float(out) if out.ndim == 0 else out
+        return out
 
 
 # absolute slack on both sides of the distortion bounds
@@ -249,55 +255,12 @@ def distortion_gap_check(qsmap: QsMap, X1, X2, eta: EtaModulus) -> DistortionRep
     return _report(img_dist / img_diam, dist, diam_x, eta)
 
 
-@dataclass
-class ImageLevel:
-    """Endpoint images of one interval level under an increasing map.
-
-    ``lefts`` and ``rights`` are arrays, or the MappedEnds of one level,
-    which map the ends they are indexed at.
-    """
-
-    depth: int
-    lefts: np.ndarray
-    rights: np.ndarray
-    branching: int
-
-    def ends(self, s, out=None) -> tuple:
-        """(lefts[s], rights[s]); a mapped level reads its domain left ends once.
-
-        A mapped level writes them to the two arrays ``out`` when given, for
-        a unit-step slice ``s`` (see MappedEnds.both).
-        """
-        if isinstance(self.lefts, MappedEnds):
-            return self.lefts.both(s, out)
-        return self.lefts[s], self.rights[s]
-
-    @property
-    def parent_index(self) -> np.ndarray:
-        return parent_indices(self.count, self.branching)
-
-    @property
-    def diams(self) -> np.ndarray:
-        lefts, rights = self.ends(slice(None))
-        return rights - lefts
-
-    @property
-    def count(self) -> int:
-        return len(self.lefts)
-
-
-class MappedEnds:
-    """One side of a level's image ends, formed and mapped when indexed.
-
-    ``MappedEnds(qsmap, level, right)[s]`` is ``qsmap.apply(level.rights)[s]``
-    (``level.lefts`` when ``right`` is False) and maps the intervals ``s``
-    only, so a reader that walks the level in blocks, or probes it at a few
-    indices, never holds all of them.  The map is elementwise, so the bits do
-    not depend on which intervals are mapped together.
-    """
+class _MappedSide:
+    """One side of an ImageLevel's ends: ``side[s]`` maps the ends of the intervals ``s`` only."""
 
     def __init__(self, qsmap: QsMap, level: IntervalLevel, right: bool):
         self.qsmap, self.level, self.right = qsmap, level, right
+        self.nbytes = 8 * level.count  # as the mapped array would take
 
     def __len__(self) -> int:
         return self.level.count
@@ -306,7 +269,25 @@ class MappedEnds:
         x = self.level.lefts[s]
         return self.qsmap.apply(x + np.exp(self.level.log_length) if self.right else x)
 
-    def both(self, s: slice, out=None) -> tuple:
+
+class ImageLevel:
+    """The image of one interval level under an increasing map, mapped where it is read.
+
+    ``lefts[s]`` and ``rights[s]``, for an int, a slice or an index array
+    ``s``, are ``qsmap.apply(level.lefts[:])[s]`` and
+    ``qsmap.apply(level.rights)[s]``, and map the intervals ``s`` only, so a
+    reader that walks the level in blocks, or probes it at a few indices,
+    never holds all of them.  The map is elementwise, so the bits do not
+    depend on which intervals are mapped together.  The image keeps the
+    level's depth, count and branching: the tree is the same.
+    """
+
+    def __init__(self, qsmap: QsMap, level: IntervalLevel):
+        self.qsmap, self.level = qsmap, level
+        self.depth, self.count, self.branching = level.depth, level.count, level.branching
+        self.lefts, self.rights = (_MappedSide(qsmap, level, right) for right in (False, True))
+
+    def ends(self, s: slice, out=None) -> tuple:
         """The image left and right ends of the intervals ``s``, a unit-step slice.
 
         They go to the heads of the two arrays ``out``, or of two new arrays,
@@ -315,23 +296,26 @@ class MappedEnds:
         same ``out`` reuses the same memory for every block.
         """
         if out is None:
-            size = len(range(*s.indices(len(self))))
+            size = len(range(*s.indices(self.count)))
             out = np.empty(size), np.empty(size)
         lefts, rights = out
         x = self.level.lefts_at(s, lefts, rights)
         rights = np.add(x, np.exp(self.level.log_length), out=rights[:len(x)])
         return self.qsmap.apply(x, out=lefts[:len(x)]), self.qsmap.apply(rights, out=rights)
 
+    @property
+    def parent_index(self) -> np.ndarray:
+        return self.level.parent_index
+
+    @property
+    def diams(self) -> np.ndarray:
+        lefts, rights = self.ends(slice(None))
+        return rights - lefts
+
 
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:
-    """Image diameters and gaps of a level; valid since maps are increasing.
+    """The image of a level; its ends keep their order since maps are increasing.
 
-    The image keeps the level's ``branching``: the tree is the same.  The
-    whole level is mapped into two arrays.
+    The image keeps the level's ``branching``: the tree is the same.
     """
-    return ImageLevel(
-        depth=level.depth,
-        lefts=qsmap.apply(level.lefts),
-        rights=qsmap.apply(level.rights),
-        branching=level.branching,
-    )
+    return ImageLevel(qsmap, level)

@@ -40,7 +40,7 @@ import numpy as np
 
 from confdim.cantor import MIDDLE_INTERVAL, STORED_COUNT, CantorSystem
 from confdim.dimension import locate_windows
-from confdim.qsmaps import ImageLevel, MappedEnds, QsMap
+from confdim.qsmaps import ImageLevel, QsMap
 
 _REL_TOL = 1e-9
 
@@ -58,15 +58,13 @@ PAIR_BLOCK = 2 ** 15
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
     """The image of every level of a binary system, as ImageLevels by depth.
 
-    Nothing is mapped here: every level's image ends are MappedEnds, mapped
-    block by block from one read of its domain left ends as the measure
-    reaches the level.
+    Nothing is mapped here: every level's image ends are mapped block by
+    block from one read of its domain left ends as the measure reaches the
+    level.
     """
     if system.gaps.kind != MIDDLE_INTERVAL:
         raise ValueError("recursive measure machinery assumes binary systems")
-    return [ImageLevel(depth=lv.depth, lefts=MappedEnds(qsmap, lv, right=False),
-                       rights=MappedEnds(qsmap, lv, right=True), branching=lv.branching)
-            for lv in system.levels]
+    return [ImageLevel(qsmap, lv) for lv in system.levels]
 
 
 @dataclass
@@ -280,7 +278,7 @@ def _ball_centers(lefts, rights, max_windows: int) -> np.ndarray:
 
     All 3n entries are kept when 3n <= max_windows.  Only the kept entries
     are formed, so the result equals striding the concatenation bit for bit,
-    and the ends may be MappedEnds.
+    and the ends may be an ImageLevel's.
     """
     n = len(lefts)
     step = 3 * n // max_windows + 1 if 3 * n > max_windows else 1
@@ -318,21 +316,21 @@ class _Scans:
     No level deeper than m is read for a radius, so one sorted search
     locates every window and every ball before any leaf mass exists; it
     reads only the ends that it probes, and ``keys`` are the leaves whose
-    masses the scans read.
+    masses the scans read.  The map and the domain levels are the tree's.
     """
 
-    def __init__(self, system: CantorSystem, tree: list, qsmap: QsMap, top: np.ndarray):
+    def __init__(self, tree: list, top: np.ndarray):
         image = tree[-1]
-        leaves = system.level(system.max_depth)
+        qsmap, leaves = image.qsmap, image.level
+        logs = [lv.level.log_length for lv in tree]
         first, last = leaves.lefts[0], leaves.lefts[-1] + np.exp(leaves.log_length)
         stored = max(n for n, lv in enumerate(tree) if lv.count <= STORED_COUNT)
         rungs = [min(n, stored) for n in top]
         medians = {m: float(np.median(tree[m].diams)) for m in set(rungs)}
-        self.radii = [medians[m] * math.exp(system.level(n).log_length - system.level(m).log_length)
-                      for n, m in zip(top, rungs)]
+        self.radii = [medians[m] * math.exp(logs[n] - logs[m]) for n, m in zip(top, rungs)]
         grids = []
         for n in top:
-            scale = float(np.exp(system.level(n).log_length))
+            scale = float(np.exp(logs[n]))
             step = max(scale / 2.0, 1.0 / MAX_WINDOWS)
             xs = np.arange(first - scale / 2.0, last + step, step)
             grids.append((xs, xs + scale))
@@ -384,7 +382,7 @@ def certificate(system: CantorSystem, qsmap: QsMap, d: float) -> CertificateRepo
     depth = system.max_depth
     tree = build_image_tree(system, qsmap)
     top = np.arange((depth + 1) // 2, depth + 1)
-    scans = _Scans(system, tree, qsmap, top)
+    scans = _Scans(tree, top)
     measure = build_recursive_measure(tree, d, scans.keys)
     level_growth, p_max = measure.level_growth, measure.p_max
 

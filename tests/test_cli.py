@@ -643,9 +643,10 @@ _FUZZ_FIELDS = [
     ("uniform", ("system", "n_children"), {"list"}, True,
      st.sampled_from([[1, 2], [2.5, 2], [3], [3, "2"]])),
     ("dimension", ("epsilons",), {"list", "object"}, True,
-     st.lists(_NOT_POSITIVE, min_size=1, max_size=3)
+     st.just([]) | st.lists(_NOT_POSITIVE, min_size=1, max_size=3)
      | st.sampled_from([{"base": 0, "k_max": 2}, {"base": 3.0, "k_max": 2.5}, {"base": 3.0},
-                        {"base": 0.5, "k_max": 2000}, {"base": 3.0, "k_max": 2000}])),
+                        {"base": 0.5, "k_max": 2000}, {"base": 3.0, "k_max": 2000},
+                        {"base": 3.0, "k_min": 5, "k_max": 2}])),
     ("dimension", ("mass_bound",), {"object"}, False, st.nothing()),
     ("dimension", ("mass_bound", "d"), {"number"}, True,
      st.floats().filter(lambda v: not 0.0 < v <= 1.0)),
@@ -700,6 +701,9 @@ _FUZZ_FIELDS = [
     ("theorem-a", ("c",), {"string", "object"}, False, _BAD_GAPS),
     ("theorem-a", ("maps",), {"list"}, True, st.sampled_from([[5], [{"a": 2}]])),
     ("theorem-a", ("maps", 0, "a"), {"number"}, True, _NOT_POSITIVE),
+    ("theorem-a", ("maps", 0, "label"), {"string"}, False,
+     st.tuples(st.text(max_size=3), st.sampled_from(',"\r\n'), st.text(max_size=3)).map(
+         "".join)),
     ("theorem-a", ("d_sweep",), {"list"}, False, st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
     ("theorem-a", ("control",), {"object", "null"}, False, st.nothing()),
     ("theorem-a", ("control", "c"), {"number"}, False,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import confdim.cantor as cantor
 import confdim.qsmaps as qsmaps
 from confdim.cantor import GapSequence, build_system
 from confdim.dimension import sorted_search
 from confdim.qsmaps import (
     EtaModulus,
-    MappedEnds,
+    ImageLevel,
     QsMap,
     distortion_check,
     distortion_gap_check,
@@ -187,10 +188,10 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
         assert np.all(img.lefts[1:] > img.rights[:-1])
         # even children share their parent's left end bit for bit
         assert np.array_equal(lv.lefts[0::2], parent.lefts)
-        assert np.array_equal(img.lefts[0::2], parent_img.lefts)
+        assert np.array_equal(img.lefts[0::2], parent_img.lefts[:])
         up = lv.parent_index
         assert np.all(lv.lefts >= parent.lefts[up])
-        assert np.all(img.lefts >= parent_img.lefts[up])
+        assert np.all(img.lefts[:] >= parent_img.lefts[up])
         # the odd child's right end is (left + len - child_len) + child_len,
         # which may round one ulp above the parent's
         assert np.all(lv.rights <= np.nextafter(parent.rights[up], np.inf))
@@ -198,24 +199,32 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_pushed_systems, block=st.sampled_from([1, 3, 2 ** 16]))
-@example(c="harmonic", spec=("power", 2.0), depth=12, block=3)
-@example(c=0.3, spec=("dyadic", 2.0, 0), depth=12, block=3)
-def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth, block):
+@given(**_pushed_systems, block=st.sampled_from([1, 3, 2 ** 16]),
+       stored=st.sampled_from([1, 5, 16]), seed=st.integers(0, 99))
+@example(c="harmonic", spec=("power", 2.0), depth=12, block=3, stored=16, seed=0)
+@example(c=0.3, spec=("dyadic", 2.0, 0), depth=12, block=3, stored=1, seed=0)
+def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth, block, stored,
+                                                              seed):
     # the tree maps every level's ends as they are read, so the map must give
-    # the same bits on a strided view as on a copy, and on any block of a
-    # level as on the whole level
-    system = _system(c, depth)
+    # the same bits on a strided view, or on left ends generated below the
+    # `stored` count, as on a copy, and on any block or index of a level as
+    # on the whole level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cantor, "STORED_COUNT", stored)
+        system = _system(c, depth)
     f = _map(spec)
     tree = build_image_tree(system, f)
+    rng = np.random.default_rng(seed)
     for img, lv in zip(tree, system.levels, strict=True):
-        want = push_intervals(f, lv)
-        assert (img.depth, img.branching, img.count) == (want.depth, want.branching, want.count)
+        lefts, rights = f.apply(lv.lefts[:]), f.apply(lv.rights)
+        assert (img.depth, img.branching, img.count) == (lv.depth, lv.branching, lv.count)
         blocks = [img.ends(slice(i, i + block)) for i in range(0, img.count, block)]
-        assert np.concatenate([l for l, _ in blocks]).tobytes() == want.lefts.tobytes()
-        assert np.concatenate([r for _, r in blocks]).tobytes() == want.rights.tobytes()
-        assert img.lefts[:].tobytes() == want.lefts.tobytes()
-        assert img.rights[:].tobytes() == want.rights.tobytes()
+        assert np.concatenate([l for l, _ in blocks]).tobytes() == lefts.tobytes()
+        assert np.concatenate([r for _, r in blocks]).tobytes() == rights.tobytes()
+        at = rng.integers(0, lv.count, (2, 7))
+        for s in (slice(None), at, -1, slice(None, None, 3), slice(-2, None, -5)):
+            assert np.asarray(img.lefts[s]).tobytes() == lefts[s].tobytes(), s
+            assert np.asarray(img.rights[s]).tobytes() == rights[s].tobytes(), s
 
 
 def _queries(ends: np.ndarray, rng) -> np.ndarray:
@@ -239,7 +248,8 @@ def test_sorted_search_on_mapped_ends_equals_searchsorted(c, spec, depth, image,
     """Domain ends (the identity map) or image ends of one level, searched unstored."""
     system = _system(c, depth)
     lv = system.level(max(depth - up, 0))
-    ends = MappedEnds(_map(spec) if image else QsMap.identity(), lv, right)
+    img = ImageLevel(_map(spec) if image else QsMap.identity(), lv)
+    ends = img.rights if right else img.lefts
     full = ends[:]
     assume(np.all(np.diff(full) >= 0))  # the search's contract: sorted ends
     xs = _queries(full, np.random.default_rng(seed))

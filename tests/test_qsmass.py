@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import confdim.qsmass as qsmass
 from confdim.cantor import STORED_COUNT, GapSequence, build_system
-from confdim.qsmaps import ImageLevel, QsMap
+from confdim.qsmaps import QsMap
 from confdim.qsmass import (
     _ball_centers,
     build_image_tree,
@@ -61,7 +62,7 @@ def test_image_tree_maps_the_leaf_left_ends_once():
     # every level maps the ends it is read at from its own domain level, whose
     # left ends view the system's one leaf array: the tree stores no end
     for lv, domain in zip(tree, system.levels, strict=True):
-        assert lv.lefts.level is domain and lv.rights.level is domain
+        assert lv.level is domain
     assert kept <= 0.05 * 8 * system.levels[-1].count
 
 
@@ -186,10 +187,31 @@ def _whole_level_measure(tree, d):
     return masses, np.array(growth), np.array(p_max)
 
 
+@dataclass
+class _ArrayLevel:
+    """An image level held as two arrays, for the trees that no increasing map makes."""
+
+    depth: int
+    lefts: np.ndarray
+    rights: np.ndarray
+    branching: int
+
+    @property
+    def count(self) -> int:
+        return len(self.lefts)
+
+    @property
+    def diams(self) -> np.ndarray:
+        return self.rights - self.lefts
+
+    def ends(self, s, out):
+        return self.lefts[s], self.rights[s]
+
+
 def _mirrored(tree):
     """The tree under x -> -x, nodes in increasing order: node j becomes node count-1-j."""
-    return [ImageLevel(depth=lv.depth, lefts=-lv.rights[::-1], rights=-lv.lefts[::-1],
-                       branching=lv.branching) for lv in tree]
+    return [_ArrayLevel(depth=lv.depth, lefts=-lv.rights[::-1], rights=-lv.lefts[::-1],
+                        branching=lv.branching) for lv in tree]
 
 
 def _bits(arrays):
@@ -287,7 +309,7 @@ def test_ball_radii_are_stored_medians_then_the_scale_ladder():
     for block in (2 ** 4, 2 ** 15):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qsmass, "PAIR_BLOCK", block)
-            radii = qsmass._Scans(system, tree, f, top).radii
+            radii = qsmass._Scans(tree, top).radii
         assert _bits([np.array(radii)]) == _bits([np.array(want)])
 
 
@@ -443,8 +465,8 @@ def _violating_tree(violate: bool):
     a real path-product violation above it: node 77 of level 8 keeps its children to
     [0.4, 0.45] and [0.55, 0.6] of its span, so their ratio is 5^d times their path product."""
     system = build_system(GapSequence.harmonic(10), max_depth=10)
-    tree = [ImageLevel(depth=lv.depth, lefts=np.array(lv.lefts), rights=lv.rights,
-                       branching=lv.branching) for lv in system.levels]
+    tree = [_ArrayLevel(depth=lv.depth, lefts=np.array(lv.lefts), rights=lv.rights,
+                        branching=lv.branching) for lv in system.levels]
     tree[10].rights[5] = tree[10].lefts[5]
     if violate:
         node, kids = tree[8], tree[9]
