@@ -104,6 +104,10 @@ def _list_of(convert):
     return lambda value: [convert(v) for v in _list(value)]
 
 
+def _nonempty(convert):
+    return _checked(convert, len, "a nonempty list")
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -112,11 +116,11 @@ def _one_of(*names):
     return _checked(lambda v: v, lambda v: v in names, f"one of {', '.join(map(repr, names))}")
 
 
-_number = _typed((int, float), "a number", float)
+_number = _checked(_typed((int, float), "a number", float), math.isfinite, "a finite number")
 _object = _typed(dict, "an object", lambda v: v)
 _list = _typed(list, "a list", lambda v: v)
 _array = _typed(list, "a list", lambda v: np.asarray(v, dtype=float))
-_POSITIVE = _checked(_number, lambda v: 0.0 < v < math.inf, "0 < value < inf")
+_POSITIVE = _checked(_number, lambda v: 0.0 < v, "0 < value")
 _FRACTION = _checked(_number, lambda v: 0.0 < v < 1.0, "0 < value < 1")
 _NATURAL = _checked(_integer, lambda n: n >= 0, "an integer >= 0")
 _COUNT = _checked(_integer, lambda n: n >= 1, "an integer >= 1")
@@ -208,14 +212,19 @@ def _qs_map(spec, seed: int) -> qsmaps.QsMap:
                                       seed=_field(spec, "seed", _NATURAL, seed), eta=eta)
 
 
+def _no_constant(name: str):
+    """Reject `json`'s NaN, Infinity and -Infinity literals, which JSON does not have."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(path: str) -> tuple:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        cfg = json.loads(raw, parse_constant=_no_constant)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _no_constant
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -284,7 +293,7 @@ def _epsilons(spec) -> list:
         base = _field(spec, "base", _POSITIVE)
         ks = range(_field(spec, "k_min", _integer, 1), _field(spec, "k_max", _integer) + 1)
         spec = [base ** -k for k in ks]
-    return _checked(_list_of(_POSITIVE), len, "a nonempty list")(spec)
+    return _nonempty(_list_of(_POSITIVE))(spec)
 
 
 def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
@@ -295,14 +304,7 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
         mb = _field(cfg, "mass_bound", _object) if "mass_bound" in cfg else None
         if mb is not None:
             d = _field(mb, "d", _checked(_number, lambda v: 0.0 < v <= 1.0, "0 < value <= 1"))
-            # the scan steps windows of width r by r / 4 over the set: about
-            # 4 span / r of them, each with a few temporaries, per scale r
-            span = float(leaves.lefts[-1] - leaves.lefts[0] + np.exp(leaves.log_length))
-            scales = _field(mb, "scales", _checked(
-                _checked(_list_of(_POSITIVE), len, "a nonempty list"),
-                lambda rs: 4.0 * span / min(rs) + 5.0 <= cantor.MEMORY_CAP,
-                f"at most {cantor.MEMORY_CAP} windows per scale, each scale "
-                f">= {4.0 * span / (cantor.MEMORY_CAP - 5.0):.3g}"))
+            scales = _field(mb, "scales", _nonempty(_list_of(_POSITIVE)))
     res = dimension.box_count(leaves, eps)
     _write_csv(outdir / "boxcounts.csv", ["epsilon", "count"],
                list(zip(res.scales.tolist(), res.counts.tolist())))
@@ -401,7 +403,7 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
     with _reading():
         prob = _field(cfg, "problem", _object)
         kind = _field(prob, "kind", _one_of("fuglede", "discrete"))
-        p = _field(prob, "p", _checked(_number, lambda v: 1.0 < v < math.inf, "1 < value < inf"))
+        p = _field(prob, "p", _checked(_number, lambda v: 1.0 < v, "1 < value"))
         if kind == "fuglede":
             mu = _field(prob, "mu", _MEASURE)
             members = _field(prob, "members", _checked(
@@ -419,7 +421,7 @@ def cmd_modulus(cfg: dict, outdir: Path, seed: int) -> list:
                     balls=balls, p=p, delta=delta, incidence=incidence)
             else:
                 problem = modulus.DiscreteModulusProblem.from_intervals_1d(
-                    balls, _field(prob, "sets", _checked(_list_of(_SET), len, "a nonempty list")),
+                    balls, _field(prob, "sets", _nonempty(_list_of(_SET))),
                     p=p, delta=delta)
     res = modulus.solve_fuglede(problem) if kind == "fuglede" else solve_discrete(problem)
     _check_solve(res, "")
@@ -442,12 +444,12 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
                                      max_depth=depth)
         mink_rows = _field(cfg, "minkowski_points", lambda ns: [
             (n, cantor.closed_form_minkowski(gaps, n))
-            for n in _checked(_list_of(_integer), len, "a nonempty list")(ns)],
+            for n in _nonempty(_list_of(_integer))(ns)],
             [10, 100, 1000, length])
         M = _field(cfg, "M", _number, 1.0)
         tail_window = min(len(gaps), _field(cfg, "tail_window", _COUNT, 1000))
-        d_sweep = _field(cfg, "d_sweep", _list_of(_FRACTION), [0.8, 0.9, 0.95])
-        maps = _field(cfg, "maps", _list_of(lambda spec: _qs_map(spec, seed)))
+        d_sweep = _field(cfg, "d_sweep", _nonempty(_list_of(_FRACTION)), [0.8, 0.9, 0.95])
+        maps = _field(cfg, "maps", _nonempty(_list_of(lambda spec: _qs_map(spec, seed))))
         labels = [_field(spec, "label", _LABEL, f"{spec['kind']}_{i}")
                   for i, spec in enumerate(cfg["maps"])]
         _resolved(system, "c", maps)
@@ -529,8 +531,8 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
         Y = _field(cfg, "Y", _checked(
             _PAIRS, lambda y: np.all(y[:, 1] >= 0) and np.sum(y[:, 1]) > 0,
             "[y, weight] pairs, weights >= 0 with a positive sum"))
-        d_sweep = _field(cfg, "d_sweep", _list_of(_FRACTION), [0.5, 0.6, 0.8])
-        eps_list = _field(cfg, "eps_list", _list_of(_number), [0.2])
+        d_sweep = _field(cfg, "d_sweep", _nonempty(_list_of(_FRACTION)), [0.5, 0.6, 0.8])
+        eps_list = _field(cfg, "eps_list", _nonempty(_list_of(_number)), [0.2])
         slack = _field(cfg, "scan_slack", _number, 0.3)
         system = _system(cfg)
         leaves = system.level(system.max_depth)

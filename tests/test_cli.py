@@ -312,22 +312,38 @@ def test_over_the_build_cap_exits_5(tmp_path, capsys, command, cfg):
     assert err == f"resource error: level 25 holds {2 ** 25} intervals > cap {2 ** 24}\n"
 
 
-def test_a_mass_bound_scale_past_the_window_cap_exits_2_before_any_scan(tmp_path, capsys):
-    # the r/4 grid at r = 1e-10 would take 4e10 windows
+def test_a_mass_bound_down_to_1e_10_exits_0_in_under_2_s(tmp_path, capsys):
+    # 2^15 candidate windows per scale, however fine the scale
     cfg = {"system": {"c": {"const": 0.7}, "depth": 14}, "epsilons": [0.1],
-           "mass_bound": {"d": 0.5, "scales": [0.15 ** 3, 1e-10]}}
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        code, out = run(tmp_path, "dimension", cfg)
-        elapsed = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("config error: field 'scales': needs at most ")
-    assert list(out.iterdir()) == []
-    assert elapsed < 0.5 and peak < 2 ** 20
+           "mass_bound": {"d": 0.5, "scales": [0.15 ** k for k in range(3, 12)] + [1e-10]}}
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "dimension", cfg)
+    elapsed = time.perf_counter() - t0
+    assert code == 0, capsys.readouterr().err
+    assert "mass_bound" in json.loads((out / "summary.json").read_text())
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("distort", {"map": {"kind": "power", "a": 2}, "eta": {"C": math.nan, "K": 2}, "n_pairs": 5}),
+    ("theorem-b", {"system": {"c": "harmonic", "depth": 6}, "Y": [[0.0, 1.0]],
+                   "atoms": [[math.nan, 0.1]]}),
+], ids=["eta-C", "atoms"])
+def test_a_nan_literal_in_the_config_exits_2_before_any_work(tmp_path, capsys, command, cfg):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: config is not valid JSON: NaN is not a JSON number\n")
+    assert not out.exists()
+
+
+def test_a_scalar_field_that_overflows_to_infinity_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"depth": 6, "maps": [{"kind": "identity"}], "M": 1e400}')
+    code = cli.main(["theorem-a", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: field 'M': needs a finite number, got inf\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_path_product_violation_exits_5(tmp_path, capsys, monkeypatch):
@@ -617,7 +633,8 @@ _COMMAND_OF = {"uniform": "generate", "dyadic": "distort", "fuglede": "modulus",
 _NON_INTEGER = st.floats(0.1, 3.9).filter(lambda v: not v.is_integer())
 _NOT_NATURAL = st.integers(max_value=-1) | _NON_INTEGER
 _NOT_COUNT = st.integers(max_value=0) | _NON_INTEGER
-_NOT_POSITIVE = st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_POSITIVE = st.floats(max_value=0.0) | _NON_FINITE
 _NOT_FRACTION = st.floats().filter(lambda v: not 0.0 < v < 1.0)
 _BAD_GAPS = st.sampled_from(["bogus", {"const": 1.5}, {"const": -0.1}, {"const": "0.3"},
                              {"values": [0.5, 1.0, 0.1, 0.1, 0.1]}, {"x": 1},
@@ -697,23 +714,26 @@ _FUZZ_FIELDS = [
      st.just([]) | st.lists(st.integers(21, 10 ** 6) | st.integers(max_value=0), min_size=1,
                             max_size=3)),
     ("theorem-a", ("tail_window",), {"number"}, False, _NOT_COUNT),
-    ("theorem-a", ("M",), {"number"}, False, st.nothing()),
+    ("theorem-a", ("M",), {"number"}, False, _NON_FINITE),
     ("theorem-a", ("c",), {"string", "object"}, False, _BAD_GAPS),
-    ("theorem-a", ("maps",), {"list"}, True, st.sampled_from([[5], [{"a": 2}]])),
+    ("theorem-a", ("maps",), {"list"}, True, st.sampled_from([[5], [{"a": 2}], []])),
     ("theorem-a", ("maps", 0, "a"), {"number"}, True, _NOT_POSITIVE),
     ("theorem-a", ("maps", 0, "label"), {"string"}, False,
      st.tuples(st.text(max_size=3), st.sampled_from(',"\r\n'), st.text(max_size=3)).map(
          "".join)),
-    ("theorem-a", ("d_sweep",), {"list"}, False, st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
+    ("theorem-a", ("d_sweep",), {"list"}, False,
+     st.just([]) | st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
     ("theorem-a", ("control",), {"object", "null"}, False, st.nothing()),
     ("theorem-a", ("control", "c"), {"number"}, False,
      st.floats().filter(lambda v: not 0.0 <= v < 1.0)),
     ("theorem-b", ("system",), {"object"}, True, st.nothing()),
     ("theorem-b", ("Y",), {"list"}, True,
      st.sampled_from([[[0.0]], [[0.0, -1.0]], [[0.0, 0.0]], [], [0.0, 1.0]])),
-    ("theorem-b", ("d_sweep",), {"list"}, False, st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
-    ("theorem-b", ("eps_list",), {"list"}, False, st.nothing()),
-    ("theorem-b", ("scan_slack",), {"number"}, False, st.nothing()),
+    ("theorem-b", ("d_sweep",), {"list"}, False,
+     st.just([]) | st.lists(_NOT_FRACTION, min_size=1, max_size=3)),
+    ("theorem-b", ("eps_list",), {"list"}, False,
+     st.just([]) | st.lists(_NON_FINITE, min_size=1, max_size=3)),
+    ("theorem-b", ("scan_slack",), {"number"}, False, _NON_FINITE),
     ("theorem-b", ("atoms",), {"list"}, False,
      st.sampled_from([[[0.1, -0.5]], [0.1, 0.2], [[0.1, 0.2, 0.3]], []])),
 ]
