@@ -119,7 +119,10 @@ def _one_of(*names):
 _number = _checked(_typed((int, float), "a number", float), math.isfinite, "a finite number")
 _object = _typed(dict, "an object", lambda v: v)
 _list = _typed(list, "a list", lambda v: v)
-_array = _typed(list, "a list", lambda v: np.asarray(v, dtype=float))
+# an entry may overflow to inf in JSON; a Python loop over the entries costs
+# less than numpy reductions on the small arrays of `sets`, read by the thousand
+_array = _checked(_typed(list, "a list", lambda v: np.asarray(v, dtype=float)),
+                  lambda a: all(map(math.isfinite, a.flat)), "finite numbers")
 _POSITIVE = _checked(_number, lambda v: 0.0 < v, "0 < value")
 _FRACTION = _checked(_number, lambda v: 0.0 < v < 1.0, "0 < value < 1")
 _NATURAL = _checked(_integer, lambda n: n >= 0, "an integer >= 0")

@@ -85,23 +85,32 @@ def sorted_search(ends, xs, side: str) -> np.ndarray:
     """``np.searchsorted(ends, xs, side)`` over sorted ends that need not be stored.
 
     An array goes to ``np.searchsorted``.  Anything else needs ``len`` and
-    must map an index array to the ends there, as an ImageLevel's do: a
-    vectorized binary search then forms O(len(xs) log len(ends)) ends and
-    returns what ``np.searchsorted`` returns on the materialized ends.
+    must map an index array to the ends there, as an ImageLevel's do.  The
+    search then takes two levels.  ``np.searchsorted`` over every b-th end,
+    b the power of two at or above len(ends) / len(xs), so that this sample
+    is no larger than the probes, finds each x's block of b ends; a
+    bisection of log2(b) steps finds it inside the block.  It forms at most
+    len(xs) (1 + log2(b)) ends and returns what ``np.searchsorted`` returns
+    on the materialized ends.
     """
     if isinstance(ends, np.ndarray):
         return np.searchsorted(ends, xs, side=side)
     xs = np.asarray(xs, dtype=float)
-    lo = np.zeros(xs.shape, dtype=np.intp)
-    hi = np.full(xs.shape, len(ends), dtype=np.intp)
-    # invariant: ends[:lo] fall before each x and ends[hi:] do not
-    while len(open_ := np.flatnonzero(lo < hi)):
-        mid = (lo[open_] + hi[open_]) // 2
-        e, x = ends[mid], xs[open_]
-        before = e < x if side == "left" else e <= x
-        lo[open_[before]] = mid[before] + 1
-        hi[open_[~before]] = mid[~before]
-    return lo
+    n = len(ends)
+    b = 1 << (-(-n // max(xs.size, 1)) - 1).bit_length() if n else 1
+    k = np.searchsorted(ends[np.arange(0, n, b)], xs, side=side)
+    # ends[pos] falls before x and ends[pos + b] does not, so the bisection moves pos to
+    # the last end before x, and the answer is pos + 1; the last block may be short
+    # (k = 0: no end falls before x, and the answer is 0)
+    pos = np.maximum(k - 1, 0) * b
+    step = b // 2
+    while step:
+        at = pos + step
+        e = ends[np.minimum(at, n - 1)]
+        before = e < xs if side == "left" else e <= xs
+        pos += np.where(before & (at < n), step, 0)
+        step //= 2
+    return np.where(k > 0, pos + 1, 0)
 
 
 @dataclass

@@ -309,8 +309,9 @@ class ImageLevel:
 
     @property
     def diams(self) -> np.ndarray:
+        """The image diameters, in the buffer of the right ends: two level arrays at most."""
         lefts, rights = self.ends(slice(None))
-        return rights - lefts
+        return np.subtract(rights, lefts, out=rights)
 
 
 def push_intervals(qsmap: QsMap, level: IntervalLevel) -> ImageLevel:

@@ -19,16 +19,19 @@ block, so every level runs the same code, each level keeps one block of
 masses and path products, and the leaf blocks come left to right, carrying
 the prefix sum.  Block temporaries live in buffers that every block reuses,
 siblings share one path product, and each node's bits are those of a
-whole-level pass.  The certificate's ball radius at scanned depth n is
+whole-level pass.  Blocks are sized so that their buffers stay in a core's
+L2 cache (see PAIR_BLOCK).  The certificate's ball radius at scanned depth n is
 
     r_n = median(image diameters of level n)    for n <= m,
     r_n = r_m * exp(log l_n - log l_m)          for n > m,
 
 m the deepest level of at most STORED_COUNT intervals and l_n the length of
-a level-n domain interval, so no generated level is read for it.  The
-certificate then locates every window and ball on the image leaves in one
-sorted search that maps only the ends it probes, and the walk keeps the
-masses and prefix sums at the located leaves only.
+a level-n domain interval, so no generated level is read for it; a median
+is taken in place, over the image diameters in the buffer of the level's
+right ends, so it holds two level arrays.  The certificate then locates
+every window and ball on the image leaves in one two-level sorted search
+(dimension.sorted_search) that maps only the ends it probes, and the walk
+keeps the masses and prefix sums at the located leaves only.
 """
 
 from __future__ import annotations
@@ -51,9 +54,15 @@ _REL_TOL = 1e-9
 STABILITY_FACTOR = 2.0
 MAX_WINDOWS = 512
 
-# sibling pairs per block of build_recursive_measure: a block's temporaries
-# stay in cache, and none spans a whole deep level
-PAIR_BLOCK = 2 ** 15
+# sibling pairs per block of build_recursive_measure.  A block's buffers
+# (_Blocks: four node rows and five pair rows, 0.8 MiB at 2^13) and the level
+# rows that it reads and writes stay within a 2 MiB per-core L2, where 2^15
+# took 3.3 MiB of buffers; each level of at least 2 PAIR_BLOCK nodes keeps a
+# row of 3 PAIR_BLOCK doubles as well.  A depth-22 certificate (harmonic, x^2,
+# d = 0.9; 2-vCPU Xeon, 29.7 MB RSS before it), median of five: 2^12 260 ms
+# and 32.8 MB peak, 2^13 233 ms and 34.1 MB, 2^14 232 ms and 36.2 MB, 2^15
+# 241 ms and 40.0 MB.  The bits do not depend on it
+PAIR_BLOCK = 2 ** 13
 
 def build_image_tree(system: CantorSystem, qsmap: QsMap) -> list:
     """The image of every level of a binary system, as ImageLevels by depth.
@@ -326,7 +335,7 @@ class _Scans:
         first, last = leaves.lefts[0], leaves.lefts[-1] + np.exp(leaves.log_length)
         stored = max(n for n, lv in enumerate(tree) if lv.count <= STORED_COUNT)
         rungs = [min(n, stored) for n in top]
-        medians = {m: float(np.median(tree[m].diams)) for m in set(rungs)}
+        medians = {m: float(np.median(tree[m].diams, overwrite_input=True)) for m in set(rungs)}
         self.radii = [medians[m] * math.exp(logs[n] - logs[m]) for n, m in zip(top, rungs)]
         grids = []
         for n in top:

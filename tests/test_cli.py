@@ -37,7 +37,8 @@ def _env_with_this_package() -> dict:
 
 def run(tmp_path, command, cfg, name="run", seed=None):
     cfg_path = tmp_path / f"{name}.json"
-    cfg_path.write_text(json.dumps(cfg))
+    # JSON has no infinity: an entry of inf is written as 1e400, which overflows to it
+    cfg_path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     out = tmp_path / name
     argv = [command, "--config", str(cfg_path), "--out", str(out)]
     if seed is not None:
@@ -547,13 +548,25 @@ FUGLEDE2 = {"kind": "fuglede", "mu": [1, 1], "members": [[1, 1]], "p": 2}
     ("theorem-a", {**THEOREM_A6, "depth": 5, "c": {"const": 0.999}}, "c"),
     ("theorem-a", {"depth": 14, "maps": [{"kind": "power", "a": 2}], "d_sweep": [0.9],
                    "control": {"c": 0.9}}, "control"),
+    # array entries that overflow to infinity once wrote inf values and passed
+    ("theorem-b", {**THEOREM_B6, "Y": [[0.0, math.inf]]}, "Y"),
+    ("theorem-b", {**THEOREM_B6, "atoms": [[math.inf, 0.1]]}, "atoms"),
+    ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": [[0.1, 0.01], [math.inf, 0.01]],
+                             "sets": [[0.1]]}}, "balls"),
+    ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS,
+                             "sets": [[0.1], [[0.0, math.inf]]]}}, "sets"),
+    ("modulus", {"problem": {**FUGLEDE2, "mu": [1, math.inf]}}, "mu"),
+    ("modulus", {"problem": {**FUGLEDE2, "members": [[1, math.inf]]}}, "members"),
+    ("modulus", {"problem": {"kind": "discrete", "p": 2, "balls": TWO_BALLS,
+                             "incidence": [[1, -math.inf]]}}, "incidence"),
 ], ids=["tail-window-0", "d-sweep-1", "maps-object",
         "minkowski-point-too-long", "mass-bound-without-scales", "d-string",
         "n-pairs-negative", "mass-uniform-system", "dyadic-default-interval",
         "interval-a-few-ulps", "depth-3.7",
         "negative-mu", "no-sets", "member-cell-count", "incidence-one-column", "p-1",
         "mass-identity-point-leaves", "theorem-a-identity-point-leaves",
-        "theorem-a-control-point-leaves"])
+        "theorem-a-control-point-leaves", "Y-overflow", "atoms-overflow", "balls-overflow",
+        "sets-overflow", "mu-overflow", "members-overflow", "incidence-overflow"])
 def test_config_faults_found_mid_run_exit_2_naming_the_field_before_any_work(
         tmp_path, capsys, command, cfg, field):
     code, out = run(tmp_path, command, cfg)

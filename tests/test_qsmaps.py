@@ -260,6 +260,65 @@ def test_sorted_search_on_mapped_ends_equals_searchsorted(c, spec, depth, image,
     assert np.array_equal(sorted_search(full, xs, side), got)
 
 
+@settings(max_examples=40, deadline=None)
+@given(c=st.one_of(st.just("harmonic"), st.floats(0.01, 0.2)),
+       spec=st.sampled_from([("identity",), ("power", 2.0), ("power", 5.0), ("dyadic", 2.0, 1)]),
+       depth=st.integers(17, 20), right=st.booleans(), side=st.sampled_from(["left", "right"]),
+       probes=st.sampled_from(["one", "few", "more than the ends"]), seed=st.integers(0, 99))
+@example(c="harmonic", spec=("power", 2.0), depth=20, right=True, side="left", probes="few",
+         seed=0)
+@example(c="harmonic", spec=("dyadic", 2.0, 1), depth=17, right=False, side="right",
+         probes="more than the ends", seed=1)
+@example(c="harmonic", spec=("identity",), depth=18, right=False, side="left", probes="one",
+         seed=2)
+def test_two_level_search_of_generated_image_sides_equals_searchsorted(c, spec, depth, right,
+                                                                        side, probes, seed):
+    """Fewer probes than ends search a sample of every b-th end, then bisect one block of b:
+    probes at ends, one ulp either side of them and outside the level, b from 1 up to
+    the whole level."""
+    lv = _system(c, depth).level(depth)
+    assert not isinstance(lv.lefts, np.ndarray)  # a generated level
+    img = ImageLevel(_map(spec), lv)
+    ends = img.rights if right else img.lefts
+    full = ends[:]
+    assume(np.all(np.diff(full) >= 0))
+    rng = np.random.default_rng(seed)
+    at = full[np.concatenate([[0, len(full) - 1], rng.integers(0, len(full), 64)])]
+    pool = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+                           [-np.inf, full[0] - 1.0, full[-1] + 1.0, np.inf]])
+    size = {"one": 1, "few": int(rng.integers(2, 40)), "more than the ends": len(full) + 3}
+    xs = rng.choice(pool, size[probes])
+    got = sorted_search(ends, xs, side)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.searchsorted(full, xs, side=side))
+
+
+class _Unstored:
+    """Sorted ends behind ``len`` and index arrays, as an ImageLevel side serves them."""
+
+    def __init__(self, ends):
+        self.ends = ends
+
+    def __len__(self):
+        return len(self.ends)
+
+    def __getitem__(self, idx):
+        return self.ends[idx]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 999, 1000, 1001])
+@pytest.mark.parametrize("probes", [0, 1, 7, 2000])
+def test_two_level_search_of_a_count_not_a_power_of_two(n, probes):
+    # the last block of b ends is partial, and ties span blocks
+    full = np.sort(np.random.default_rng(n).integers(0, n // 3 + 1, n)).astype(float)
+    top = n // 3 + 1.0  # above every end
+    xs = np.random.default_rng(probes).uniform(-1.0, top, probes).round()
+    for x in (xs, np.r_[xs[1:], top], np.r_[xs[1:], -1.0]):
+        for side in ("left", "right"):
+            got = sorted_search(_Unstored(full), x, side)
+            assert np.array_equal(got, np.searchsorted(full, x, side=side)), (x, side)
+
+
 def test_random_triples_reproducible():
     a = random_triples(-2, 2, 50, seed=5)
     b = random_triples(-2, 2, 50, seed=5)

@@ -369,9 +369,27 @@ def test_certificate_peak_stays_under_a_quarter_of_a_leaf_array(monkeypatch):
     finally:
         tracemalloc.stop()
     # the domain leaves are the system's: the peak is locate_windows' sorted
-    # searches, just above the depth-16 radius median's three level arrays
-    # (0.19).  Measured 0.199, and the bound leaves about 15%
+    # searches, which generate the deep left ends at the probed indices, above
+    # the depth-16 radius median's two level arrays (0.125).  Measured 0.189,
+    # and the bound leaves about 20%
     assert peak <= 0.23 * leaf_bytes
+
+
+def test_certificate_peak_at_the_default_block_stays_under_0_42_leaf_arrays():
+    # at the default PAIR_BLOCK the walk's buffers set the peak: one block of
+    # masses and path products for each of the levels 14-19 and one block's
+    # temporaries.  Measured 0.361 at 2^13; 2^15, whose buffers overflow a
+    # 2 MiB L2, took 0.975
+    system = build_system(GapSequence.harmonic(20), max_depth=20)
+    leaf_bytes = 8 * system.levels[-1].count
+    _warm_up()
+    tracemalloc.start()
+    try:
+        certificate(system, QsMap.power(2.0), 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.42 * leaf_bytes
 
 
 @pytest.mark.parametrize("f", ["x^2", "identity"])
@@ -389,8 +407,8 @@ def test_system_and_certificate_peak_stays_under_three_tenths_of_a_leaf_array(mo
         tracemalloc.stop()
     # levels of more than 2^16 intervals generate their left ends, so the peak is
     # locate_windows' sorted searches on top of the stored level, one block's
-    # buffers and the scans' fixed arrays.  Measured 0.262 under both maps;
-    # the bound leaves about 15%
+    # buffers and the scans' fixed arrays.  Measured 0.252 under both maps;
+    # the bound leaves about 20%
     assert peak <= 0.30 * 8 * system.levels[-1].count
 
 
