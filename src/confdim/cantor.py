@@ -9,7 +9,7 @@ generations do not underflow) and one branching number.  A first child starts
 where its parent does, so every stored level's left ends view the deepest
 stored level's.  Levels of at most STORED_COUNT intervals are stored; the
 left ends of a deeper level are generated on request from the deepest stored
-level's, so no leaf-sized array is held.
+level's, so no leaf-sized array is held and a system of any depth builds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ UNIFORM = "uniform"
 # c_i this close to 1 makes log(1 - c_i) meaningless in doubles
 _MAX_GAP_FRACTION = 1.0 - 1e-12
 
-# the most intervals build_system builds on one level
+# the most left ends of a generated level, or dyadic map weights, formed at once
 MEMORY_CAP = 2 ** 24
 
 # the most intervals a stored level holds; the left ends of deeper levels are
@@ -147,7 +147,8 @@ class LeftEnds:
     ancestor's on the deepest stored level by the splits between the two: a
     slice splits its ancestors level by level, as build_system builds the
     stored levels, and an index array folds each end along its own path,
-    read off the index's digits.  ``lefts[:]`` is the whole level.
+    read off the index's digits.  ``lefts[:]`` is the whole level; a slice
+    of more than MEMORY_CAP ends is refused before anything is allocated.
     """
 
     def __init__(self, stored: np.ndarray, splits: tuple):
@@ -162,8 +163,10 @@ class LeftEnds:
     def __getitem__(self, s):
         if isinstance(s, slice):
             start, stop, step = s.indices(self.count)
+            size = len(range(start, stop, step))
+            if size > MEMORY_CAP:
+                raise MemoryError(f"forming {size} of {self.count} left ends > cap {MEMORY_CAP}")
             if step == 1:
-                size = max(stop - start, 0)
                 return self.fill(start, np.empty(size), np.empty(size // 2 + 2))
             s = np.arange(start, stop, step)
         idx = np.asarray(s)
@@ -174,13 +177,12 @@ class LeftEnds:
 
     def _at(self, idx: np.ndarray) -> np.ndarray:
         """The left ends at the nonnegative indices ``idx``, each folded along its path."""
-        digits = []
-        for split in reversed(self.splits):
-            idx, k = np.divmod(idx, split.n)
-            digits.append(k)
-        x = self.stored[idx]
+        below = self.count // len(self.stored)  # the ends below one stored interval
+        x = self.stored[idx // below]
         child = np.empty_like(x)
-        for split, k in zip(self.splits, reversed(digits)):
+        for split in self.splits:  # one digit of idx at a time, shallowest first
+            below //= split.n
+            k = idx // below % split.n
             for j in range(1, split.n):  # each end changes once, at its own digit
                 np.copyto(x, split.child(x, j, out=child), where=k == j)
         return x
@@ -296,8 +298,8 @@ def _split(gaps: GapSequence, i: int, log_length: float) -> _Split:
 def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
     """Levels 0..max_depth: stored levels view one read-only array, deeper ones are LeftEnds.
 
-    A level is stored when it holds at most STORED_COUNT intervals.
-    Refuses a level with more than MEMORY_CAP intervals.
+    A level is stored when it holds at most STORED_COUNT intervals.  Any depth
+    builds: a deeper level's LeftEnds form at most MEMORY_CAP ends at once.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -306,8 +308,6 @@ def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
     counts, log_lengths, splits = [1], [0.0], []
     for i in range(max_depth):
         counts.append(counts[-1] * gaps.branching(i))
-        if counts[-1] > MEMORY_CAP:
-            raise MemoryError(f"level {i + 1} holds {counts[-1]} intervals > cap {MEMORY_CAP}")
         splits.append(_split(gaps, i, log_lengths[-1]))
         log_lengths.append(log_lengths[-1] + gaps.child_log_ratio(i))
     stored = max(n for n, count in enumerate(counts) if count <= STORED_COUNT)

@@ -6,7 +6,7 @@ run can be reproduced.  It first reads every config field it uses and builds
 its library inputs; a failure there is a config error and writes no file.
 Exit codes: 0 success, 2 config error (or a modulus set that meets no ball),
 3 growth or hypothesis scan failure, 4 solver non-convergence, 5 resource or
-internal error (a level above the build cap, any other library failure).
+internal error (a whole level above cantor.MEMORY_CAP, any other library failure).
 """
 
 from __future__ import annotations
@@ -239,14 +239,22 @@ def _load_config(path: str) -> tuple:
 
 
 def _write_csv(path: Path, header, rows):
-    """Rows hold Python scalars, so `str` gives a float's shortest repr."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Rows hold Python scalars, so `str` gives a float's shortest repr; written as they come."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_summary(path: Path, record: dict):
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(2 ** 20), b""):  # 1 MiB at a time
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(outdir: Path, command: str, config_raw: bytes, filenames):
@@ -254,8 +262,7 @@ def _write_manifest(outdir: Path, command: str, config_raw: bytes, filenames):
         "command": command,
         "version": _VERSION,
         "config_sha256": hashlib.sha256(config_raw).hexdigest(),
-        "outputs": {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-                    for name in filenames},
+        "outputs": {name: _sha256(outdir / name) for name in filenames},
     })
 
 
@@ -277,11 +284,14 @@ def _check_solve(res, where: str) -> None:
 def cmd_generate(cfg: dict, outdir: Path, seed: int) -> list:
     with _reading():
         system = _system(cfg)
-    rows = []
-    for level in system.levels:
-        rows.extend((level.depth, j, left, right) for j, (left, right)
-                    in enumerate(zip(level.lefts[:].tolist(), level.rights.tolist())))
-    _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows)
+        leaves = system.level(system.max_depth).lefts[:]
+    def rows():  # a level's left ends stride the leaves': a first child starts at its parent
+        for lv in system.levels:
+            for i in range(0, lv.count, cantor.STORED_COUNT):
+                x = leaves[::len(leaves) // lv.count][i:i + cantor.STORED_COUNT]
+                yield from zip([lv.depth] * len(x), range(i, i + len(x)), x.tolist(),
+                               (x + np.exp(lv.log_length)).tolist())
+    _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows())
     _write_summary(outdir / "summary.json", {
         "depth": system.max_depth,
         "leaf_count": system.level(system.max_depth).count,

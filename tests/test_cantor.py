@@ -44,11 +44,28 @@ def test_middle_thirds_levels_are_exact():
     assert lv2.lefts[0] == 0.0 and lv2.rights[-1] == pytest.approx(1.0)
 
 
-def test_memory_cap_refuses_deep_builds():
-    # 2^40 intervals: refused by the count alone, before any level is built
-    gaps = GapSequence.constant(0.1, 40)
-    with pytest.raises(MemoryError, match=r"level 25 holds 33554432 intervals > cap 16777216"):
-        build_system(gaps, max_depth=40)
+def test_a_deep_system_builds_and_only_a_slice_over_the_cap_is_refused():
+    # 2^40 leaves: the deep levels hold their splits only, and are read at
+    # indices and in blocks as any generated level is
+    system = build_system(GapSequence.constant(0.1, 40), max_depth=40)
+    leaves = system.level(40)
+    assert leaves.count == 2 ** 40
+    assert leaves.lefts[-3:].tobytes() == leaves.lefts[np.arange(2 ** 40 - 3, 2 ** 40)].tobytes()
+    assert leaves.lefts[-1] + np.exp(leaves.log_length) == pytest.approx(1.0)
+    # a slice of more than MEMORY_CAP ends is refused by its size alone
+    whole = r"forming 33554432 of 33554432 left ends > cap 16777216"
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=whole):
+            system.level(25).lefts[:]
+        with pytest.raises(MemoryError, match=whole):
+            system.level(25).rights
+        with pytest.raises(MemoryError, match=r"forming 33554432 of 67108864 left ends"):
+            system.level(26).lefts[::2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_build_system_rejects_bad_depths():

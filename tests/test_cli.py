@@ -295,22 +295,53 @@ def test_mass_outputs_are_deterministic(tmp_path):
 
 @pytest.mark.parametrize("command,cfg", [
     ("generate", {"system": {"c": "harmonic", "depth": 25}}),
-    ("mass", {"system": {"c": "harmonic", "depth": 25},
-              "map": {"kind": "identity"}, "d": 0.9}),
+    ("dimension", {"system": {"c": "harmonic", "depth": 25}, "epsilons": [0.1]}),
+    ("theorem-b", {"system": {"c": "harmonic", "depth": 25}, "Y": [[0.0, 1.0]]}),
 ])
-def test_over_the_build_cap_exits_5(tmp_path, capsys, command, cfg):
+def test_a_command_that_reads_a_whole_level_over_the_cap_exits_5(tmp_path, capsys, command, cfg):
     tracemalloc.start()
     try:
-        code, _ = run(tmp_path, command, cfg)
+        code, out = run(tmp_path, command, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 5
-    # the cap is checked before any level is allocated
+    # the cap is checked before the leaf level is allocated; the build holds
+    # the 2^16 stored left ends
     assert peak < 2 ** 20
+    assert list(out.iterdir()) == []
     err = capsys.readouterr().err
-    # the level, its count and the cap; no advice to stream, which no command can
-    assert err == f"resource error: level 25 holds {2 ** 25} intervals > cap {2 ** 24}\n"
+    assert err == f"resource error: forming {2 ** 25} of {2 ** 25} left ends > cap {2 ** 24}\n"
+
+
+def test_mass_reads_past_the_cap_where_generate_is_refused(tmp_path, capsys, monkeypatch):
+    # 2^12 leaves, four times the cap, below a stored level of 2^6: mass reads
+    # the generated levels in blocks and at probed ends only
+    monkeypatch.setattr(cantor, "MEMORY_CAP", 2 ** 10)
+    monkeypatch.setattr(cantor, "STORED_COUNT", 2 ** 6)
+    monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 8)
+    system = {"c": "harmonic", "depth": 12}
+    code, _ = run(tmp_path, "mass", {"system": system, "map": {"kind": "power", "a": 2}, "d": 0.9},
+                  name="mass")
+    assert code == 0, capsys.readouterr().err
+    code, out = run(tmp_path, "generate", {"system": system}, name="generate")
+    assert code == 5
+    assert list(out.iterdir()) == []
+
+
+def test_generate_streams_its_rows(tmp_path):
+    run(tmp_path, "generate", {"system": {"c": "harmonic", "depth": 4}}, name="warm-up")
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "generate", {"system": {"c": "harmonic", "depth": 16}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # 2^17 rows, 5.9 MiB of CSV, would take 45 MiB as a table of Python
+    # tuples; one block of 2^16 rows' floats and the leaf left ends take 5.0 MiB
+    assert (out / "levels.csv").stat().st_size > 5 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_a_mass_bound_down_to_1e_10_exits_0_in_under_2_s(tmp_path, capsys):

@@ -370,8 +370,8 @@ def test_certificate_peak_stays_under_a_quarter_of_a_leaf_array(monkeypatch):
         tracemalloc.stop()
     # the domain leaves are the system's: the peak is locate_windows' sorted
     # searches, which generate the deep left ends at the probed indices, above
-    # the depth-16 radius median's two level arrays (0.125).  Measured 0.189,
-    # and the bound leaves about 20%
+    # the depth-16 radius median's two level arrays (0.125).  Measured 0.177,
+    # and the bound leaves about 30%
     assert peak <= 0.23 * leaf_bytes
 
 
