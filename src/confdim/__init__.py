@@ -24,7 +24,6 @@ from confdim.dimension import (
     DiscreteMeasure,
     box_count,
     mass_distribution_lower_bound,
-    natural_measure,
 )
 from confdim.qsmass import (
     RecursiveMeasure,

@@ -26,7 +26,7 @@ UNIFORM = "uniform"
 # c_i this close to 1 makes log(1 - c_i) meaningless in doubles
 _MAX_GAP_FRACTION = 1.0 - 1e-12
 
-# the most left ends of a generated level, or dyadic map weights, formed at once
+# the most dyadic map weights formed at once: 2 ** weight_depth <= MEMORY_CAP
 MEMORY_CAP = 2 ** 24
 
 # the most intervals a stored level holds; the left ends of deeper levels are
@@ -140,15 +140,13 @@ class _Split:
 
 
 class LeftEnds:
-    """The left ends of a level below the stored ones, generated when indexed.
+    """The left ends of a level below the stored ones, generated where they are read.
 
-    ``lefts[s]``, for an int, a slice or an index array ``s``, holds the bits
-    that a stored level would hold there.  Each end is folded from its
-    ancestor's on the deepest stored level by the splits between the two: a
-    slice splits its ancestors level by level, as build_system builds the
-    stored levels, and an index array folds each end along its own path,
-    read off the index's digits.  ``lefts[:]`` is the whole level; a slice
-    of more than MEMORY_CAP ends is refused before anything is allocated.
+    ``lefts[i]``, for an int or an index array ``i``, and ``fill``, for a
+    block of ends, hold the bits that a stored level would hold there, each
+    end folded from its ancestor's on the deepest stored level: ``fill``
+    splits the ancestors level by level, as build_system builds the stored
+    levels, and an index array folds each end along its own path.
     """
 
     def __init__(self, stored: np.ndarray, splits: tuple):
@@ -160,16 +158,8 @@ class LeftEnds:
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, s):
-        if isinstance(s, slice):
-            start, stop, step = s.indices(self.count)
-            size = len(range(start, stop, step))
-            if size > MEMORY_CAP:
-                raise MemoryError(f"forming {size} of {self.count} left ends > cap {MEMORY_CAP}")
-            if step == 1:
-                return self.fill(start, np.empty(size), np.empty(size // 2 + 2))
-            s = np.arange(start, stop, step)
-        idx = np.asarray(s)
+    def __getitem__(self, i):
+        idx = np.asarray(i)
         if np.any((idx < -self.count) | (idx >= self.count)):
             raise IndexError(f"index out of range for a level of {self.count} intervals")
         x = self._at(np.where(idx < 0, idx + self.count, idx).ravel()).reshape(idx.shape)
@@ -226,9 +216,9 @@ class IntervalLevel:
     All intervals share the length exp(log_length), and interval j is a
     child of interval j // branching one generation up (the root has
     branching 1).  ``lefts`` is an array, or the LeftEnds of a level below
-    the stored ones; ``lefts[:]`` is an array either way.  ``rights`` and the
-    read-only per-interval views ``lengths``, ``log_lengths`` and
-    ``parent_index`` are derived.
+    the stored ones, read in blocks or at ints and index arrays.  A right end
+    is formed where it is read, ``left + exp(log_length)``, and can round
+    above its parent's: by 1 ulp, and by up to 4 ulps once mapped.
     """
 
     depth: int
@@ -250,28 +240,32 @@ class IntervalLevel:
         return np.arange(self.count) // self.branching
 
     @property
-    def rights(self) -> np.ndarray:
-        return self.lefts[:] + np.exp(self.log_length)
-
-    @property
     def count(self) -> int:
         return len(self.lefts)
 
     def lefts_at(self, s: slice, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """``lefts[s]`` for a unit-step slice s: a stored level's view, else generated into out.
-
-        ``out`` and ``scratch`` have at least as many slots as ``s`` spans.
-        """
+        """``lefts[s]`` for a unit-step slice s: a stored level's view, else generated into
+        ``out``, which ``s`` fits, with ``scratch`` (see LeftEnds.fill)."""
         if isinstance(self.lefts, np.ndarray):
             return self.lefts[s]
         start, stop, _ = s.indices(self.count)
         return self.lefts.fill(start, out[:stop - start], scratch)
 
+    def blocks(self, size: int):
+        """(start, lefts[start:start + size]) for start = 0, size, ..: views of a stored
+        level, else blocks in one shared buffer, each to be read before the next."""
+        n = 0 if isinstance(self.lefts, np.ndarray) else min(size, self.count)
+        out, scratch = np.empty(n), np.empty(n // 2 + 2)
+        for start in range(0, self.count, size):
+            yield start, self.lefts_at(slice(start, start + size), out, scratch)
+
     def min_gap(self) -> float:
         """Smallest spacing between consecutive intervals (inf if single)."""
-        if self.count < 2:
-            return math.inf
-        return float(np.min(self.lefts[1:] - self.rights[:-1]))
+        gap, right, length = math.inf, -math.inf, np.exp(self.log_length)
+        for _, x in self.blocks(STORED_COUNT):
+            gap = min(gap, float(np.min(x - np.concatenate([[right], x[:-1] + length]))))
+            right = x[-1] + length
+        return gap
 
 
 @dataclass
@@ -298,8 +292,8 @@ def _split(gaps: GapSequence, i: int, log_length: float) -> _Split:
 def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
     """Levels 0..max_depth: stored levels view one read-only array, deeper ones are LeftEnds.
 
-    A level is stored when it holds at most STORED_COUNT intervals.  Any depth
-    builds: a deeper level's LeftEnds form at most MEMORY_CAP ends at once.
+    A level is stored when it holds at most STORED_COUNT intervals, and any
+    depth builds.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -313,7 +307,8 @@ def build_system(gaps: GapSequence, max_depth: int) -> CantorSystem:
     stored = max(n for n, count in enumerate(counts) if count <= STORED_COUNT)
     # a first child starts where its parent does, so the deepest stored level's
     # left ends, strided, are every stored level's
-    ends = LeftEnds(np.zeros(1), tuple(splits[:stored]))[:]
+    ends = LeftEnds(np.zeros(1), tuple(splits[:stored])).fill(
+        0, np.empty(counts[stored]), np.empty(counts[stored] // 2 + 2))
     ends.flags.writeable = False
     levels = [IntervalLevel(depth=n, log_length=log_lengths[n],
                             branching=splits[n - 1].n if n else 1,

@@ -6,7 +6,7 @@ run can be reproduced.  It first reads every config field it uses and builds
 its library inputs; a failure there is a config error and writes no file.
 Exit codes: 0 success, 2 config error (or a modulus set that meets no ball),
 3 growth or hypothesis scan failure, 4 solver non-convergence, 5 resource or
-internal error (a whole level above cantor.MEMORY_CAP, any other library failure).
+internal error (any library failure once the config is read).
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ def _resolved(system: cantor.CantorSystem, key: str, maps) -> cantor.CantorSyste
     """
     leaves = system.level(system.max_depth)
     if any(qsmap.kind == "identity" for qsmap in maps):
-        for i in range(0, leaves.count, qsmass.PAIR_BLOCK):
-            x = leaves.lefts[i:i + qsmass.PAIR_BLOCK]
+        for _, x in leaves.blocks(qsmass.PAIR_BLOCK):
             if np.any(x + np.exp(leaves.log_length) <= x):
                 raise ConfigError(f"field {key!r}: under the identity map, a leaf at depth "
                                   f"{leaves.depth} is below double resolution")
@@ -284,11 +283,9 @@ def _check_solve(res, where: str) -> None:
 def cmd_generate(cfg: dict, outdir: Path, seed: int) -> list:
     with _reading():
         system = _system(cfg)
-        leaves = system.level(system.max_depth).lefts[:]
-    def rows():  # a level's left ends stride the leaves': a first child starts at its parent
+    def rows():
         for lv in system.levels:
-            for i in range(0, lv.count, cantor.STORED_COUNT):
-                x = leaves[::len(leaves) // lv.count][i:i + cantor.STORED_COUNT]
+            for i, x in lv.blocks(cantor.STORED_COUNT):
                 yield from zip([lv.depth] * len(x), range(i, i + len(x)), x.tolist(),
                                (x + np.exp(lv.log_length)).tolist())
     _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows())
@@ -318,14 +315,14 @@ def cmd_dimension(cfg: dict, outdir: Path, seed: int) -> list:
         if mb is not None:
             d = _field(mb, "d", _checked(_number, lambda v: 0.0 < v <= 1.0, "0 < value <= 1"))
             scales = _field(mb, "scales", _nonempty(_list_of(_POSITIVE)))
+            _resolved(system, "system", [qsmaps.QsMap.identity()])  # leaves of width > 0
     res = dimension.box_count(leaves, eps)
     _write_csv(outdir / "boxcounts.csv", ["epsilon", "count"],
                list(zip(res.scales.tolist(), res.counts.tolist())))
     summary = {"slope": res.fitted_slope, "residual": res.residual}
 
     if mb is not None:
-        report = dimension.mass_distribution_lower_bound(
-            dimension.natural_measure(leaves), d, scales)
+        report = dimension.mass_distribution_lower_bound(leaves, d, scales)
         summary["mass_bound"] = {k: getattr(report, k)
                                  for k in ("d", "C_observed", "slope", "passed")}
     _write_summary(outdir / "summary.json", summary)
@@ -512,18 +509,20 @@ def cmd_theorem_a(cfg: dict, outdir: Path, seed: int) -> list:
     return files
 
 
-def _growth_scan(measure: dimension.DiscreteMeasure, leaves, eps_list, slack: float):
-    """Two-sided slope test of window masses around points of the set."""
-    centers = (leaves.lefts[:] + leaves.rights) / 2.0
-    if len(centers) > 128:
-        centers = centers[:: len(centers) // 128 + 1]
-    diam = float(np.max(leaves.rights) - np.min(leaves.lefts[:]))
-    min_len = float(np.exp(leaves.log_length))
-    n_scales = max(3, int(math.log2(diam / min_len)))
+def _growth_scan(leaves: cantor.IntervalLevel, mass: float, atoms, eps_list, slack: float):
+    """Two-sided slope test of window masses around at most 128 leaf centers, for
+    ``mass`` on every leaf plus ``atoms``; the windows read the leaf ends they probe."""
+    image, n = qsmaps.ImageLevel(qsmaps.QsMap.identity(), leaves), leaves.count
+    at = np.arange(0, n, n // 128 + 1 if n > 128 else 1)
+    centers = (image.lefts[at] + image.rights[at]) / 2.0
+    diam = float(image.rights[n - 1] - image.lefts[0])
+    n_scales = max(3, int(math.log2(diam / float(np.exp(leaves.log_length)))))
     radii = [diam * 2.0 ** (-k) for k in range(1, n_scales + 1)]
     upper, lower = [], []
     for r in radii:
-        masses = measure.window_masses(centers - r, centers + r)
+        x0s, x1s = centers - r, centers + r
+        masses = (dimension.locate_windows(image.lefts, image.rights, x0s, x1s).equal_masses(mass)
+                  + atoms.window_masses(x0s, x1s))
         upper.append(float(np.max(masses)))
         lower.append(float(np.min(masses[masses > 0])))
     logr = np.log(radii)
@@ -548,20 +547,16 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
         eps_list = _field(cfg, "eps_list", _nonempty(_list_of(_number)), [0.2])
         slack = _field(cfg, "scan_slack", _number, 0.3)
         system = _system(cfg)
-        leaves = system.level(system.max_depth)
-        measure = dimension.natural_measure(leaves)
-        if "atoms" in cfg:
-            atoms = _field(cfg, "atoms", _checked(_PAIRS, lambda a: np.all(a[:, 1] >= 0),
-                                                  "[x, mass] pairs, masses >= 0"))
-            # lambda_E stays a probability measure; growth slopes do not see the scale
-            masses = np.concatenate([measure.masses, atoms[:, 1]])
-            measure = dimension.DiscreteMeasure(
-                lefts=np.concatenate([measure.lefts, atoms[:, 0]]),
-                rights=np.concatenate([measure.rights, atoms[:, 0]]),
-                masses=masses / np.sum(masses),
-            )
+        leaves = _resolved(system, "system", [qsmaps.QsMap.identity()]).level(system.max_depth)
+        atoms = (_field(cfg, "atoms", _checked(_PAIRS, lambda a: np.all(a[:, 1] >= 0),
+                                               "[x, mass] pairs, masses >= 0"))
+                 if "atoms" in cfg else np.empty((0, 2)))
+        # lambda_E stays a probability measure; growth slopes do not see the scale
+        total = math.fsum([1.0, *atoms[:, 1]])
+        atoms = dimension.DiscreteMeasure(lefts=atoms[:, 0], rights=atoms[:, 0],
+                                          masses=atoms[:, 1] / total)
 
-    scan = _growth_scan(measure, leaves, eps_list, slack=slack)
+    scan = _growth_scan(leaves, 1.0 / leaves.count / total, atoms, eps_list, slack=slack)
     _write_csv(outdir / "growth_scan.csv",
                ["eps", "upper_slope", "lower_slope", "upper_ok", "lower_ok"],
                [(r["eps"], r["upper_slope"], r["lower_slope"],

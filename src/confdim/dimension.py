@@ -14,6 +14,10 @@ import numpy as np
 
 from confdim.cantor import IntervalLevel
 
+# leaves per block of a level read by box_count and the mass-bound scan, whose
+# block and its temporaries trace 0.74 MiB (1.46 MiB at 2^13, no faster)
+SCAN_CHUNK = 2 ** 12
+
 
 @dataclass
 class BoxCountResult:
@@ -118,18 +122,17 @@ class WindowLocation:
     """Windows [x0s[i], x1s[i]] located among sorted intervals: the first step of the window rule.
 
     Intervals j0 (the first with right >= x0) .. j1 (the last with left <= x1)
-    meet a window, and ``hit`` marks the windows with j1 >= j0.  The
-    interval ends are kept as given, arrays or an ImageLevel's, for the
-    second step, which is the first to read them at j0 and j1.
+    meet a window where ``hit`` (j1 >= j0); ``first`` and ``last`` hold the
+    (left, right) ends of intervals j0 and j1 at the hits.
     """
 
-    lefts: np.ndarray
-    rights: np.ndarray
     x0s: np.ndarray
     x1s: np.ndarray
     j0: np.ndarray
     j1: np.ndarray
     hit: np.ndarray
+    first: tuple
+    last: tuple
 
     @property
     def reads(self) -> np.ndarray:
@@ -138,26 +141,32 @@ class WindowLocation:
         return np.concatenate([a, b, np.maximum(a - 1, 0)])
 
     def masses(self, prefix, masses) -> np.ndarray:
-        """The window masses: the second step, over the masses and their inclusive prefix sum.
+        """The window masses over the masses and their inclusive prefix sum: arrays,
+        or anything that maps the index arrays of ``reads`` to the values there."""
+        a, b = self.j0[self.hit], self.j1[self.hit]
+        return self._rule(a, b, prefix[b] - np.where(a > 0, prefix[np.maximum(a - 1, 0)], 0.0),
+                          masses[a], masses[b])
 
-        ``prefix`` and ``masses`` are arrays, or anything that maps the index
-        arrays of ``reads`` to the values there.  A window's boundary
-        intervals count in proportion to their overlap with it.  A window
-        that meets no interval gets 0, and so does one that only touches
-        interval ends, where the prefix sum would leave a rounding residue
-        instead of 0.
-        """
+    def equal_masses(self, mass: float) -> np.ndarray:
+        """The window masses when every interval has mass ``mass``: interval j's
+        prefix sum is (j + 1) mass, exact when ``mass`` is a power of two."""
+        a, b = self.j0[self.hit], self.j1[self.hit]
+        return self._rule(a, b, (b + 1) * mass - a * mass, mass, mass)
+
+    def _rule(self, a, b, inner, mass_a, mass_b) -> np.ndarray:
+        """The second step, from ``inner``, the mass of intervals j0 .. j1 of each hit:
+        boundary intervals count by their overlap with the window, and a window that
+        meets none, or only touches interval ends, gets 0 (not a rounding residue)."""
         hit = self.hit
-        a, b, x0, x1 = self.j0[hit], self.j1[hit], self.x0s[hit], self.x1s[hit]
+        x0, x1 = self.x0s[hit], self.x1s[hit]
 
-        def inside(j):
-            l, r = self.lefts[j], self.rights[j]
+        def inside(ends):
+            l, r = ends
             return np.clip((np.minimum(r, x1) - np.maximum(l, x0)) / (r - l), 0.0, 1.0)
 
-        f0, f1 = inside(a), inside(b)
-        m = prefix[b] - np.where(a > 0, prefix[np.maximum(a - 1, 0)], 0.0)
-        m -= masses[a] * (1.0 - f0)
-        m -= np.where(a == b, 0.0, masses[b] * (1.0 - f1))
+        f0, f1 = inside(self.first), inside(self.last)
+        m = inner - mass_a * (1.0 - f0)
+        m -= np.where(a == b, 0.0, mass_b * (1.0 - f1))
         mu = np.zeros(self.j0.shape)
         mu[hit] = np.where((b - a <= 1) & (f0 == 0.0) & (f1 == 0.0), 0.0, m)
         return mu
@@ -166,40 +175,64 @@ class WindowLocation:
 def locate_windows(lefts, rights, x0s, x1s) -> WindowLocation:
     """Locate the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
 
-    The package's one window rule is this step and `WindowLocation.masses`.
-    Its callers are the certificate's window and ball scans and
-    `DiscreteMeasure.window_masses`, which serves the mass-bound scan, the
-    theorem-b growth scan, the product-system rasterization and the fiber
-    scan of `modulus_comparison`.  Both ends must be sorted, and every
-    interval must have positive length by the second step; intervals may
-    touch or overlap by rounding.  The ends go through `sorted_search`, so
-    they may be an ImageLevel's, and no mass is read here: a caller may locate
-    its windows before the masses exist.
+    The package's one window rule is this step (`_Sweep` in the mass-bound
+    scan) and `WindowLocation.masses` or `equal_masses`.  Both ends must be
+    sorted, and intervals of positive length may touch or overlap by
+    rounding.  The ends go through `sorted_search`, so they may be an
+    ImageLevel's.
     """
     x0s = np.asarray(x0s, dtype=float)
     x1s = np.asarray(x1s, dtype=float)
     j1 = sorted_search(lefts, x1s, side="right") - 1
     j0 = sorted_search(rights, x0s, side="left")
-    return WindowLocation(lefts=lefts, rights=rights, x0s=x0s, x1s=x1s, j0=j0, j1=j1,
-                          hit=j1 >= j0)
+    hit = j1 >= j0
+    a, b = j0[hit], j1[hit]
+    return WindowLocation(x0s=x0s, x1s=x1s, j0=j0, j1=j1, hit=hit,
+                          first=(lefts[a], rights[a]), last=(lefts[b], rights[b]))
 
 
-def natural_measure(level: IntervalLevel) -> DiscreteMeasure:
-    """Equal mass on every interval of a level, total mass 1."""
-    return DiscreteMeasure(level.lefts[:], level.rights, np.full(level.count, 1.0 / level.count))
+class _Sweep:
+    """Sorted searches over one side of a level's ends, reading the level forward:
+    each ``search`` takes sorted points at or above all points searched before, so
+    the answers never move back and each block of the level is formed once."""
+
+    def __init__(self, level: IntervalLevel, right: bool):
+        self.count, self.right, self.length = level.count, right, np.exp(level.log_length)
+        self.blocks, self.before = level.blocks(SCAN_CHUNK), -np.inf
+        self.start, self.lefts = next(self.blocks)
+
+    def search(self, xs: np.ndarray) -> tuple:
+        """(j, lefts[j]) per point x, as `locate_windows` finds j0 if ``right``
+        (the first interval with right >= x), else j1 (the last with left <= x)."""
+        j, lefts, done = np.empty(len(xs), dtype=np.intp), np.empty(len(xs)), 0
+        while True:
+            ends = self.lefts + self.length if self.right else self.lefts
+            k = np.searchsorted(ends, xs[done:], side="left" if self.right else "right")
+            last = self.start + len(ends) == self.count
+            n = len(k) if last else int(np.searchsorted(k, len(ends)))
+            at = k[:n] if self.right else k[:n] - 1
+            j[done:done + n] = self.start + at
+            # j0 = count and j1 = -1 hit nothing, and their ends are never read
+            lefts[done:done + n] = np.where(at < 0, self.before,
+                                            self.lefts[np.minimum(at, len(ends) - 1)])
+            done += n
+            if done == len(xs):
+                return j, lefts
+            self.before = self.lefts[-1]
+            self.start, self.lefts = next(self.blocks)
 
 
-def _as_intervals(data) -> tuple:
+def _blocks(data):
+    """(lefts, rights) of sorted intervals: a level's SCAN_CHUNK at a time, else all at once."""
     if isinstance(data, IntervalLevel):
-        return data.lefts[:], data.rights
+        return ((x, x + np.exp(data.log_length)) for _, x in data.blocks(SCAN_CHUNK))
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:  # point sample
-        arr = np.sort(arr)
-        return arr, arr.copy()
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        order = np.argsort(arr[:, 0])
-        return arr[order, 0], arr[order, 1]
-    raise ValueError("expected IntervalLevel, points, or (n,2) intervals")
+        arr = np.column_stack([arr, arr])
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+        raise ValueError("expected IntervalLevel, points, or (n,2) intervals, not empty")
+    arr = arr[np.argsort(arr[:, 0])]
+    return [(arr[:, 0], arr[:, 1])]
 
 
 def box_count(data, epsilons: Sequence[float]) -> BoxCountResult:
@@ -207,29 +240,27 @@ def box_count(data, epsilons: Sequence[float]) -> BoxCountResult:
 
     A closed interval [l, r] is charged the boxes floor(l/eps) ..
     ceil(r/eps)-1 so that grid-aligned intervals occupy exactly their own
-    boxes.  The least-squares slope of log N against log(1/eps) is returned.
+    boxes; a level is read in blocks, the highest box counted carried per eps.
+    The least-squares slope of log N against log(1/eps) is returned.
     """
-    lefts, rights = _as_intervals(data)
-    if len(lefts) == 0:
-        raise ValueError("empty input")
     epsilons = np.asarray(list(epsilons), dtype=float)
     if np.any(epsilons <= 0):
         raise ValueError("epsilons must be positive")
-
-    counts = np.empty(len(epsilons), dtype=np.int64)
+    counts = np.zeros(len(epsilons), dtype=np.int64)
+    top = np.full(len(epsilons), np.iinfo(np.int64).min)  # per eps, the highest box counted
     snap = 1e-9  # tolerate float jitter of endpoints sitting on box boundaries
-    for i, eps in enumerate(epsilons):
-        lq = lefts / eps
-        rq = rights / eps
-        k0 = np.floor(lq + snap * np.maximum(1.0, np.abs(lq))).astype(np.int64)
-        k1 = np.ceil(rq - snap * np.maximum(1.0, np.abs(rq))).astype(np.int64) - 1
-        k1 = np.maximum(k0, k1)
-        # intervals are sorted, so dedupe against the running max box index
-        prev = np.empty_like(k1)
-        prev[0] = np.iinfo(np.int64).min
-        np.maximum.accumulate(k1[:-1], out=prev[1:])
-        start = np.maximum(k0, prev + 1)
-        counts[i] = int(np.sum(np.maximum(0, k1 - start + 1)))
+    for lefts, rights in _blocks(data):
+        for i, eps in enumerate(epsilons):
+            lq = lefts / eps
+            rq = rights / eps
+            k0 = np.floor(lq + snap * np.maximum(1.0, np.abs(lq))).astype(np.int64)
+            k1 = np.ceil(rq - snap * np.maximum(1.0, np.abs(rq))).astype(np.int64) - 1
+            k1 = np.maximum(k0, k1)
+            # intervals are sorted, so dedupe against the running max box index
+            prev = np.maximum.accumulate(np.concatenate([top[i:i + 1], k1[:-1]]))
+            start = np.maximum(k0, prev + 1)
+            counts[i] += int(np.sum(np.maximum(0, k1 - start + 1)))
+            top[i] = max(prev[-1], k1[-1])
 
     logs = np.log(1.0 / epsilons)
     logn = np.log(counts.astype(float))
@@ -246,10 +277,6 @@ def box_count(data, epsilons: Sequence[float]) -> BoxCountResult:
 
 # the most negative log-log slope of the per-scale constant that still passes
 MASS_BOUND_SLOPE_TOL = 0.02
-
-# candidate windows per window_masses call of the mass-bound scan: each meets a
-# leaf, so the call's temporaries, about 110 bytes a window, stay near 1 MB
-SCAN_CHUNK = 2 ** 13
 
 
 @dataclass
@@ -268,35 +295,41 @@ class MassBoundReport:
 
 
 def mass_distribution_lower_bound(
-    measure: DiscreteMeasure,
+    level: IntervalLevel,
     d: float,
     test_scales: Sequence[float],
 ) -> MassBoundReport:
     """Bound mu([x, x + r]) / r^d over all x, exactly, at each test scale r.
 
-    With mass spread uniformly over intervals and atoms at points,
-    x -> mu([x, x + r]) is piecewise linear and upper semicontinuous, so its
-    maximum lies at a window [l, l + r] from a left end l or [e - r, e] up to a
-    right end e: 2N candidate windows per scale for N entries, whatever r is,
-    scanned SCAN_CHUNK at a time with a running max.  Passes when the
-    per-scale constant does not diverge as r shrinks (log-log slope
-    >= -MASS_BOUND_SLOPE_TOL).
+    mu is the level's natural measure, mass 1 / count spread uniformly on
+    every interval, so x -> mu([x, x + r]) is piecewise linear and upper
+    semicontinuous, and its maximum lies at a window [l, l + r] from a left
+    end l or [e - r, e] up to a right end e: 2N candidate windows per scale
+    for N intervals, swept SCAN_CHUNK intervals at a time, their far ends
+    located by `_Sweep`s.  Passes when the per-scale constant does not
+    diverge as r shrinks (log-log slope >= -MASS_BOUND_SLOPE_TOL).
     """
-    if measure.total_mass <= 0:
-        raise ValueError("zero total mass")
     if not (0.0 < d <= 1.0):
         raise ValueError("d must be in (0, 1]")
     scales = np.asarray(sorted(test_scales, reverse=True), dtype=float)
     if np.any(scales <= 0):
         raise ValueError("test scales must be positive")
 
+    mass, length = 1.0 / level.count, np.exp(level.log_length)
     per_scale = np.empty(len(scales))
     for i, r in enumerate(scales):
         top = 0.0
-        for k in range(0, len(measure.lefts), SCAN_CHUNK):
-            lefts, rights = measure.lefts[k:k + SCAN_CHUNK], measure.rights[k:k + SCAN_CHUNK]
-            for x0s, x1s in ((lefts, lefts + r), (rights - r, rights)):
-                top = max(top, float(np.max(measure.window_masses(x0s, x1s))))
+        a0, a1, b0, b1 = (_Sweep(level, right) for right in (True, False, True, False))
+        for _, lefts in level.blocks(SCAN_CHUNK):
+            rights = lefts + length
+            for x0s, x1s, first, last in ((lefts, lefts + r, a0, a1), (rights - r, rights, b0, b1)):
+                j0, a = first.search(x0s)
+                j1, b = last.search(x1s)
+                hit = j1 >= j0
+                a, b = a[hit], b[hit]
+                loc = WindowLocation(x0s=x0s, x1s=x1s, j0=j0, j1=j1, hit=hit,
+                                     first=(a, a + length), last=(b, b + length))
+                top = max(top, float(np.max(loc.equal_masses(mass))))
         per_scale[i] = top / r ** d
 
     logs = np.log(scales)

@@ -599,7 +599,8 @@ def dmod_vanishing_witness(
         for i, idx in enumerate(sets)
     )
     value = float(np.sum(v ** q))
-    centers = (X_level.lefts[:] + X_level.rights) / 2.0
+    lefts = X_level.lefts_at(slice(0, n), np.empty(n), np.empty(n // 2 + 2))
+    centers = (lefts + (lefts + np.exp(X_level.log_length))) / 2.0
     balls = np.column_stack([centers, diams / 2.0])
     return VanishingWitness(
         balls=balls, v=v, value=value, admissible_ok=admissible,

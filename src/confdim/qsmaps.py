@@ -256,7 +256,7 @@ def distortion_gap_check(qsmap: QsMap, X1, X2, eta: EtaModulus) -> DistortionRep
 
 
 class _MappedSide:
-    """One side of an ImageLevel's ends: ``side[s]`` maps the ends of the intervals ``s`` only."""
+    """One side of an ImageLevel's ends: ``side[i]`` maps the ends of the intervals ``i`` only."""
 
     def __init__(self, qsmap: QsMap, level: IntervalLevel, right: bool):
         self.qsmap, self.level, self.right = qsmap, level, right
@@ -265,21 +265,18 @@ class _MappedSide:
     def __len__(self) -> int:
         return self.level.count
 
-    def __getitem__(self, s) -> np.ndarray:
-        x = self.level.lefts[s]
+    def __getitem__(self, i) -> np.ndarray:
+        x = self.level.lefts[i]
         return self.qsmap.apply(x + np.exp(self.level.log_length) if self.right else x)
 
 
 class ImageLevel:
     """The image of one interval level under an increasing map, mapped where it is read.
 
-    ``lefts[s]`` and ``rights[s]``, for an int, a slice or an index array
-    ``s``, are ``qsmap.apply(level.lefts[:])[s]`` and
-    ``qsmap.apply(level.rights)[s]``, and map the intervals ``s`` only, so a
-    reader that walks the level in blocks, or probes it at a few indices,
-    never holds all of them.  The map is elementwise, so the bits do not
-    depend on which intervals are mapped together.  The image keeps the
-    level's depth, count and branching: the tree is the same.
+    ``lefts[i]`` and ``rights[i]``, for an int or an index array ``i``, and
+    ``ends``, for a block, map the ends of those intervals only; the map is
+    elementwise, so the bits do not depend on which intervals are mapped
+    together.  The image keeps the level's depth, count and branching.
     """
 
     def __init__(self, qsmap: QsMap, level: IntervalLevel):
@@ -287,17 +284,10 @@ class ImageLevel:
         self.depth, self.count, self.branching = level.depth, level.count, level.branching
         self.lefts, self.rights = (_MappedSide(qsmap, level, right) for right in (False, True))
 
-    def ends(self, s: slice, out=None) -> tuple:
-        """The image left and right ends of the intervals ``s``, a unit-step slice.
-
-        They go to the heads of the two arrays ``out``, or of two new arrays,
-        from one read of the intervals' left ends, which a generated level
-        forms there too: a reader that walks the level in blocks with the
-        same ``out`` reuses the same memory for every block.
-        """
-        if out is None:
-            size = len(range(*s.indices(self.count)))
-            out = np.empty(size), np.empty(size)
+    def ends(self, s: slice, out: tuple) -> tuple:
+        """The image left and right ends of the intervals ``s``, a unit-step slice,
+        into the heads of the two arrays ``out``, from one read of the left ends
+        (a generated level forms them there too)."""
         lefts, rights = out
         x = self.level.lefts_at(s, lefts, rights)
         rights = np.add(x, np.exp(self.level.log_length), out=rights[:len(x)])
@@ -310,7 +300,7 @@ class ImageLevel:
     @property
     def diams(self) -> np.ndarray:
         """The image diameters, in the buffer of the right ends: two level arrays at most."""
-        lefts, rights = self.ends(slice(None))
+        lefts, rights = self.ends(slice(None), (np.empty(self.count), np.empty(self.count)))
         return np.subtract(rights, lefts, out=rights)
 
 

@@ -9,29 +9,15 @@ control the growth ratio mu(I) / diam^d I.  A certificate checks, at finite
 scale, that the measure satisfies mu <= C diam^d on nodes, on arbitrary
 intervals and on balls of the image.
 
-The pipeline stores no array of a level deeper than 2^16 intervals: the
-system generates the domain left ends of such levels on request, and the
-image tree maps nothing up front: every level's image ends are mapped block
-by block, from one read of its domain left ends, where they are read.  The
-measure is one depth-first walk over blocks of at most PAIR_BLOCK sibling
-pairs: it splits a block, then that block's child blocks, before the next
-block, so every level runs the same code, each level keeps one block of
-masses and path products, and the leaf blocks come left to right, carrying
-the prefix sum.  Block temporaries live in buffers that every block reuses,
-siblings share one path product, and each node's bits are those of a
-whole-level pass.  Blocks are sized so that their buffers stay in a core's
-L2 cache (see PAIR_BLOCK).  The certificate's ball radius at scanned depth n is
-
-    r_n = median(image diameters of level n)    for n <= m,
-    r_n = r_m * exp(log l_n - log l_m)          for n > m,
-
-m the deepest level of at most STORED_COUNT intervals and l_n the length of
-a level-n domain interval, so no generated level is read for it; a median
-is taken in place, over the image diameters in the buffer of the level's
-right ends, so it holds two level arrays.  The certificate then locates
-every window and ball on the image leaves in one two-level sorted search
-(dimension.sorted_search) that maps only the ends it probes, and the walk
-keeps the masses and prefix sums at the located leaves only.
+No array of a level deeper than 2^16 intervals is stored: the system
+generates such domain left ends where they are read, and every level's image
+ends are mapped block by block where they are read.  The measure is one
+depth-first walk over blocks of at most PAIR_BLOCK sibling pairs (see
+_Walk), with each node's bits those of a whole-level pass.  The
+certificate's ball radii come from the stored levels' median image
+diameters (see _Scans), and every window and ball is located on the image
+leaves by one two-level sorted search that maps only the ends it probes;
+the walk keeps the masses and prefix sums at the located leaves only.
 """
 
 from __future__ import annotations
@@ -358,8 +344,9 @@ class _Scans:
             np.concatenate([x1] + [centers + r for r in self.radii]))
         self.spans = np.zeros(len(x0))
         sel = loc.hit[:len(x0)]
-        lo = np.maximum(image.lefts[loc.j0[:len(x0)][sel]], x0[sel])
-        hi = np.minimum(image.rights[loc.j1[:len(x0)][sel]], x1[sel])
+        hits = np.count_nonzero(sel)  # the windows' hits come before the balls'
+        lo = np.maximum(loc.first[0][:hits], x0[sel])
+        hi = np.minimum(loc.last[1][:hits], x1[sel])
         self.spans[sel] = np.maximum(hi - lo, 0.0)
         self.keys = np.unique(loc.reads)
 

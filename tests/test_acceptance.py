@@ -21,7 +21,7 @@ from confdim.cantor import (
     closed_form_minkowski,
     truncated_length,
 )
-from confdim.dimension import box_count, natural_measure
+from confdim.dimension import DiscreteMeasure, box_count
 from confdim.modulus import (
     _solve_power_program,
     dmod_vanishing_witness,
@@ -205,7 +205,8 @@ def test_criterion_7_holder_product_bound():
     t0 = time.time()
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     leaves = system.level(6)
-    meas = natural_measure(leaves)
+    meas = DiscreteMeasure(leaves.lefts, leaves.lefts + np.exp(leaves.log_length),
+                           np.full(leaves.count, 1.0 / leaves.count))
     Y = [(k / 4, 0.25) for k in range(4)]
     details = []
     ok = True

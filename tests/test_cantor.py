@@ -37,31 +37,28 @@ def test_middle_thirds_levels_are_exact():
     system = build_system(GapSequence.constant(1 / 3, 3), max_depth=3)
     lv1 = system.level(1)
     assert np.allclose(lv1.lefts, [0.0, 2 / 3])
-    assert np.allclose(lv1.rights, [1 / 3, 1.0])
+    assert np.allclose(lv1.lefts + np.exp(lv1.log_length), [1 / 3, 1.0])
     lv2 = system.level(2)
     assert lv2.count == 4
     assert lv2.lengths == pytest.approx(np.full(4, 1 / 9))
-    assert lv2.lefts[0] == 0.0 and lv2.rights[-1] == pytest.approx(1.0)
+    assert lv2.lefts[0] == 0.0 and lv2.lefts[-1] + np.exp(lv2.log_length) == pytest.approx(1.0)
 
 
-def test_a_deep_system_builds_and_only_a_slice_over_the_cap_is_refused():
+def test_a_deep_system_builds_and_is_read_in_blocks_and_at_indices_only():
     # 2^40 leaves: the deep levels hold their splits only, and are read at
     # indices and in blocks as any generated level is
     system = build_system(GapSequence.constant(0.1, 40), max_depth=40)
     leaves = system.level(40)
     assert leaves.count == 2 ** 40
-    assert leaves.lefts[-3:].tobytes() == leaves.lefts[np.arange(2 ** 40 - 3, 2 ** 40)].tobytes()
+    tail = leaves.lefts_at(slice(2 ** 40 - 3, 2 ** 40), np.empty(3), np.empty(3))
+    assert tail.tobytes() == leaves.lefts[np.arange(2 ** 40 - 3, 2 ** 40)].tobytes()
     assert leaves.lefts[-1] + np.exp(leaves.log_length) == pytest.approx(1.0)
-    # a slice of more than MEMORY_CAP ends is refused by its size alone
-    whole = r"forming 33554432 of 33554432 left ends > cap 16777216"
+    # a level has no whole-level read: a slice is not an index
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryError, match=whole):
-            system.level(25).lefts[:]
-        with pytest.raises(MemoryError, match=whole):
-            system.level(25).rights
-        with pytest.raises(MemoryError, match=r"forming 33554432 of 67108864 left ends"):
-            system.level(26).lefts[::2]
+        for s in (slice(None), slice(None, None, 2), slice(0, 3)):
+            with pytest.raises(TypeError):
+                system.level(25).lefts[s]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -93,7 +90,8 @@ def test_parent_index_links_generations():
         for j in range(lv.count):
             p = lv.parent_index[j]
             assert up.lefts[p] - 1e-15 <= lv.lefts[j]
-            assert lv.rights[j] <= up.rights[p] + 1e-15
+            assert (lv.lefts[j] + np.exp(lv.log_length)
+                    <= up.lefts[p] + np.exp(up.log_length) + 1e-15)
 
 
 def _per_interval_levels(gaps, depth):
@@ -139,7 +137,7 @@ def test_levels_match_the_per_interval_construction_bit_for_bit(gaps):
     reference = _per_interval_levels(gaps, len(gaps))
     for lv, (lefts, rights, lengths, parents) in zip(system.levels[1:], reference):
         assert lv.lefts.tobytes() == lefts.tobytes()
-        assert lv.rights.tobytes() == rights.tobytes()
+        assert (lv.lefts + np.exp(lv.log_length)).tobytes() == rights.tobytes()
         assert lv.lengths.tobytes() == lengths.tobytes()
         assert lv.parent_index.tobytes() == parents.tobytes()
 
@@ -161,19 +159,24 @@ def test_build_system_keeps_only_the_left_ends():
 
 
 def _check_generated_ends(lv, lefts, rng):
-    """``lv``'s left ends, read whole, by slices and at indices, against the array ``lefts``."""
+    """``lv``'s left ends, read in blocks and at indices, against the array ``lefts``."""
     n = len(lefts)
     assert lv.lefts.shape == (n,) and lv.lefts.nbytes == 8 * n
-    assert lv.lefts[:].tobytes() == lefts.tobytes()
-    assert lv.rights.tobytes() == (lefts + np.exp(lv.log_length)).tobytes()
+    assert lv.lefts[np.arange(n)].tobytes() == lefts.tobytes()
     cuts = np.sort(rng.integers(0, n + 1, 6))
     for a, b in [(0, 1), (n - 1, n), (1, n), (n // 3, n // 3 + 7), (5, 5), *zip(cuts, cuts[1:])]:
-        assert lv.lefts[a:b].tobytes() == lefts[a:b].tobytes(), (a, b)
         size = max(b - a, 0)
         # the scratch of a block read needs half the block and two slots
         got = lv.lefts_at(slice(a, b), np.empty(size), np.empty(size // 2 + 2))
         assert got.tobytes() == lefts[a:b].tobytes(), (a, b)
-    assert lv.lefts[::7].tobytes() == lefts[::7].tobytes()
+    for size in (3 if n < 2 ** 12 else n // 5 + 1, n):
+        blocks = [(start, x.copy()) for start, x in lv.blocks(size)]
+        assert [start for start, _ in blocks] == list(range(0, n, size))
+        assert np.concatenate([x for _, x in blocks]).tobytes() == lefts.tobytes()
+    assert lv.lefts[np.arange(0, n, 7)].tobytes() == lefts[::7].tobytes()
+    # min_gap reads the level in blocks, carrying the last right end across them
+    gaps = lefts[1:] - (lefts[:-1] + np.exp(lv.log_length))
+    assert lv.min_gap() == (float(np.min(gaps)) if n > 1 else math.inf)
     at = rng.integers(0, n, (3, 50))
     assert lv.lefts[at].tobytes() == lefts[at].tobytes()
     assert lv.lefts[n - 1] == lv.lefts[-1] == lefts[-1] and lv.lefts[0] == lefts[0]

@@ -20,11 +20,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import confdim
 import confdim.cantor as cantor
 import confdim.cli as cli
+import confdim.dimension as dimension
 import confdim.modulus as modulus
 import confdim.qsmaps as qsmaps
 import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
-from confdim.dimension import mass_distribution_lower_bound, natural_measure
+from confdim.dimension import DiscreteMeasure, mass_distribution_lower_bound
 from confdim.qsmaps import QsMap
 
 
@@ -127,7 +128,7 @@ def test_dimension_mass_bound_matches_a_direct_call(tmp_path):
     got = json.loads((out / "summary.json").read_text())["mass_bound"]
     assert got["passed"] is True
     leaves = build_system(GapSequence.constant(1 / 3, 10), max_depth=10).level(10)
-    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
+    rep = mass_distribution_lower_bound(leaves, d, scales)
     assert got["C_observed"] == rep.C_observed
 
 
@@ -293,40 +294,67 @@ def test_mass_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("command,cfg", [
-    ("generate", {"system": {"c": "harmonic", "depth": 25}}),
-    ("dimension", {"system": {"c": "harmonic", "depth": 25}, "epsilons": [0.1]}),
-    ("theorem-b", {"system": {"c": "harmonic", "depth": 25}, "Y": [[0.0, 1.0]]}),
-])
-def test_a_command_that_reads_a_whole_level_over_the_cap_exits_5(tmp_path, capsys, command, cfg):
+_UNIFORM = {"kind": "uniform", "gammas": [0.1, 0.2, 0.05, 0.1, 0.15, 0.1, 0.2, 0.05, 0.1, 0.1],
+            "n_children": [3, 2, 4, 3, 2, 3, 4, 4, 3, 4]}
+_MASS_BOUND = {"d": 0.8, "scales": [2.0 ** -k for k in range(1, 11)]}
+
+
+@pytest.mark.parametrize("command,cfg,depths", [
+    ("generate", {"system": {"c": "harmonic"}}, (12, 14)),
+    ("dimension", {"system": {"c": {"const": 1 / 3}}, "mass_bound": _MASS_BOUND,
+                   "epsilons": {"base": 3.0, "k_min": 1, "k_max": 10}}, (12, 14)),
+    ("dimension", {"system": {"c": "harmonic"}, "mass_bound": _MASS_BOUND,
+                   "epsilons": {"base": 2.0, "k_min": 1, "k_max": 14}}, (12, 14)),
+    ("dimension", {"system": _UNIFORM, "epsilons": [0.1, 0.01, 0.001],
+                   "mass_bound": _MASS_BOUND}, (6, 9)),
+    ("theorem-b", {"system": {"c": "harmonic"}, "Y": [[0.0, 1.0]]}, (12, 14)),
+    ("theorem-b", {"system": {"c": "harmonic"}, "Y": [[0.0, 1.0]],
+                   "atoms": [[0.5, 0.01], [0.0, 0.001], [0.99, 0.003]]}, (12, 14)),
+], ids=["generate", "dimension-third", "dimension-harmonic", "dimension-uniform", "theorem-b",
+        "theorem-b-atoms"])
+def test_generated_levels_are_read_in_blocks_with_the_stored_levels_bits(
+        tmp_path, capsys, monkeypatch, command, cfg, depths):
+    shallow, deep = ({**cfg, "system": {**cfg["system"], "depth": depth}} for depth in depths)
+    # the default stores the shallow leaves (2^12, or 432 uniform ones); with a stored
+    # count of 2^6 the deepest levels are generated, and read in blocks of 2^6 and 2^8
+    code, stored = run(tmp_path, command, shallow, name="stored")
+    assert code == 0, capsys.readouterr().err
+    monkeypatch.setattr(cantor, "STORED_COUNT", 2 ** 6)
+    monkeypatch.setattr(dimension, "SCAN_CHUNK", 2 ** 8)
+    monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 8)
+    code, generated = run(tmp_path, command, shallow, name="generated")
+    assert code == 0, capsys.readouterr().err
+    files = sorted(p.name for p in stored.iterdir())
+    assert files == sorted(p.name for p in generated.iterdir())
+    for name in files:
+        assert (generated / name).read_bytes() == (stored / name).read_bytes(), name
+    # the command alone on the deep leaves (2^14, or 20736 uniform ones), without the
+    # manifest's 1 MiB hash reads: 38-48 KiB here for theorem-b and generate, 79-81 KiB
+    # for dimension, whose mass bound holds about 24 doubles per leaf of a 2^8 block;
+    # a whole-level read would add at least one array of the leaves
+    leaves = cli._system(deep).level(depths[1]).count
+    (tmp_path / "deep").mkdir()
     tracemalloc.start()
     try:
-        code, out = run(tmp_path, command, cfg)
+        cli._COMMANDS[command](deep, tmp_path / "deep", 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 5
-    # the cap is checked before the leaf level is allocated; the build holds
-    # the 2^16 stored left ends
-    assert peak < 2 ** 20
-    assert list(out.iterdir()) == []
-    err = capsys.readouterr().err
-    assert err == f"resource error: forming {2 ** 25} of {2 ** 25} left ends > cap {2 ** 24}\n"
+    assert peak < 8 * leaves, (peak, leaves)
 
 
-def test_mass_reads_past_the_cap_where_generate_is_refused(tmp_path, capsys, monkeypatch):
-    # 2^12 leaves, four times the cap, below a stored level of 2^6: mass reads
-    # the generated levels in blocks and at probed ends only
-    monkeypatch.setattr(cantor, "MEMORY_CAP", 2 ** 10)
+def test_mass_reads_generated_levels_in_blocks_and_at_probes(tmp_path, capsys, monkeypatch):
+    # 2^12 leaves below a stored level of 2^6: mass reads the generated levels in
+    # blocks and at probed ends only, with the stored levels' bits
+    cfg = {"system": {"c": "harmonic", "depth": 12}, "map": {"kind": "power", "a": 2}, "d": 0.9}
+    code, stored = run(tmp_path, "mass", cfg, name="stored")
+    assert code == 0, capsys.readouterr().err
     monkeypatch.setattr(cantor, "STORED_COUNT", 2 ** 6)
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 8)
-    system = {"c": "harmonic", "depth": 12}
-    code, _ = run(tmp_path, "mass", {"system": system, "map": {"kind": "power", "a": 2}, "d": 0.9},
-                  name="mass")
+    code, generated = run(tmp_path, "mass", cfg, name="generated")
     assert code == 0, capsys.readouterr().err
-    code, out = run(tmp_path, "generate", {"system": system}, name="generate")
-    assert code == 5
-    assert list(out.iterdir()) == []
+    for name in json.loads((stored / "manifest.json").read_text())["outputs"]:
+        assert (generated / name).read_bytes() == (stored / name).read_bytes(), name
 
 
 def test_generate_streams_its_rows(tmp_path):
@@ -515,7 +543,9 @@ def test_theorem_b_writes_nu_y_the_fuglede_modulus_of_the_fibers(Y, d):
     # the oracle: the rasterized product's modulus, solved at two grid widths
     leaves = build_system(GapSequence.harmonic(6), max_depth=6).level(6)
     for width in (3.0 ** -7, 3.0 ** -8):
-        prod = modulus.product_system(leaves, natural_measure(leaves), Y, width, p=1.0 + d)
+        prod = modulus.product_system(leaves, DiscreteMeasure(
+            leaves.lefts, leaves.lefts + np.exp(leaves.log_length),
+            np.full(leaves.count, 1.0 / leaves.count)), Y, width, p=1.0 + d)
         assert modulus.solve_fuglede(prod).value == pytest.approx(nu, rel=1e-9, abs=0.0)
 
 

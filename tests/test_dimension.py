@@ -12,8 +12,13 @@ from confdim.dimension import (
     box_count,
     mass_distribution_lower_bound,
     locate_windows,
-    natural_measure,
 )
+
+
+def _natural_measure(level):
+    """Mass 1 / count on every interval of a stored level, as a DiscreteMeasure."""
+    return DiscreteMeasure(level.lefts, level.lefts + np.exp(level.log_length),
+                           np.full(level.count, 1.0 / level.count))
 
 
 def test_box_count_middle_thirds_exact_counts():
@@ -97,10 +102,14 @@ def test_discrete_measure_rejects_unsorted_right_ends_and_overlaps():
 def test_natural_measure_of_a_gapless_level_is_accepted():
     # with c = 0 the level's neighbours overlap by up to 1 ulp
     leaves = build_system(GapSequence.constant(0.0, 16), max_depth=16).level(16)
-    assert np.any(leaves.rights[:-1] > leaves.lefts[1:])
-    m = natural_measure(leaves)
+    rights = leaves.lefts + np.exp(leaves.log_length)
+    assert np.any(rights[:-1] > leaves.lefts[1:])
+    m = _natural_measure(leaves)
     assert m.window_mass(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert m.window_mass(0.25, 0.5) == pytest.approx(0.25, abs=1e-12)
+    # the mass-bound sweep reads it too: every window of width r holds mass r
+    rep = mass_distribution_lower_bound(leaves, 1.0, [0.5, 0.25, 2.0 ** -10])
+    np.testing.assert_allclose(rep.per_scale_C, 1.0, rtol=1e-12)
 
 
 def _scalar_window_mass(m, x0, x1):
@@ -242,11 +251,11 @@ def test_sorted_window_masses_of_empty_inputs():
     assert np.array_equal(mu, [0.0, 0.0])
 
 
-def _mass_bound_per_scale_loop(measure, d, scales):
+def _mass_bound_per_scale_loop(level, d, scales):
     """A per-window loop over the candidate windows [l, l + r] and [e - r, e]: the reference."""
-    order = np.argsort(measure.lefts)
-    lefts, rights = measure.lefts[order], measure.rights[order]
-    masses = measure.masses[order]
+    lefts = level.lefts
+    rights = lefts + np.exp(level.log_length)
+    masses = np.full(level.count, 1.0 / level.count)
     lengths = rights - lefts
     csum = np.concatenate([[0.0], np.cumsum(masses)])
     out = []
@@ -278,15 +287,15 @@ def _mass_bound_per_scale_loop(measure, d, scales):
 def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, base):
     leaves = build_system(gaps, max_depth=depth).level(depth)
     scales = [base ** -k for k in range(1, depth)]
-    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
-    want = _mass_bound_per_scale_loop(natural_measure(leaves), d, scales)
+    rep = mass_distribution_lower_bound(leaves, d, scales)
+    want = _mass_bound_per_scale_loop(leaves, d, scales)
     # the loop subtracted the two boundary intervals in set order
     np.testing.assert_array_max_ulp(rep.per_scale_C, want, maxulp=1)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2 ** 10])
 def test_mass_bound_scanned_in_chunks_equals_one_whole_grid_scan_bitwise(chunk, monkeypatch):
-    measure = natural_measure(build_system(GapSequence.harmonic(10), max_depth=10).level(10))
+    measure = build_system(GapSequence.harmonic(10), max_depth=10).level(10)
     scales = [2.0 ** -k for k in range(1, 12)]
     monkeypatch.setattr(dimension, "SCAN_CHUNK", 2 ** 40)
     whole = mass_distribution_lower_bound(measure, 0.9, scales)
@@ -297,7 +306,7 @@ def test_mass_bound_scanned_in_chunks_equals_one_whole_grid_scan_bitwise(chunk, 
 
 
 def test_mass_bound_scan_at_fine_scales_holds_one_chunk_of_candidate_windows():
-    measure = natural_measure(build_system(GapSequence.constant(0.7, 14), max_depth=14).level(14))
+    measure = build_system(GapSequence.constant(0.7, 14), max_depth=14).level(14)
     mass_distribution_lower_bound(measure, 0.5, [0.1])  # warm up
     for r in (4.0 / 2 ** 20, 1e-10):
         tracemalloc.start()
@@ -306,39 +315,29 @@ def test_mass_bound_scan_at_fine_scales_holds_one_chunk_of_candidate_windows():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 2^15 candidate windows at any scale; one chunk of 2^13 and its
-        # temporaries trace 0.894 MiB, and calls of 2^14 would trace 1.79 MiB
+        # 2^15 candidate windows at any scale; one block of 2^12 and its
+        # temporaries trace 0.74 MiB, and blocks of 2^13 would trace 1.46 MiB
         assert peak <= 1.15 * 2 ** 20, r
 
 
 @settings(max_examples=100, deadline=None)
 @given(c=st.none() | st.floats(0.05, 0.8), depth=st.integers(2, 9),
-       atoms=st.lists(st.tuples(st.integers(0, 2 ** 9 - 1), st.sampled_from(["l", "r", "x"]),
-                                st.floats(-0.1, 1.1), st.floats(0.0, 0.2)), max_size=4),
        log_scales=st.lists(st.floats(math.log(1e-4), 0.0), min_size=1, max_size=4),
        seed=st.integers(0, 2 ** 32 - 1))
 # a grid window beats the candidate maximum by 3.1e-15 relative here, by width rounding
-@example(c=0.05891954999326761, depth=6, atoms=[], log_scales=[math.log(0.0011507587727172216)],
-         seed=0)
-def test_mass_bound_scan_is_the_maximum_over_grid_and_random_windows(c, depth, atoms,
-                                                                      log_scales, seed):
-    # the natural measure of a constant-c (harmonic for c None) system, plus atoms
-    # at a leaf's left or right end or anywhere, renormalized
+@example(c=0.05891954999326761, depth=6, log_scales=[math.log(0.0011507587727172216)], seed=0)
+def test_mass_bound_scan_is_the_maximum_over_grid_and_random_windows(c, depth, log_scales,
+                                                                      seed):
+    # the natural measure of a constant-c (harmonic for c None) system
     leaves = build_system(GapSequence.harmonic(depth) if c is None
                           else GapSequence.constant(c, depth), max_depth=depth).level(depth)
-    lefts, rights = leaves.lefts[:], leaves.rights
-    at = np.array([{"l": lefts, "r": rights}[end][j % leaves.count] if end in "lr" else x
-                   for j, end, x, _ in atoms], dtype=float)
-    masses = np.concatenate([np.full(leaves.count, 1.0 / leaves.count), [m for *_, m in atoms]])
-    measure = DiscreteMeasure(lefts=np.concatenate([lefts, at]),
-                              rights=np.concatenate([rights, at]), masses=masses / np.sum(masses))
+    measure = _natural_measure(leaves)
     scales = np.exp(log_scales)
-    rep = mass_distribution_lower_bound(measure, 1.0, scales)
+    rep = mass_distribution_lower_bound(leaves, 1.0, scales)
     lo, hi = float(np.min(measure.lefts)), float(np.max(measure.rights))
     # a float window [x, x + r] is r wide only to half a spacing at its ends, and
-    # its mass moves with the width at the densest interval's density
-    solid = measure.rights > measure.lefts
-    density = np.max(measure.masses[solid] / (measure.rights - measure.lefts)[solid])
+    # its mass moves with the width at the intervals' density
+    density = float(np.max(measure.masses / (measure.rights - measure.lefts)))
     rng = np.random.default_rng(seed)
     for r, c_r in zip(sorted(scales, reverse=True), rep.per_scale_C):
         top = c_r * r * (1.0 + 1e-15) + density * np.spacing(max(abs(lo), abs(hi)) + r)
@@ -348,19 +347,12 @@ def test_mass_bound_scan_is_the_maximum_over_grid_and_random_windows(c, depth, a
             assert np.max(measure.window_masses(x, x + r)) <= top
 
 
-def test_mass_bound_window_up_to_a_right_end_holds_the_atom_there():
-    # mass 0.9 spread on [0, 0.9] and an atom of mass 1 at 0.9: the heaviest
-    # 0.2-window is [0.7, 0.9], which (0.9 - 0.2) + 0.2 = 0.8999999999999999 would miss
-    m = DiscreteMeasure(lefts=[0.0, 0.9], rights=[0.9, 0.9], masses=[0.9, 1.0])
-    rep = mass_distribution_lower_bound(m, 1.0, [0.2])
-    assert rep.per_scale_C[0] * 0.2 == pytest.approx(1.2, rel=1e-15)
-
-
 def test_natural_measure_uniform_on_level():
+    # the mass bound's measure: total mass 1, and 1/32 on a window of one leaf
     system = build_system(GapSequence.constant(1 / 3, 5), max_depth=5)
-    m = natural_measure(system.level(5))
-    assert m.total_mass == pytest.approx(1.0)
-    assert np.allclose(m.masses, 1.0 / 32)
+    rep = mass_distribution_lower_bound(system.level(5), 1.0, [1.0, 3.0 ** -5])
+    assert rep.per_scale_C * np.array([1.0, 3.0 ** -5]) == pytest.approx([1.0, 1 / 32],
+                                                                          rel=1e-12)
 
 
 def test_mass_bound_passes_at_the_similarity_dimension():
@@ -368,7 +360,7 @@ def test_mass_bound_passes_at_the_similarity_dimension():
     leaves = system.level(10)
     d = math.log(2) / math.log(3)
     scales = [3.0 ** -k for k in range(1, 8)]
-    rep = mass_distribution_lower_bound(natural_measure(leaves), d, scales)
+    rep = mass_distribution_lower_bound(leaves, d, scales)
     assert rep.passed
     assert rep.C_observed < 10.0
 
@@ -377,13 +369,13 @@ def test_mass_bound_fails_above_the_dimension():
     system = build_system(GapSequence.constant(1 / 3, 10), max_depth=10)
     leaves = system.level(10)
     scales = [3.0 ** -k for k in range(1, 8)]
-    rep = mass_distribution_lower_bound(natural_measure(leaves), 0.9, scales)
+    rep = mass_distribution_lower_bound(leaves, 0.9, scales)
     assert not rep.passed
     assert rep.slope < -0.02
 
 
 def test_mass_bound_input_validation():
-    m = DiscreteMeasure(lefts=[0.0], rights=[1.0], masses=[1.0])
+    m = build_system(GapSequence.harmonic(1), max_depth=0).level(0)
     with pytest.raises(ValueError):
         mass_distribution_lower_bound(m, 1.5, [0.1])
     with pytest.raises(ValueError):

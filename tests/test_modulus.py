@@ -10,7 +10,7 @@ from scipy.optimize import LinearConstraint, minimize
 
 from confdim import modulus
 from confdim.cantor import GapSequence, IntervalLevel, build_system
-from confdim.dimension import natural_measure
+from confdim.dimension import DiscreteMeasure
 from confdim.modulus import (
     DiscreteModulusProblem,
     InfeasibleError,
@@ -26,6 +26,12 @@ from confdim.modulus import (
     solve_fuglede,
     vitali_disjointify,
 )
+
+
+def _natural_measure(level):
+    """Mass 1 / count on every interval of a stored level."""
+    return DiscreteMeasure(level.lefts, level.lefts + np.exp(level.log_length),
+                           np.full(level.count, 1.0 / level.count))
 
 
 def brute_force(w, A, p, rng, starts=4):
@@ -373,14 +379,14 @@ def test_product_system_rejects_aliasing_grid():
     system = build_system(GapSequence.harmonic(7), max_depth=7)
     leaves = system.level(7)
     with pytest.raises(ValueError):
-        product_system(leaves, natural_measure(leaves),
+        product_system(leaves, _natural_measure(leaves),
                        [(0.0, 1.0)], cell_width=3.0 ** -7, p=1.5)
 
 
 def test_holder_lower_bound_and_validation():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     leaves = system.level(6)
-    meas = natural_measure(leaves)
+    meas = _natural_measure(leaves)
     Y = [(k / 4, 0.25) for k in range(4)]
     d = 0.6
     prod = product_system(leaves, meas, Y, cell_width=3.0 ** -7, p=1 + d)
@@ -422,13 +428,14 @@ def test_vanishing_witness_decreases_with_depth():
 def test_modulus_comparison_reports_finite_ratio():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     leaves = system.level(6)
-    prod = product_system(leaves, natural_measure(leaves),
+    prod = product_system(leaves, _natural_measure(leaves),
                           [(k / 4, 0.25) for k in range(4)],
                           cell_width=3.0 ** -7, p=1.5)
-    centers = (leaves.lefts + leaves.rights) / 2.0
+    rights = leaves.lefts + np.exp(leaves.log_length)
+    centers = (leaves.lefts + rights) / 2.0
     balls = np.column_stack([centers, leaves.lengths / 2.0])
     image = DiscreteModulusProblem.from_intervals_1d(
-        balls, [np.column_stack([leaves.lefts, leaves.rights])], p=1.5)
+        balls, [np.column_stack([leaves.lefts, rights])], p=1.5)
     rep = modulus_comparison(prod, image, s=0.9, C1=1e-3, C2=2.0)
     assert math.isfinite(rep.ratio) and rep.ratio > 0
     assert rep.hypothesis_ok

@@ -185,16 +185,17 @@ def test_push_intervals_preserves_order_and_nesting(c, spec, depth):
         img = push_intervals(f, lv)
         assert np.array_equal(img.parent_index, lv.parent_index)
         assert np.all(img.diams > 0)
-        assert np.all(img.lefts[1:] > img.rights[:-1])
+        every, up = np.arange(lv.count), lv.parent_index
+        assert np.all(img.lefts[every[1:]] > img.rights[every[:-1]])
         # even children share their parent's left end bit for bit
         assert np.array_equal(lv.lefts[0::2], parent.lefts)
-        assert np.array_equal(img.lefts[0::2], parent_img.lefts[:])
-        up = lv.parent_index
+        assert np.array_equal(img.lefts[every[0::2]], parent_img.lefts[up[0::2]])
         assert np.all(lv.lefts >= parent.lefts[up])
-        assert np.all(img.lefts[:] >= parent_img.lefts[up])
+        assert np.all(img.lefts[every] >= parent_img.lefts[up])
         # the odd child's right end is (left + len - child_len) + child_len,
         # which may round one ulp above the parent's
-        assert np.all(lv.rights <= np.nextafter(parent.rights[up], np.inf))
+        rights, parent_rights = (x.lefts + np.exp(x.log_length) for x in (lv, parent))
+        assert np.all(rights <= np.nextafter(parent_rights[up], np.inf))
         parent, parent_img = lv, img
 
 
@@ -216,13 +217,16 @@ def test_image_tree_levels_equal_per_level_pushes_bit_for_bit(c, spec, depth, bl
     tree = build_image_tree(system, f)
     rng = np.random.default_rng(seed)
     for img, lv in zip(tree, system.levels, strict=True):
-        lefts, rights = f.apply(lv.lefts[:]), f.apply(lv.rights)
+        every = np.arange(lv.count)
+        x = lv.lefts[every]
+        lefts, rights = f.apply(x), f.apply(x + np.exp(lv.log_length))
         assert (img.depth, img.branching, img.count) == (lv.depth, lv.branching, lv.count)
-        blocks = [img.ends(slice(i, i + block)) for i in range(0, img.count, block)]
+        blocks = [img.ends(slice(i, i + block), (np.empty(block), np.empty(block)))
+                  for i in range(0, img.count, block)]
         assert np.concatenate([l for l, _ in blocks]).tobytes() == lefts.tobytes()
         assert np.concatenate([r for _, r in blocks]).tobytes() == rights.tobytes()
         at = rng.integers(0, lv.count, (2, 7))
-        for s in (slice(None), at, -1, slice(None, None, 3), slice(-2, None, -5)):
+        for s in (every, at, -1, every[::3], every[-2::-5]):
             assert np.asarray(img.lefts[s]).tobytes() == lefts[s].tobytes(), s
             assert np.asarray(img.rights[s]).tobytes() == rights[s].tobytes(), s
 
@@ -250,7 +254,7 @@ def test_sorted_search_on_mapped_ends_equals_searchsorted(c, spec, depth, image,
     lv = system.level(max(depth - up, 0))
     img = ImageLevel(_map(spec) if image else QsMap.identity(), lv)
     ends = img.rights if right else img.lefts
-    full = ends[:]
+    full = ends[np.arange(len(ends))]
     assume(np.all(np.diff(full) >= 0))  # the search's contract: sorted ends
     xs = _queries(full, np.random.default_rng(seed))
     got = sorted_search(ends, xs, side)
@@ -280,7 +284,7 @@ def test_two_level_search_of_generated_image_sides_equals_searchsorted(c, spec, 
     assert not isinstance(lv.lefts, np.ndarray)  # a generated level
     img = ImageLevel(_map(spec), lv)
     ends = img.rights if right else img.lefts
-    full = ends[:]
+    full = ends[np.arange(len(ends))]
     assume(np.all(np.diff(full) >= 0))
     rng = np.random.default_rng(seed)
     at = full[np.concatenate([[0, len(full) - 1], rng.integers(0, len(full), 64)])]

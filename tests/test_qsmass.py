@@ -483,7 +483,8 @@ def _violating_tree(violate: bool):
     a real path-product violation above it: node 77 of level 8 keeps its children to
     [0.4, 0.45] and [0.55, 0.6] of its span, so their ratio is 5^d times their path product."""
     system = build_system(GapSequence.harmonic(10), max_depth=10)
-    tree = [_ArrayLevel(depth=lv.depth, lefts=np.array(lv.lefts), rights=lv.rights,
+    tree = [_ArrayLevel(depth=lv.depth, lefts=np.array(lv.lefts),
+                        rights=lv.lefts + np.exp(lv.log_length),
                         branching=lv.branching) for lv in system.levels]
     tree[10].rights[5] = tree[10].lefts[5]
     if violate:
