@@ -29,9 +29,11 @@ _MAX_GAP_FRACTION = 1.0 - 1e-12
 # the most dyadic map weights formed at once: 2 ** weight_depth <= MEMORY_CAP
 MEMORY_CAP = 2 ** 24
 
-# the most intervals a stored level holds; the left ends of deeper levels are
-# generated block by block, a block being at most this many
+# the most intervals a stored level holds; deeper levels generate their left ends
 STORED_COUNT = 2 ** 16
+
+# intervals per block of a level read in blocks (a mass-bound block traces 0.74 MiB)
+SCAN_CHUNK = 2 ** 12
 
 
 class GapSequenceError(ValueError):
@@ -251,18 +253,18 @@ class IntervalLevel:
         start, stop, _ = s.indices(self.count)
         return self.lefts.fill(start, out[:stop - start], scratch)
 
-    def blocks(self, size: int):
-        """(start, lefts[start:start + size]) for start = 0, size, ..: views of a stored
-        level, else blocks in one shared buffer, each to be read before the next."""
-        n = 0 if isinstance(self.lefts, np.ndarray) else min(size, self.count)
+    def blocks(self):
+        """(start, lefts[start:start + SCAN_CHUNK]) for start = 0, SCAN_CHUNK, ..: views of
+        a stored level, else blocks in one shared buffer, each to be read before the next."""
+        n = 0 if isinstance(self.lefts, np.ndarray) else min(SCAN_CHUNK, self.count)
         out, scratch = np.empty(n), np.empty(n // 2 + 2)
-        for start in range(0, self.count, size):
-            yield start, self.lefts_at(slice(start, start + size), out, scratch)
+        for start in range(0, self.count, SCAN_CHUNK):
+            yield start, self.lefts_at(slice(start, start + SCAN_CHUNK), out, scratch)
 
     def min_gap(self) -> float:
         """Smallest spacing between consecutive intervals (inf if single)."""
         gap, right, length = math.inf, -math.inf, np.exp(self.log_length)
-        for _, x in self.blocks(STORED_COUNT):
+        for _, x in self.blocks():
             gap = min(gap, float(np.min(x - np.concatenate([[right], x[:-1] + length]))))
             right = x[-1] + length
         return gap

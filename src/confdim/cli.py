@@ -175,11 +175,15 @@ def _resolved(system: cantor.CantorSystem, key: str, maps) -> cantor.CantorSyste
     """``system``, unless one of ``maps`` is the identity and a leaf rounds to a point.
 
     Only the identity's image leaves are known here: they are the domain leaves.
+    They share one length, and the spacing of doubles grows with the left end,
+    so the last leaf decides unless the length is at most half its spacing.
     """
     leaves = system.level(system.max_depth)
-    if any(qsmap.kind == "identity" for qsmap in maps):
-        for _, x in leaves.blocks(qsmass.PAIR_BLOCK):
-            if np.any(x + np.exp(leaves.log_length) <= x):
+    length = np.exp(leaves.log_length)
+    if (any(qsmap.kind == "identity" for qsmap in maps)
+            and 2 * length <= np.spacing(leaves.lefts[-1])):
+        for _, x in leaves.blocks():
+            if np.any(x + length <= x):
                 raise ConfigError(f"field {key!r}: under the identity map, a leaf at depth "
                                   f"{leaves.depth} is below double resolution")
     return system
@@ -285,7 +289,7 @@ def cmd_generate(cfg: dict, outdir: Path, seed: int) -> list:
         system = _system(cfg)
     def rows():
         for lv in system.levels:
-            for i, x in lv.blocks(cantor.STORED_COUNT):
+            for i, x in lv.blocks():
                 yield from zip([lv.depth] * len(x), range(i, i + len(x)), x.tolist(),
                                (x + np.exp(lv.log_length)).tolist())
     _write_csv(outdir / "levels.csv", ["depth", "index", "left", "right"], rows())
@@ -553,8 +557,7 @@ def cmd_theorem_b(cfg: dict, outdir: Path, seed: int) -> list:
                  if "atoms" in cfg else np.empty((0, 2)))
         # lambda_E stays a probability measure; growth slopes do not see the scale
         total = math.fsum([1.0, *atoms[:, 1]])
-        atoms = dimension.DiscreteMeasure(lefts=atoms[:, 0], rights=atoms[:, 0],
-                                          masses=atoms[:, 1] / total)
+        atoms = dimension.DiscreteMeasure(points=atoms[:, 0], masses=atoms[:, 1] / total)
 
     scan = _growth_scan(leaves, 1.0 / leaves.count / total, atoms, eps_list, slack=slack)
     _write_csv(outdir / "growth_scan.csv",

@@ -14,10 +14,6 @@ import numpy as np
 
 from confdim.cantor import IntervalLevel
 
-# leaves per block of a level read by box_count and the mass-bound scan, whose
-# block and its temporaries trace 0.74 MiB (1.46 MiB at 2^13, no faster)
-SCAN_CHUNK = 2 ** 12
-
 
 @dataclass
 class BoxCountResult:
@@ -29,60 +25,28 @@ class BoxCountResult:
 
 @dataclass
 class DiscreteMeasure:
-    """Nonnegative masses on intervals and on atoms (left == right).
+    """Nonnegative masses on atoms, sorted by point once, with their prefix sum."""
 
-    Mass is treated as uniformly spread inside each interval when windows
-    overlap an interval partially.  Sorted by left end, the intervals must
-    have non-decreasing right ends, and neighbours may overlap by at most
-    1e-12 (rounding), as `locate_windows` needs.  Atoms may lie
-    anywhere, inside intervals too.
-    """
-
-    lefts: np.ndarray
-    rights: np.ndarray
+    points: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
-        self.lefts = np.asarray(self.lefts, dtype=float)
-        self.rights = np.asarray(self.rights, dtype=float)
-        self.masses = np.asarray(self.masses, dtype=float)
+        order = np.argsort(np.asarray(self.points, dtype=float), kind="stable")
+        self.points = np.asarray(self.points, dtype=float)[order]
+        self.masses = np.asarray(self.masses, dtype=float)[order]
         if np.any(self.masses < 0):
             raise ValueError("masses must be nonnegative")
-        if np.any(self.rights < self.lefts):
-            raise ValueError("intervals must have right >= left")
-        # the intervals and the atoms apart, each sorted, with its prefix sum
-        order = np.argsort(self.lefts, kind="stable")
-        lefts, rights, masses = self.lefts[order], self.rights[order], self.masses[order]
-        atom = lefts == rights
-        self._lefts, self._rights, self._masses = lefts[~atom], rights[~atom], masses[~atom]
-        overlap = self._rights[:-1] - self._lefts[1:]
-        if np.any(np.diff(self._rights) < 0) or np.any(overlap > 1e-12):
-            raise ValueError("intervals sorted by left end must have non-decreasing right ends "
-                             "and overlap by at most 1e-12")
-        self._prefix = np.cumsum(self._masses)
-        self._atoms = lefts[atom]
-        self._atom_csum = np.concatenate([[0.0], np.cumsum(masses[atom])])
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
+        self._csum = np.concatenate([[0.0], np.cumsum(self.masses)])
 
     def window_mass(self, x0: float, x1: float) -> float:
-        """Mass of [x0, x1], proportional overlap inside intervals."""
+        """Mass of the atoms in [x0, x1]."""
         return float(self.window_masses([x0], [x1])[0])
 
     def window_masses(self, x0s, x1s) -> np.ndarray:
-        """Masses of the windows [x0s[i], x1s[i]], as `window_mass` gives them.
-
-        The intervals go through `locate_windows`; the atoms in a window
-        are a prefix-sum difference between two sorted searches.
-        """
-        x0s = np.asarray(x0s, dtype=float).ravel()
-        x1s = np.asarray(x1s, dtype=float).ravel()
-        mu = locate_windows(self._lefts, self._rights, x0s, x1s).masses(self._prefix, self._masses)
-        k0 = np.searchsorted(self._atoms, x0s, side="left")
-        k1 = np.maximum(k0, np.searchsorted(self._atoms, x1s, side="right"))
-        return mu + (self._atom_csum[k1] - self._atom_csum[k0])
+        """Masses of the windows [x0s[i], x1s[i]], a difference of two prefix sums."""
+        k0 = np.searchsorted(self.points, x0s, side="left")
+        k1 = np.maximum(k0, np.searchsorted(self.points, x1s, side="right"))
+        return self._csum[k1] - self._csum[k0]
 
 
 def sorted_search(ends, xs, side: str) -> np.ndarray:
@@ -175,8 +139,9 @@ class WindowLocation:
 def locate_windows(lefts, rights, x0s, x1s) -> WindowLocation:
     """Locate the windows [x0s[i], x1s[i]] over sorted, disjoint intervals.
 
-    The package's one window rule is this step (`_Sweep` in the mass-bound
-    scan) and `WindowLocation.masses` or `equal_masses`.  Both ends must be
+    The package's one window rule is this step and `WindowLocation.masses` or
+    `equal_masses`; the mass-bound scan takes the step's answers from the
+    level itself (see `mass_distribution_lower_bound`).  Both ends must be
     sorted, and intervals of positive length may touch or overlap by
     rounding.  The ends go through `sorted_search`, so they may be an
     ImageLevel's.
@@ -198,12 +163,12 @@ class _Sweep:
 
     def __init__(self, level: IntervalLevel, right: bool):
         self.count, self.right, self.length = level.count, right, np.exp(level.log_length)
-        self.blocks, self.before = level.blocks(SCAN_CHUNK), -np.inf
+        self.blocks, self.before = level.blocks(), np.nan
         self.start, self.lefts = next(self.blocks)
 
     def search(self, xs: np.ndarray) -> tuple:
-        """(j, lefts[j]) per point x, as `locate_windows` finds j0 if ``right``
-        (the first interval with right >= x), else j1 (the last with left <= x)."""
+        """(j, lefts[j]) per point x, as `locate_windows` finds j0 if ``right`` (the first
+        interval with right >= x), else j1 (the last with left <= x), j inside the level."""
         j, lefts, done = np.empty(len(xs), dtype=np.intp), np.empty(len(xs)), 0
         while True:
             ends = self.lefts + self.length if self.right else self.lefts
@@ -212,9 +177,8 @@ class _Sweep:
             n = len(k) if last else int(np.searchsorted(k, len(ends)))
             at = k[:n] if self.right else k[:n] - 1
             j[done:done + n] = self.start + at
-            # j0 = count and j1 = -1 hit nothing, and their ends are never read
-            lefts[done:done + n] = np.where(at < 0, self.before,
-                                            self.lefts[np.minimum(at, len(ends) - 1)])
+            # j1 = start - 1 where x lies past the last left end of the block before
+            lefts[done:done + n] = np.where(at < 0, self.before, self.lefts[at])
             done += n
             if done == len(xs):
                 return j, lefts
@@ -223,9 +187,9 @@ class _Sweep:
 
 
 def _blocks(data):
-    """(lefts, rights) of sorted intervals: a level's SCAN_CHUNK at a time, else all at once."""
+    """(lefts, rights) of sorted intervals: a level's block by block, else all at once."""
     if isinstance(data, IntervalLevel):
-        return ((x, x + np.exp(data.log_length)) for _, x in data.blocks(SCAN_CHUNK))
+        return ((x, x + np.exp(data.log_length)) for _, x in data.blocks())
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:  # point sample
         arr = np.column_stack([arr, arr])
@@ -305,9 +269,11 @@ def mass_distribution_lower_bound(
     every interval, so x -> mu([x, x + r]) is piecewise linear and upper
     semicontinuous, and its maximum lies at a window [l, l + r] from a left
     end l or [e - r, e] up to a right end e: 2N candidate windows per scale
-    for N intervals, swept SCAN_CHUNK intervals at a time, their far ends
-    located by `_Sweep`s.  Passes when the per-scale constant does not
-    diverge as r shrinks (log-log slope >= -MASS_BOUND_SLOPE_TOL).
+    for N intervals, swept a block at a time.  Neighbours overlap by rounding
+    only, so a window's own end lies in its interval or the neighbour there,
+    and a `_Sweep` per window kind locates the far ends.  Passes when the
+    per-scale constant does not diverge as r shrinks (log-log slope >=
+    -MASS_BOUND_SLOPE_TOL).
     """
     if not (0.0 < d <= 1.0):
         raise ValueError("d must be in (0, 1]")
@@ -318,13 +284,19 @@ def mass_distribution_lower_bound(
     mass, length = 1.0 / level.count, np.exp(level.log_length)
     per_scale = np.empty(len(scales))
     for i, r in enumerate(scales):
-        top = 0.0
-        a0, a1, b0, b1 = (_Sweep(level, right) for right in (True, False, True, False))
-        for _, lefts in level.blocks(SCAN_CHUNK):
-            rights = lefts + length
-            for x0s, x1s, first, last in ((lefts, lefts + r, a0, a1), (rights - r, rights, b0, b1)):
-                j0, a = first.search(x0s)
-                j1, b = last.search(x1s)
+        top, before = 0.0, -np.inf
+        ahead, behind = _Sweep(level, right=False), _Sweep(level, right=True)
+        for start, lefts in level.blocks():
+            # neighbours (l_{j-1}, l_j), -inf before the first interval and +inf after the last
+            x = np.concatenate([[before], lefts, [np.inf] * (start + len(lefts) == level.count)])
+            before, prev, cur = lefts[-1], x[:-1], x[1:]
+            ends, j = prev + length, np.arange(start, start + len(cur))
+            reach = ends >= cur  # interval j - 1 reaches l_j
+            far1, far0 = cur + r, ends - r
+            # [l_j, l_j + r] starts in j - reach; [e_{j-1} - r, e_{j-1}] ends in j - 1 + reach
+            for x0s, x1s, j0, a, j1, b in (
+                    (cur, far1, j - reach, np.where(reach, prev, cur), *ahead.search(far1)),
+                    (far0, ends, *behind.search(far0), j - 1 + reach, np.where(reach, cur, prev))):
                 hit = j1 >= j0
                 a, b = a[hit], b[hit]
                 loc = WindowLocation(x0s=x0s, x1s=x1s, j0=j0, j1=j1, hit=hit,

@@ -36,7 +36,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from confdim.cantor import IntervalLevel
-from confdim.dimension import DiscreteMeasure
+from confdim.dimension import DiscreteMeasure, locate_windows
+from confdim.qsmaps import ImageLevel, QsMap
 
 
 class InfeasibleError(ValueError):
@@ -494,16 +495,16 @@ def vitali_disjointify(balls: np.ndarray) -> np.ndarray:
 
 def product_system(
     E_level: IntervalLevel,
-    E_measure: DiscreteMeasure,
     Y_points: Sequence,
     cell_width: float,
     p: float,
 ) -> MeasureSystem:
     """Fiber system {E x {y}} on a 2-D grid with mu = lambda_E x nu.
 
-    Y_points is a list of (y, weight) pairs; each member is the rasterized
-    lambda_E supported on its own row.  The grid must resolve the gaps of
-    the level, otherwise fibers alias and the construction is rejected.
+    lambda_E is the level's natural measure.  Y_points is a list of (y, weight)
+    pairs; each member is the rasterized lambda_E supported on its own row.  The
+    grid must resolve the gaps of the level, otherwise fibers alias and the
+    construction is rejected.
     """
     min_gap = E_level.min_gap()
     if cell_width > min_gap:
@@ -513,12 +514,14 @@ def product_system(
         )
     n_cols = int(round(1.0 / cell_width))
     edges = np.arange(n_cols + 1) * cell_width
-    lam_cols = E_measure.window_masses(edges[:-1], edges[1:])
-    # boundary atoms can be double counted by closed windows; renormalize
+    image = ImageLevel(QsMap.identity(), E_level)
+    lam_cols = locate_windows(image.lefts, image.rights, edges[:-1], edges[1:]).equal_masses(
+        1.0 / E_level.count)
+    # the cells cover [0, 1] up to rounding; renormalize
     tot = float(np.sum(lam_cols))
     if tot <= 0:
         raise ValueError("measure rasterizes to zero")
-    lam_cols *= E_measure.total_mass / tot
+    lam_cols /= tot
 
     ys = np.array([float(y) for y, _ in Y_points])
     weights = np.array([float(w) for _, w in Y_points])
@@ -656,7 +659,7 @@ def modulus_comparison(
             continue
         span = float(support[-1] - support[0])
         radii = [span * 2.0 ** (-k) for k in range(1, 12) if span * 2.0 ** (-k) >= h]
-        fiber = DiscreteMeasure(lefts=centers, rights=centers, masses=row)
+        fiber = DiscreteMeasure(points=centers, masses=row)
         cs = support[:: max(1, len(support) // 64)]
         for r in radii:
             mass = fiber.window_masses(cs - r, cs + r)

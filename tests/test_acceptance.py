@@ -21,7 +21,7 @@ from confdim.cantor import (
     closed_form_minkowski,
     truncated_length,
 )
-from confdim.dimension import DiscreteMeasure, box_count
+from confdim.dimension import box_count
 from confdim.modulus import (
     _solve_power_program,
     dmod_vanishing_witness,
@@ -205,16 +205,13 @@ def test_criterion_7_holder_product_bound():
     t0 = time.time()
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     leaves = system.level(6)
-    meas = DiscreteMeasure(leaves.lefts, leaves.lefts + np.exp(leaves.log_length),
-                           np.full(leaves.count, 1.0 / leaves.count))
     Y = [(k / 4, 0.25) for k in range(4)]
     details = []
     ok = True
     for d in (0.5, 0.6, 0.8):
-        coarse = solve_fuglede(product_system(leaves, meas, Y, 3.0 ** -7, 1 + d))
-        fine = solve_fuglede(product_system(leaves, meas, Y, 3.0 ** -8, 1 + d))
-        bound = holder_lower_bound(
-            product_system(leaves, meas, Y, 3.0 ** -7, 1 + d), d)
+        coarse = solve_fuglede(product_system(leaves, Y, 3.0 ** -7, 1 + d))
+        fine = solve_fuglede(product_system(leaves, Y, 3.0 ** -8, 1 + d))
+        bound = holder_lower_bound(product_system(leaves, Y, 3.0 ** -7, 1 + d), d)
         stable = abs(fine.value - coarse.value) <= 0.05 * coarse.value
         ok &= coarse.value >= 1.0 - 1e-3 and coarse.value >= bound - 1e-3 and stable
         details.append(f"d={d}: {coarse.value:.6f}/{fine.value:.6f}")

@@ -170,7 +170,9 @@ def _check_generated_ends(lv, lefts, rng):
         got = lv.lefts_at(slice(a, b), np.empty(size), np.empty(size // 2 + 2))
         assert got.tobytes() == lefts[a:b].tobytes(), (a, b)
     for size in (3 if n < 2 ** 12 else n // 5 + 1, n):
-        blocks = [(start, x.copy()) for start, x in lv.blocks(size)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cantor, "SCAN_CHUNK", size)
+            blocks = [(start, x.copy()) for start, x in lv.blocks()]
         assert [start for start, _ in blocks] == list(range(0, n, size))
         assert np.concatenate([x for _, x in blocks]).tobytes() == lefts.tobytes()
     assert lv.lefts[np.arange(0, n, 7)].tobytes() == lefts[::7].tobytes()

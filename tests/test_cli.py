@@ -20,12 +20,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import confdim
 import confdim.cantor as cantor
 import confdim.cli as cli
-import confdim.dimension as dimension
 import confdim.modulus as modulus
 import confdim.qsmaps as qsmaps
 import confdim.qsmass as qsmass
 from confdim.cantor import GapSequence, build_system
-from confdim.dimension import DiscreteMeasure, mass_distribution_lower_bound
+from confdim.dimension import mass_distribution_lower_bound
 from confdim.qsmaps import QsMap
 
 
@@ -320,7 +319,7 @@ def test_generated_levels_are_read_in_blocks_with_the_stored_levels_bits(
     code, stored = run(tmp_path, command, shallow, name="stored")
     assert code == 0, capsys.readouterr().err
     monkeypatch.setattr(cantor, "STORED_COUNT", 2 ** 6)
-    monkeypatch.setattr(dimension, "SCAN_CHUNK", 2 ** 8)
+    monkeypatch.setattr(cantor, "SCAN_CHUNK", 2 ** 8)
     monkeypatch.setattr(qsmass, "PAIR_BLOCK", 2 ** 8)
     code, generated = run(tmp_path, command, shallow, name="generated")
     assert code == 0, capsys.readouterr().err
@@ -543,9 +542,7 @@ def test_theorem_b_writes_nu_y_the_fuglede_modulus_of_the_fibers(Y, d):
     # the oracle: the rasterized product's modulus, solved at two grid widths
     leaves = build_system(GapSequence.harmonic(6), max_depth=6).level(6)
     for width in (3.0 ** -7, 3.0 ** -8):
-        prod = modulus.product_system(leaves, DiscreteMeasure(
-            leaves.lefts, leaves.lefts + np.exp(leaves.log_length),
-            np.full(leaves.count, 1.0 / leaves.count)), Y, width, p=1.0 + d)
+        prod = modulus.product_system(leaves, Y, width, p=1.0 + d)
         assert modulus.solve_fuglede(prod).value == pytest.approx(nu, rel=1e-9, abs=0.0)
 
 
@@ -648,14 +645,28 @@ def test_the_identity_leaf_check_passes_harmonic_sets_a_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a few block temporaries, never an array of the 2^22 leaves
-        assert peak < 4 * 8 * qsmass.PAIR_BLOCK
+        # the last leaf decides: never an array of the 2^22 leaves
+        assert peak < 4 * 8 * cantor.SCAN_CHUNK
     for c, depth in ((0.999, 5), (0.9, 14)):
         points = build_system(GapSequence.constant(c, depth), max_depth=depth)
         with pytest.raises(cli.ConfigError, match=f"field 'x': .* depth {depth} is below"):
             cli._resolved(points, "x", with_identity)
         # other maps meet such leaves in the measure, after the reading step
         assert cli._resolved(points, "x", [QsMap.power(2.0)]) is points
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.99, 1 - 1e-6), shift=st.integers(-1, 1))
+def test_the_identity_leaf_check_exits_2_exactly_where_a_leaf_rounds_to_a_point(c, shift):
+    # the depth at which the leaf length ((1 - c) / 2)^depth nears half an ulp at 1, +-1
+    depth = min(max(round(53 * math.log(2) / -math.log((1 - c) / 2)) + shift, 1), 11)
+    leaves = build_system(GapSequence.constant(c, depth), max_depth=depth).level(depth)
+    point = bool(np.any(leaves.lefts + np.exp(leaves.log_length) <= leaves.lefts))
+    cfg = {"system": {"c": {"const": c}, "depth": depth}, "epsilons": [0.1],
+           "mass_bound": {"d": 0.5, "scales": [0.1]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = run(Path(tmp), "dimension", cfg)
+    assert code == (2 if point else 0)
 
 
 @pytest.mark.parametrize("error", [ValueError, TypeError, KeyError])

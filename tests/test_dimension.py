@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import confdim.cantor as cantor
 import confdim.dimension as dimension
-from confdim.cantor import GapSequence, build_system
+from confdim.cantor import GapSequence, IntervalLevel, build_system
 from confdim.dimension import (
     DiscreteMeasure,
     box_count,
@@ -15,10 +16,23 @@ from confdim.dimension import (
 )
 
 
-def _natural_measure(level):
-    """Mass 1 / count on every interval of a stored level, as a DiscreteMeasure."""
-    return DiscreteMeasure(level.lefts, level.lefts + np.exp(level.log_length),
-                           np.full(level.count, 1.0 / level.count))
+def _natural_masses(level, x0s, x1s):
+    """The window masses of a stored level's natural measure, mass 1 / count on every
+    interval, through the general window rule."""
+    masses = np.full(level.count, 1.0 / level.count)
+    return locate_windows(level.lefts, level.lefts + np.exp(level.log_length),
+                          x0s, x1s).masses(np.cumsum(masses), masses)
+
+
+def _leaves_plus_atoms(lefts, rights, masses, x0s, x1s):
+    """Window masses of masses on intervals and on atoms (left == right), in any order:
+    the intervals, sorted, through the window rule, and the atoms, as given, through
+    an atoms-only DiscreteMeasure."""
+    atom = lefts == rights
+    order = np.argsort(lefts[~atom], kind="stable")
+    lo, hi, m = (v[~atom][order] for v in (lefts, rights, masses))
+    mu = locate_windows(lo, hi, x0s, x1s).masses(np.cumsum(m), m)
+    return mu + DiscreteMeasure(points=lefts[atom], masses=masses[atom]).window_masses(x0s, x1s)
 
 
 def test_box_count_middle_thirds_exact_counts():
@@ -75,28 +89,27 @@ def test_box_count_does_not_decrease_under_refinement(data, eps, m):
 
 
 def test_window_mass_proportional_overlap():
-    m = DiscreteMeasure(lefts=[0.0, 0.5], rights=[0.2, 0.7], masses=[0.4, 0.6])
-    assert m.window_mass(0.0, 1.0) == pytest.approx(1.0)
-    assert m.window_mass(0.0, 0.1) == pytest.approx(0.2)  # half of the first block
-    assert m.window_mass(0.3, 0.45) == pytest.approx(0.0)
+    lefts, rights, masses = np.array([0.0, 0.5]), np.array([0.2, 0.7]), np.array([0.4, 0.6])
+    mu = locate_windows(lefts, rights, [0.0, 0.0, 0.3], [1.0, 0.1, 0.45]).masses(
+        np.cumsum(masses), masses)
+    # all, half of the first interval, and none
+    assert mu == pytest.approx([1.0, 0.2, 0.0])
 
 
 def test_window_mass_atoms():
-    m = DiscreteMeasure(lefts=[0.5], rights=[0.5], masses=[1.0])
+    m = DiscreteMeasure(points=[0.5], masses=[1.0])
     assert m.window_mass(0.4, 0.6) == pytest.approx(1.0)
     assert m.window_mass(0.6, 0.8) == pytest.approx(0.0)
+    assert m.window_mass(0.5, 0.5) == 1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiscreteMeasure(points=[0.5], masses=[-1.0])
 
 
-def test_discrete_measure_rejects_unsorted_right_ends_and_overlaps():
-    # sorted by left end, [0, 1] comes before [0.2, 0.3], which it contains
-    with pytest.raises(ValueError, match="non-decreasing right ends"):
-        DiscreteMeasure(lefts=[0.2, 0.0], rights=[0.3, 1.0], masses=[1.0, 1.0])
-    # the window rule would count [1, 3] wholly inside [1.5, 3.5]
-    with pytest.raises(ValueError, match="overlap by at most 1e-12"):
-        DiscreteMeasure(lefts=[0.0, 1.0, 2.0], rights=[2.0, 3.0, 4.0], masses=[1.0, 1.0, 1.0])
-    # an atom inside an interval is fine
-    m = DiscreteMeasure(lefts=[0.5, 0.0], rights=[0.5, 1.0], masses=[2.0, 1.0])
-    assert m.window_mass(0.25, 0.5) == 2.25
+def test_leaves_plus_atoms_count_an_atom_inside_a_leaf():
+    # mass 1 on [0, 1] and an atom of 2 at 0.5, given out of order
+    mu = _leaves_plus_atoms(np.array([0.5, 0.0]), np.array([0.5, 1.0]), np.array([2.0, 1.0]),
+                            [0.25], [0.5])
+    assert mu[0] == 2.25
 
 
 def test_natural_measure_of_a_gapless_level_is_accepted():
@@ -104,18 +117,17 @@ def test_natural_measure_of_a_gapless_level_is_accepted():
     leaves = build_system(GapSequence.constant(0.0, 16), max_depth=16).level(16)
     rights = leaves.lefts + np.exp(leaves.log_length)
     assert np.any(rights[:-1] > leaves.lefts[1:])
-    m = _natural_measure(leaves)
-    assert m.window_mass(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert m.window_mass(0.25, 0.5) == pytest.approx(0.25, abs=1e-12)
+    mu = _natural_masses(leaves, [0.0, 0.25], [1.0, 0.5])
+    assert mu == pytest.approx([1.0, 0.25], abs=1e-12)
     # the mass-bound sweep reads it too: every window of width r holds mass r
     rep = mass_distribution_lower_bound(leaves, 1.0, [0.5, 0.25, 2.0 ** -10])
     np.testing.assert_allclose(rep.per_scale_C, 1.0, rtol=1e-12)
 
 
-def _scalar_window_mass(m, x0, x1):
-    """One window, one interval at a time: the reference for window_masses."""
-    total = np.zeros(len(m.masses))
-    for i, (a, b, w) in enumerate(zip(m.lefts, m.rights, m.masses)):
+def _scalar_window_mass(lefts, rights, masses, x0, x1):
+    """One window, one interval or atom (left == right) at a time: the reference."""
+    total = np.zeros(len(masses))
+    for i, (a, b, w) in enumerate(zip(lefts, rights, masses)):
         if a == b:
             total[i] = w if x0 <= a <= x1 else 0.0
         else:
@@ -130,9 +142,8 @@ def test_window_masses_match_a_scalar_loop():
     rights[::7] = lefts[::7]  # atoms
     inner = (lefts[3::7] + rights[3::7]) / 2.0  # atoms strictly inside intervals
     order = rng.permutation(200 + len(inner))  # in no particular order
-    m = DiscreteMeasure(lefts=np.concatenate([lefts, inner])[order],
-                        rights=np.concatenate([rights, inner])[order],
-                        masses=rng.uniform(0.0, 1.0, 200 + len(inner)))
+    lefts, rights = np.concatenate([lefts, inner])[order], np.concatenate([rights, inner])[order]
+    masses = rng.uniform(0.0, 1.0, 200 + len(inner))
     x0 = np.concatenate([
         rng.uniform(-0.1, 1.0, 300),        # windows that straddle interval ends
         lefts[:50], lefts[::7][:20] - 1e-3,  # windows starting on an end / at an atom
@@ -145,12 +156,12 @@ def test_window_masses_match_a_scalar_loop():
         inner + 1e-3, inner,
         [3.0, -0.5, 0.5 - 1e-12, inner[0] - 1e-3],
     ])
-    got = m.window_masses(x0, x1)
-    want = np.array([_scalar_window_mass(m, a, b) for a, b in zip(x0, x1)])
+    got = _leaves_plus_atoms(lefts, rights, masses, x0, x1)
+    want = np.array([_scalar_window_mass(lefts, rights, masses, a, b) for a, b in zip(x0, x1)])
     # a prefix-sum difference, not the loop's sum: equal up to rounding
-    assert np.max(np.abs(got - want)) <= 1e-12 * m.total_mass
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(masses)
     assert np.all(got[-4:] == 0.0)
-    assert m.window_masses([], []).shape == (0,)
+    assert _leaves_plus_atoms(lefts, rights, masses, [], []).shape == (0,)
 
 
 def _certificate_window_masses(lefts, rights, masses, csum, xs, x1):
@@ -220,11 +231,10 @@ def test_sorted_window_masses_equal_the_certificate_formula_bitwise(case):
 @given(case=_intervals_and_windows(atoms=True))
 def test_discrete_measure_window_masses_with_atoms_match_a_scalar_loop(case):
     lefts, rights, masses, x0, x1 = case
-    m = DiscreteMeasure(lefts=lefts, rights=rights, masses=masses)
-    mu = m.window_masses(x0, x1)
-    want = np.array([_scalar_window_mass(m, a, b) for a, b in zip(x0, x1)])
+    mu = _leaves_plus_atoms(lefts, rights, masses, x0, x1)
+    want = np.array([_scalar_window_mass(lefts, rights, masses, a, b) for a, b in zip(x0, x1)])
     assert np.all(np.isfinite(mu))
-    assert np.max(np.abs(mu - want)) <= 1e-12 * m.total_mass
+    assert np.max(np.abs(mu - want)) <= 1e-12 * np.sum(masses)
 
 
 # [15/64, 1/4] touches the second interval only at its left end; with the
@@ -283,9 +293,15 @@ def _mass_bound_per_scale_loop(level, d, scales):
 @pytest.mark.parametrize("gaps,depth,d,base", [
     (GapSequence.constant(1 / 3, 10), 10, math.log(2) / math.log(3), 3.0),
     (GapSequence.harmonic(12), 12, 0.9, 2.0),
+    # neighbours that touch or overlap by rounding: gapless, and siblings with no gap
+    (GapSequence.constant(0.0, 12), 12, 1.0, 2.0),
+    (GapSequence.uniform([0.1, 0.0, 0.2, 0.0, 0.1, 0.0], [4, 2, 4, 2, 4, 2]), 6, 0.8, 3.0),
 ])
 def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, base):
     leaves = build_system(gaps, max_depth=depth).level(depth)
+    rights = leaves.lefts + np.exp(leaves.log_length)
+    if 0.0 in gaps.values:  # a window's own end meets its neighbour
+        assert np.any(rights[:-1] >= leaves.lefts[1:])
     scales = [base ** -k for k in range(1, depth)]
     rep = mass_distribution_lower_bound(leaves, d, scales)
     want = _mass_bound_per_scale_loop(leaves, d, scales)
@@ -293,13 +309,49 @@ def test_mass_bound_per_scale_within_one_ulp_of_the_window_loop(gaps, depth, d, 
     np.testing.assert_array_max_ulp(rep.per_scale_C, want, maxulp=1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(depth=st.integers(1, 9), chunk=st.sampled_from([1, 3, 16]), right=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_answers_equal_sorted_searches_over_the_whole_level(depth, chunk, right, seed):
+    leaves = build_system(GapSequence.harmonic(depth), max_depth=depth).level(depth)
+    lefts = leaves.lefts
+    rights = lefts + np.exp(leaves.log_length)
+    rng = np.random.default_rng(seed)
+    # points inside the level's hull, some on interval ends, searched in sorted batches
+    xs = np.sort(np.concatenate([rng.uniform(lefts[0], rights[-1], 40),
+                                 rng.choice(np.concatenate([lefts, rights]), 20)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cantor, "SCAN_CHUNK", chunk)
+        sweep = dimension._Sweep(leaves, right)
+        found = [sweep.search(part) for part in np.array_split(xs, 4)]
+    j = np.concatenate([j for j, _ in found])
+    want = (np.searchsorted(rights, xs, side="left") if right
+            else np.searchsorted(lefts, xs, side="right") - 1)
+    assert np.array_equal(j, want)
+    assert np.concatenate([a for _, a in found]).tobytes() == lefts[want].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2 ** 10])
+def test_mass_bound_counts_the_neighbour_that_overlaps_a_window_end(chunk, monkeypatch):
+    # leaves k / 64 of length (1 + 1e-9) / 64: each overlaps the next by 1e-9 / 64, so
+    # a window from a leaf end reaches into the neighbour, which the loop counts
+    n = 64
+    leaves = IntervalLevel(depth=6, lefts=np.arange(n) / n,
+                           log_length=math.log((1 + 1e-9) / n), branching=2)
+    scales = [4.0 / n, 1.0 / n, 0.25 / n]
+    monkeypatch.setattr(cantor, "SCAN_CHUNK", chunk)
+    rep = mass_distribution_lower_bound(leaves, 1.0, scales)
+    np.testing.assert_array_max_ulp(rep.per_scale_C, _mass_bound_per_scale_loop(
+        leaves, 1.0, scales), maxulp=1)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 2 ** 10])
 def test_mass_bound_scanned_in_chunks_equals_one_whole_grid_scan_bitwise(chunk, monkeypatch):
     measure = build_system(GapSequence.harmonic(10), max_depth=10).level(10)
     scales = [2.0 ** -k for k in range(1, 12)]
-    monkeypatch.setattr(dimension, "SCAN_CHUNK", 2 ** 40)
+    monkeypatch.setattr(cantor, "SCAN_CHUNK", 2 ** 40)
     whole = mass_distribution_lower_bound(measure, 0.9, scales)
-    monkeypatch.setattr(dimension, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(cantor, "SCAN_CHUNK", chunk)
     chunked = mass_distribution_lower_bound(measure, 0.9, scales)
     assert chunked.per_scale_C.tobytes() == whole.per_scale_C.tobytes()
     assert (chunked.slope, chunked.passed) == (whole.slope, whole.passed)
@@ -331,20 +383,20 @@ def test_mass_bound_scan_is_the_maximum_over_grid_and_random_windows(c, depth, l
     # the natural measure of a constant-c (harmonic for c None) system
     leaves = build_system(GapSequence.harmonic(depth) if c is None
                           else GapSequence.constant(c, depth), max_depth=depth).level(depth)
-    measure = _natural_measure(leaves)
     scales = np.exp(log_scales)
     rep = mass_distribution_lower_bound(leaves, 1.0, scales)
-    lo, hi = float(np.min(measure.lefts)), float(np.max(measure.rights))
+    rights = leaves.lefts + np.exp(leaves.log_length)
+    lo, hi = float(leaves.lefts[0]), float(rights[-1])
     # a float window [x, x + r] is r wide only to half a spacing at its ends, and
     # its mass moves with the width at the intervals' density
-    density = float(np.max(measure.masses / (measure.rights - measure.lefts)))
+    density = float(np.max(1.0 / leaves.count / (rights - leaves.lefts)))
     rng = np.random.default_rng(seed)
     for r, c_r in zip(sorted(scales, reverse=True), rep.per_scale_C):
         top = c_r * r * (1.0 + 1e-15) + density * np.spacing(max(abs(lo), abs(hi)) + r)
         grid = np.arange(lo - r, hi + r / 4.0, r / 4.0)
         dense = rng.uniform(lo - r, hi, 20000)
         for x in (grid, dense):
-            assert np.max(measure.window_masses(x, x + r)) <= top
+            assert np.max(_natural_masses(leaves, x, x + r)) <= top
 
 
 def test_natural_measure_uniform_on_level():

@@ -10,7 +10,6 @@ from scipy.optimize import LinearConstraint, minimize
 
 from confdim import modulus
 from confdim.cantor import GapSequence, IntervalLevel, build_system
-from confdim.dimension import DiscreteMeasure
 from confdim.modulus import (
     DiscreteModulusProblem,
     InfeasibleError,
@@ -26,12 +25,6 @@ from confdim.modulus import (
     solve_fuglede,
     vitali_disjointify,
 )
-
-
-def _natural_measure(level):
-    """Mass 1 / count on every interval of a stored level."""
-    return DiscreteMeasure(level.lefts, level.lefts + np.exp(level.log_length),
-                           np.full(level.count, 1.0 / level.count))
 
 
 def brute_force(w, A, p, rng, starts=4):
@@ -379,17 +372,15 @@ def test_product_system_rejects_aliasing_grid():
     system = build_system(GapSequence.harmonic(7), max_depth=7)
     leaves = system.level(7)
     with pytest.raises(ValueError):
-        product_system(leaves, _natural_measure(leaves),
-                       [(0.0, 1.0)], cell_width=3.0 ** -7, p=1.5)
+        product_system(leaves, [(0.0, 1.0)], cell_width=3.0 ** -7, p=1.5)
 
 
 def test_holder_lower_bound_and_validation():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     leaves = system.level(6)
-    meas = _natural_measure(leaves)
     Y = [(k / 4, 0.25) for k in range(4)]
     d = 0.6
-    prod = product_system(leaves, meas, Y, cell_width=3.0 ** -7, p=1 + d)
+    prod = product_system(leaves, Y, cell_width=3.0 ** -7, p=1 + d)
     assert holder_lower_bound(prod, d) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         holder_lower_bound(prod, 0.5)  # exponent mismatch
@@ -428,8 +419,7 @@ def test_vanishing_witness_decreases_with_depth():
 def test_modulus_comparison_reports_finite_ratio():
     system = build_system(GapSequence.harmonic(6), max_depth=6)
     leaves = system.level(6)
-    prod = product_system(leaves, _natural_measure(leaves),
-                          [(k / 4, 0.25) for k in range(4)],
+    prod = product_system(leaves, [(k / 4, 0.25) for k in range(4)],
                           cell_width=3.0 ** -7, p=1.5)
     rights = leaves.lefts + np.exp(leaves.log_length)
     centers = (leaves.lefts + rights) / 2.0
